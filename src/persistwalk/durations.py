@@ -14,10 +14,13 @@ j ≤ 2^19 and the Wallis expansion
     ln q_j = -½·ln(πj) + ln1p(-1/(8j) + 1/(128j²))
 
 takes over beyond it (relative error ~ (1/j)³, far below float precision at
-the table edge).  Draws are inverse-CDF: a table search in the bulk, a
-40-step integer bisection on the expansion in the tail, capped at
-j = 2^39 (T = 2^40 + 1) with capped draws flagged — their probability per
-draw is about 7.6e-7, and callers account for them explicitly.
+the table edge).  Draws are inverse-CDF in O(1) per draw: the expansion's
+leading terms, q_j² ≈ 1/(π(j + 1/4)), give the guess j ≈ 1/(πu²) − 1/4,
+and exact steps against the table (against the expansion past it) move
+the guess to the crossing, the index a search of the whole table or a
+bisection on the expansion returns.  Draws are capped at j = 2^39
+(T = 2^40 + 1) with capped draws flagged — their probability per draw is
+about 7.6e-7, and callers account for them explicitly.
 
 General walks (tables)
 ----------------------
@@ -68,7 +71,19 @@ def _log_q(j) -> np.ndarray:
 
 def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_CAP_EXP
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Invert uniforms to unit passage times T (odd ints), vectorized.
+    """Invert uniforms u in (0, 1] to unit passage times T (odd ints), vectorized.
+
+    T = 2j + 1 with j the largest index such that q_j ≥ u.  Each draw
+    starts from the guess j₀ = ⌊1/(πu²) − 1/4⌋ and steps to the exact
+    crossing: down while q_j < u, then up while q_{j+1} ≥ u.  In the table
+    range q is non-increasing, so the crossing found is the one a binary
+    search of the table finds.  Past the table the same steps test
+    ln q_j ≥ ln u on the Wallis expansion, which is strictly decreasing in
+    floating point there (consecutive values differ by about 1/(2j), at
+    least hundreds of ulps up to j = 2^41), so they land where a bisection
+    on the expansion lands.  The guess is usually off by at most one step,
+    but the loops run until nothing moves, so the result never depends on
+    how good it is.
 
     Returns ``(T, capped)``; where ``capped`` is True the true T exceeds
     2^(cap_exp + 1) and the reported value is that cap + 1.
@@ -76,8 +91,20 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
     u = np.asarray(u, dtype=np.float64)
     q = _q_table()
     jmax = 1 << cap_exp
-    # j(u) = #{i >= 1 : q_i >= u}; descending table searched via negation
-    j = np.searchsorted(-q, -u, side="right").astype(np.int64) - 1
+    # q_j² ≈ 1/(π(j + 1/4)) puts the crossing at j ≈ 1/(πu²) − 1/4
+    guess = np.floor(1.0 / (np.pi * u * u) - 0.25)
+    j = np.clip(guess, 0, _TABLE_LEN).astype(np.int64)
+    # largest j ≤ 2^19 with q_j ≥ u; q_0 = 1 stops the downward steps
+    move = np.flatnonzero(q[j] < u)
+    while move.size:
+        j[move] -= 1
+        move = move[q[j[move]] < u[move]]
+    move = np.flatnonzero(q[np.minimum(j + 1, _TABLE_LEN)] >= u)
+    move = move[j[move] < _TABLE_LEN]
+    while move.size:
+        j[move] += 1
+        move = move[j[move] < _TABLE_LEN]
+        move = move[q[j[move] + 1] >= u[move]]
 
     if jmax <= _TABLE_LEN:
         # cap inside the exact table: clamp directly, no asymptotics needed
@@ -85,25 +112,23 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
         return 2 * np.minimum(j, jmax) + 1, capped
 
     capped = np.zeros(u.shape, dtype=bool)
-    in_tail = j >= _TABLE_LEN
-    if np.any(in_tail):
-        ut = u[in_tail]
-        log_ut = np.log(ut)
+    tail = np.flatnonzero(j >= _TABLE_LEN)
+    if tail.size:
+        log_ut = np.log(u[tail])
         deep = _log_q(jmax) >= log_ut
-        lo = np.full(ut.shape, _TABLE_LEN, dtype=np.int64)   # q_lo >= u holds
-        hi = np.full(ut.shape, jmax, dtype=np.int64)         # q_hi < u (where not deep)
-        # integer bisection for the largest j with q_j >= u
-        while True:
-            gap = hi - lo
-            if not np.any(gap > 1):
-                break
-            mid = lo + gap // 2
-            ge = _log_q(mid) >= log_ut
-            lo = np.where(ge, mid, lo)
-            hi = np.where(ge, hi, mid)
-        jt = np.where(deep, jmax, lo)
-        j[in_tail] = jt
-        capped[in_tail] = deep
+        # largest j in [2^19, jmax) with ln q_j ≥ ln u; j = 2^19 needs no
+        # test, the table already put q_j ≥ u there
+        jt = np.clip(guess[tail], _TABLE_LEN, jmax).astype(np.int64)
+        move = np.flatnonzero((jt > _TABLE_LEN) & (_log_q(jt) < log_ut))
+        while move.size:
+            jt[move] -= 1
+            move = move[(jt[move] > _TABLE_LEN) & (_log_q(jt[move]) < log_ut[move])]
+        move = np.flatnonzero((jt < jmax) & (_log_q(jt + 1) >= log_ut))
+        while move.size:
+            jt[move] += 1
+            move = move[(jt[move] < jmax) & (_log_q(jt[move] + 1) >= log_ut[move])]
+        j[tail] = np.where(deep, jmax, jt)
+        capped[tail] = deep
     return 2 * j + 1, capped
 
 

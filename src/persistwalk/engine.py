@@ -30,6 +30,10 @@ Engines
       ratio (strict mode) or one past its floor (weak mode).
 
     Consumption: one uniform for the first-step sign, then two per stretch.
+    Products with p or q are formed only of remainders, below q·(p + q),
+    or stay below the sums they split, so the engines (and the simple-walk
+    ξ runs) are exact in int64 for every x with q·(p + q) < 2^63 and refuse
+    any other x with :class:`~.errors.OutOfDomain`.
 
 ``run_xi_trials``
     Excursion-pair runs for W_n = Σ (1-x)τ⁺ - (1+x)τ⁻: exact durations for
@@ -48,6 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import durations as dur
+from .errors import OutOfDomain
 from .increments import IncrementDistribution, steps_from_uniforms
 from .rng import trial_keys, uniform_at
 
@@ -152,19 +157,41 @@ def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
 # exact excursion engines (simple walk)
 # ---------------------------------------------------------------------------
 
+def _exact_ratio(x: Fraction) -> tuple[int, int]:
+    """(p, q) of x = p/q, refused where the exact engines' int64 products
+    could wrap: they form p·b₀ with b₀ < q and q·a₀ with a₀ < p + q, both
+    below q·(p + q)."""
+    p, q = x.numerator, x.denominator
+    if q * (p + q) >= 1 << 63:
+        raise OutOfDomain(f"x={x}: q·(p+q) ≥ 2^63 is beyond exact int64 "
+                          "arithmetic in the simple-walk engines")
+    return p, q
+
+
 def _up_entry_violation(g, t, p, q, strict):
-    lhs = q * (g + 1)
-    rhs = p * (t + 1)
-    return lhs <= rhs if strict else lhs < rhs
+    """q·(G + 1) vs p·(t + 1) at the first step of an up stretch.
+
+    With t + 1 = b₁q + b₀ this is q·(G + 1 - p·b₁) vs p·b₀, decided by
+    comparing G + 1 - p·b₁ with ⌊p·b₀/q⌋ (strict) or ⌈p·b₀/q⌉ (weak).
+    """
+    b1, b0 = np.divmod(t + 1, q)
+    d = g + 1 - p * b1
+    r = p * b0
+    return d <= r // q if strict else d < -(-r // q)
 
 
 def _down_first_violation(g, t, p, q, strict):
-    """Earliest violating s on a down stretch entered from state (t, G)."""
-    a = q * (g + t)  # nonnegative whenever the trial is still alive
+    """Earliest violating s on a down stretch entered from state (t, G).
+
+    That is ⌈q·(G + t)/(p + q)⌉ (strict) or ⌊q·(G + t)/(p + q)⌋ + 1 (weak);
+    with G + t = a₁(p + q) + a₀ the quotient is q·a₁ + q·a₀/(p + q).
+    """
+    a1, a0 = np.divmod(g + t, p + q)  # G + t ≥ 0 whenever the trial is alive
+    qa0 = q * a0
     if strict:
-        sstar = -(-a // (p + q))
+        sstar = q * a1 - (-qa0 // (p + q))
     else:
-        sstar = a // (p + q) + 1
+        sstar = q * a1 + qa0 // (p + q) + 1
     return np.maximum(sstar, t + 1)
 
 
@@ -173,7 +200,7 @@ def srw_excursion_first_violation(x: Fraction, t_max: int, trials: int, seed: in
                                   cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP
                                   ) -> tuple[np.ndarray, int]:
     """Exact first-violation times for the simple walk, one stretch at a time."""
-    p, q = x.numerator, x.denominator
+    p, q = _exact_ratio(x)
     strict = mode == "strict"
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
@@ -225,7 +252,7 @@ def srw_excursion_a_progress(x: Fraction, k_max: int, trials: int, seed: int, *,
     mstar[i] = number of complete excursions through which trial i kept
     q·G_s vs p·s on the right side (weak mode by default), capped at k_max.
     """
-    p, q = x.numerator, x.denominator
+    p, q = _exact_ratio(x)
     strict = mode == "strict"
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
@@ -331,11 +358,18 @@ def _srw_xi_single(key: np.uint64, n_pairs: int, wp: int, wm: int,
     return w, cap_pos, cap_neg
 
 
+def _w_negative(d, s, p, q):
+    """W < 0 for q·W = q·D - p·S, i.e. D < ⌈p·S/q⌉; with S = s₁q + s₀ that
+    bound is p·s₁ + ⌈p·s₀/q⌉, where p·s₁ < S and p·s₀ < p·q."""
+    s1, s0 = np.divmod(s, q)
+    return d < p * s1 - (-(p * s0) // q)
+
+
 def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
                   record_ns: tuple[int, ...], trial_offset: int,
                   cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP,
                   max_retries: int = 3) -> XiRunResult:
-    p, q = x.numerator, x.denominator
+    p, q = _exact_ratio(x)
     wp, wm = q - p, q + p  # q * xi = wp * tau+ - wm * tau-
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
@@ -347,7 +381,10 @@ def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
         # leading negative stretch is not part of any pair: burn its draws
         ctr[down] += 2
 
-    w = np.zeros(trials, dtype=np.int64)
+    # W is carried as D = Σ τ⁺ - τ⁻ and S = Σ τ⁺ + τ⁻, q·W = q·D - p·S
+    d = np.zeros(trials, dtype=np.int64)
+    s = np.zeros(trials, dtype=np.int64)
+    neg = np.zeros(trials, dtype=bool)
     alive = np.ones(trials, dtype=bool)
     cap_pos = np.zeros(trials, dtype=bool)
     cap_neg = np.zeros(trials, dtype=bool)
@@ -365,19 +402,20 @@ def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
         u2 = uniform_at(keys, ctr + 3)
         tm, cm = dur.srw_tau_from_uniform_pairs(u1, u2, cap_exp=cap_exp)
         ctr += 4
-        w += wp * tp - wm * tm
+        d += tp - tm
+        s += tp + tm
         cap_pos |= cp
         cap_neg |= cm
         capped_draws += int(cp.sum()) + int(cm.sum())
-        alive &= w >= 0
+        neg = _w_negative(d, s, p, q)
+        alive &= ~neg
         while ri < len(rec) and rec[ri] == m:
             alive_counts[ri] = int(alive.sum())
-            neg_counts[ri] = int((w < 0).sum())
+            neg_counts[ri] = int(neg.sum())
             ri += 1
 
     # A capped duration was recorded as a lower bound, so a trial's final
     # sign is only trustworthy when no cap opposes it.
-    neg = w < 0
     undecided_mask = (neg & cap_pos) | (~neg & cap_neg)
     retries = 0
     for r in range(1, max_retries + 1):
@@ -748,10 +786,6 @@ def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
     return bounds or [(0, 0)]
 
 
-def _call_chunk(fn, args, count, offset):
-    return fn(args, count, offset)
-
-
 def _run_in_chunks(fn, args, trials: int, workers: int) -> list:
     """Run fn(args, count, offset) over contiguous chunks, serial or pooled.
 
@@ -763,7 +797,7 @@ def _run_in_chunks(fn, args, trials: int, workers: int) -> list:
         return [fn(args, cnt, off) for off, cnt in bounds]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        futs = [ex.submit(_call_chunk, fn, args, cnt, off)
+        futs = [ex.submit(fn, args, cnt, off)
                 for off, cnt in bounds]
         return [f.result() for f in futs]
 

@@ -39,7 +39,8 @@ class OutOfRange(PersistWalkError):
 
 
 class OutOfDomain(PersistWalkError):
-    """(x, b) outside the domain x in [0, 1), b > 0."""
+    """(x, b) outside the domain x in [0, 1), b > 0, or an x = p/q too
+    fine for exact int64 arithmetic (q·(p + q) ≥ 2^63)."""
 
 
 class Unattainable(PersistWalkError):

@@ -61,11 +61,51 @@ def test_unit_passage_frequencies():
 
 
 def test_unit_passage_deep_tail_inversion():
-    # beyond the table, bisection must land on j ~ 1/(pi u^2)
+    # beyond the table, the inversion must land on j ~ 1/(pi u^2)
     t, capped = durations.unit_passage_from_uniforms(np.array([1e-6]))
     assert not capped[0]
     j = (int(t[0]) - 1) // 2
     assert abs(j * math.pi * 1e-12 - 1.0) < 1e-3
+
+
+def reference_unit_passage(u, cap_exp):
+    """Inversion by full search: a binary search of the whole q-table, then
+    an integer bisection on the Wallis expansion for draws past it."""
+    q = durations._q_table()
+    jmax = 1 << cap_exp
+    j = np.searchsorted(-q, -u, side="right").astype(np.int64) - 1
+    if jmax <= len(q) - 1:
+        return 2 * np.minimum(j, jmax) + 1, j >= jmax
+    capped = np.zeros(u.shape, dtype=bool)
+    in_tail = j >= len(q) - 1
+    log_ut = np.log(u[in_tail])
+    deep = durations._log_q(jmax) >= log_ut
+    lo = np.full(log_ut.shape, len(q) - 1, dtype=np.int64)
+    hi = np.full(log_ut.shape, jmax, dtype=np.int64)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        ge = durations._log_q(mid) >= log_ut
+        lo = np.where(ge, mid, lo)
+        hi = np.where(ge, hi, mid)
+    j[in_tail] = np.where(deep, jmax, lo)
+    capped[in_tail] = deep
+    return 2 * j + 1, capped
+
+
+def test_unit_passage_matches_full_search():
+    q = durations._q_table()
+    edge = q[1:]
+    lo = 2.0 ** -54  # the extreme uniforms of rng.uniform_at
+    # log-uniform over the tail, where the expansion takes over
+    deep = np.exp(np.log(lo) + np.log(q[-1] / lo)
+                  * RandomStream(406, 0).uniforms(1_000_000))
+    u = np.concatenate([edge, np.nextafter(edge, 0), np.nextafter(edge, 2),
+                        [lo, 1 - lo], deep])
+    for cap_exp in (10, 19, 20, 39, 41):
+        t, capped = durations.unit_passage_from_uniforms(u, cap_exp=cap_exp)
+        t_ref, capped_ref = reference_unit_passage(u, cap_exp)
+        np.testing.assert_array_equal(t, t_ref)
+        np.testing.assert_array_equal(capped, capped_ref)
 
 
 def test_unit_passage_cap():

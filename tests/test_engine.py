@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistwalk import durations, engine, walk
+from persistwalk.errors import OutOfDomain
 from persistwalk.increments import preset, steps_from_uniforms
 from persistwalk.rng import trial_keys, uniform_at
 
@@ -110,6 +111,95 @@ def test_up_entry_violation_closed_form(g, dt, xfrac, strict):
     want = (lhs <= rhs) if strict else (lhs < rhs)
     got = engine._up_entry_violation(np.array([g]), np.array([t]), p, q, strict)
     assert got[0] == want
+
+
+# wide denominators the exact engines still accept: q·(p+q) < 2^63
+X_WIDE = [Fraction(1, 3_037_000_000), Fraction(2 ** 30 - 1, 2 ** 31)]
+# refused: q·(p+q) ≥ 2^63, where int64 products used to wrap silently
+X_REFUSED = Fraction(2 ** 40 - 1, 2 ** 41)
+
+
+def int_up_entry_violation(g, t, p, q, strict):
+    """_up_entry_violation in Python integers."""
+    lhs = q * (g.astype(object) + 1)
+    rhs = p * (t.astype(object) + 1)
+    return np.asarray(lhs <= rhs if strict else lhs < rhs, dtype=bool)
+
+
+def int_down_first_violation(g, t, p, q, strict):
+    """_down_first_violation in Python integers."""
+    a = q * (g.astype(object) + t.astype(object))
+    sstar = -(-a // (p + q)) if strict else a // (p + q) + 1
+    return np.maximum(sstar, t.astype(object) + 1).astype(np.int64)
+
+
+@given(st.integers(0, 2 ** 61), st.integers(0, 2 ** 61),
+       st.sampled_from([(0, 1), (1, 2)] + [(x.numerator, x.denominator)
+                                           for x in X_WIDE]),
+       st.booleans())
+@settings(max_examples=300)
+def test_violation_closed_forms_do_not_wrap(g, dt, xfrac, strict):
+    t = g + dt
+    p, q = xfrac
+    g, t = np.array([g]), np.array([t])
+    np.testing.assert_array_equal(
+        engine._up_entry_violation(g, t, p, q, strict),
+        int_up_entry_violation(g, t, p, q, strict))
+    np.testing.assert_array_equal(
+        engine._down_first_violation(g, t, p, q, strict),
+        int_down_first_violation(g, t, p, q, strict))
+
+
+def test_exact_excursion_int64_range(monkeypatch):
+    # at x = 1/3037000000, q·(G + t) passed 2^63 on long paths and wrapped:
+    # P(m >= 200) read 0.019 instead of 0.01915 on these paths
+    x = X_WIDE[0]
+    got, _ = engine.srw_excursion_a_progress(x, 200, 20_000, seed=5)
+    monkeypatch.setattr(engine, "_up_entry_violation", int_up_entry_violation)
+    monkeypatch.setattr(engine, "_down_first_violation",
+                        int_down_first_violation)
+    want, _ = engine.srw_excursion_a_progress(x, 200, 20_000, seed=5)
+    np.testing.assert_array_equal(got, want)
+    monkeypatch.undo()
+    with pytest.raises(OutOfDomain):
+        engine.srw_excursion_a_progress(X_REFUSED, 200, 20_000, seed=5)
+    with pytest.raises(OutOfDomain):
+        engine.srw_excursion_first_violation(X_REFUSED, 100, 10, seed=5)
+    with pytest.raises(OutOfDomain):
+        engine._srw_xi_chunk(X_REFUSED, 10, 10, 5, (10,), 0)
+
+
+def int_xi_counts(x, n_pairs, trials, seed, record_ns):
+    """alive/neg counts of _srw_xi_chunk with W summed in Python integers."""
+    p, q = x.numerator, x.denominator
+    keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
+    ctr = np.zeros(trials, dtype=np.uint64)
+    ctr += np.where(uniform_at(keys, ctr) < 0.5, 3, 1).astype(np.uint64)
+    w = np.zeros(trials, dtype=object)
+    alive = np.ones(trials, dtype=bool)
+    alive_counts, neg_counts = [], []
+    for m in range(1, n_pairs + 1):
+        tp, _ = durations.srw_tau_from_uniform_pairs(uniform_at(keys, ctr),
+                                                     uniform_at(keys, ctr + 1))
+        tm, _ = durations.srw_tau_from_uniform_pairs(uniform_at(keys, ctr + 2),
+                                                     uniform_at(keys, ctr + 3))
+        ctr += 4
+        w = w + (q - p) * tp.astype(object) - (q + p) * tm.astype(object)
+        neg = np.asarray(w < 0, dtype=bool)
+        alive &= ~neg
+        if m in record_ns:
+            alive_counts.append(int(alive.sum()))
+            neg_counts.append(int(neg.sum()))
+    return alive_counts, neg_counts
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2)] + X_WIDE)
+def test_srw_xi_w_is_exact(x):
+    # (q ± p)·τ passed 2^63 for x = 1/3037000000 at seed 1 and flipped signs
+    res = engine._srw_xi_chunk(x, 50, 2000, 1, (10, 50), 0)
+    alive_counts, neg_counts = int_xi_counts(x, 50, 2000, 1, (10, 50))
+    assert res.alive_counts.tolist() == alive_counts
+    assert res.neg_counts.tolist() == neg_counts
 
 
 def _proportions_close(c1, c2, z=3.0):
