@@ -173,19 +173,20 @@ class SideTables:
     """Per-entry-state duration/exit tables for one side of zero.
 
     ``entries`` are entry positions as *distances from zero* (always
-    positive here; the caller mirrors the negative side).  For entry index
-    e: ``neg_surv[e][n] = -P(τ > n)`` (negated so the array ascends, ready
-    for searchsorted), ``exit_cum[e][n, k]`` the cumulative split over
-    ``exit_values`` given τ = n, ``tail_cum[e]`` the split given τ > N,
-    and ``tail_p[e] = P(τ > N)``.
+    positive here; the caller mirrors the negative side).  The arrays are
+    stacked over the entry index e: ``neg_surv[e, n] = -P(τ > n)``, shape
+    (E, N+1), negated so each row ascends, ready for searchsorted;
+    ``exit_cum[e, n, k]``, shape (E, N+1, K), the cumulative split over the
+    K ``exit_values`` given τ = n; ``tail_cum[e]``, shape (E, K), the split
+    given τ > N; and ``tail_p[e] = P(τ > N)``, shape (E,).
     """
 
     entries: list[int]
     exit_values: list[int]  # signed landing positions on the other side
-    neg_surv: list[np.ndarray]
-    exit_cum: list[np.ndarray]
-    tail_cum: list[np.ndarray]
-    tail_p: list[float]
+    neg_surv: np.ndarray
+    exit_cum: np.ndarray
+    tail_cum: np.ndarray
+    tail_p: np.ndarray
     n_table: int
 
 
@@ -195,58 +196,61 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
 
     The stretch lives on positions ≥ 0 (zero carries the stretch's sign) and
     ends the step it lands strictly below 0; the landing position is the
-    next stretch's entry on the other side.
+    next stretch's entry on the other side.  Mass pushed past the padded
+    range p_max is dropped: it cannot come back below zero within the
+    horizon at any relevant rate.
     """
     values = [int(v) for v in dist.values()]
     probs = [float(p) for p in dist.probabilities()]
-    down = [(-v, p) for v, p in zip(values, probs) if v < 0]  # depth, prob
-    max_down = max(d for d, _ in down)
+    max_down = -min(values)
     exit_values = [-d for d in range(1, max_down + 1)]  # signed landings -1..-max
     p_max = int(np.ceil(sigma_pad * float(dist.variance()) ** 0.5 * n_table ** 0.5))
     p_max = max(p_max, max(entries) + 1, dist.max_step + 1)
 
-    neg_surv, exit_cum, tail_cum, tail_p = [], [], [], []
-    for entry in entries:
+    n_entries = len(entries)
+    neg_surv = np.empty((n_entries, n_table + 1), dtype=np.float64)
+    exit_cum = np.zeros((n_entries, n_table + 1, max_down), dtype=np.float64)
+    tail_cum = np.empty((n_entries, max_down), dtype=np.float64)
+    tail_p = np.empty(n_entries, dtype=np.float64)
+    for e, entry in enumerate(entries):
         alive = np.zeros(p_max + 1, dtype=np.float64)
         alive[entry] = 1.0
-        surv = np.empty(n_table + 1, dtype=np.float64)
-        surv[0] = 1.0
-        absorb = np.zeros((n_table + 1, max_down), dtype=np.float64)
-        escaped = 0.0
         buf = np.zeros(p_max + 1, dtype=np.float64)
+        # low[n] = the mass at 0 .. max_down - 1 before step n, the only
+        # positions a step down can take below zero
+        low = np.zeros((n_table + 1, max_down), dtype=np.float64)
         for n in range(1, n_table + 1):
+            low[n] = alive[:max_down]
             buf[:] = 0.0
             for v, p in zip(values, probs):
-                if v >= 0:
-                    # shift up; mass pushed past p_max escapes (it cannot be
-                    # absorbed again within the horizon at any relevant rate)
-                    if v == 0:
-                        buf += p * alive
-                    else:
-                        buf[v:] += p * alive[:p_max + 1 - v]
-                        escaped += p * alive[p_max + 1 - v:].sum()
+                if v == 0:
+                    buf += p * alive
+                elif v > 0:
+                    buf[v:] += p * alive[:p_max + 1 - v]
                 else:
-                    d = -v
-                    buf[:p_max + 1 - d] += p * alive[d:]
-                    # positions j < d land at j - d in [-d, -1]
-                    for jpos in range(min(d, p_max + 1)):
-                        absorb[n, d - jpos - 1] += p * alive[jpos]
+                    buf[:p_max + 1 + v] += p * alive[-v:]
             alive, buf = buf, alive
-            surv[n] = surv[n - 1] - absorb[n].sum()
-        # exit split given τ = n (rows with no mass are never sampled)
+        absorb = exit_cum[e]  # mass absorbed per (n, depth - 1), split below
+        for v, p in zip(values, probs):
+            if v < 0:
+                # position j < d = -v lands at j - d, depth d - j
+                absorb[:, :-v] += p * low[:, -v - 1::-1]
         row_tot = absorb.sum(axis=1, keepdims=True)
-        safe = np.where(row_tot > 0, row_tot, 1.0)
-        exit_c = np.cumsum(absorb / safe, axis=1)
-        exit_c[row_tot[:, 0] == 0] = 1.0
+        surv = neg_surv[e]
+        surv[0] = 1.0
+        surv[1:] = row_tot[1:, 0]
+        np.subtract.accumulate(surv, out=surv)  # P(τ > n), summed in step order
+        tail_p[e] = surv[n_table]
+        np.negative(surv, out=surv)
         # tail split: absorptions over the second half of the table
         tail_counts = absorb[n_table // 2:].sum(axis=0)
         tot = tail_counts.sum()
-        tail_c = (np.cumsum(tail_counts / tot) if tot > 0
-                  else np.linspace(1.0 / max_down, 1.0, max_down))
-        neg_surv.append(-surv)
-        exit_cum.append(exit_c)
-        tail_cum.append(tail_c)
-        tail_p.append(float(surv[n_table]))
+        tail_cum[e] = (np.cumsum(tail_counts / tot) if tot > 0
+                       else np.linspace(1.0 / max_down, 1.0, max_down))
+        # exit split given τ = n (rows with no mass are never sampled)
+        safe = np.where(row_tot > 0, row_tot, 1.0)
+        np.cumsum(absorb / safe, axis=1, out=absorb)
+        absorb[row_tot[:, 0] == 0] = 1.0
     return SideTables(entries=entries, exit_values=exit_values,
                       neg_surv=neg_surv, exit_cum=exit_cum,
                       tail_cum=tail_cum, tail_p=tail_p, n_table=n_table)
@@ -294,21 +298,12 @@ class ExcursionTables:
         # landing depth k+1 on this side is entry land_sign*(k+1) on the other
         trans = np.array([other_index[land_sign * d] for d in range(1, kcols + 1)],
                          dtype=np.int64)
-        out = np.empty(u.shape, dtype=np.int64)
-        for e in range(len(tables.entries)):
-            m = entry_idx == e
-            if not np.any(m):
-                continue
-            um = u[m]
-            cums = np.empty((um.size, kcols), dtype=np.float64)
-            bulk = ~tail[m]
-            if np.any(bulk):
-                cums[bulk] = tables.exit_cum[e][tau[m][bulk].astype(np.int64)]
-            if np.any(~bulk):
-                cums[~bulk] = tables.tail_cum[e]
-            kidx = (um[:, None] > cums).sum(axis=1)
-            out[m] = trans[kidx]
-        return out
+        # a tail draw's τ lies past the table: read row 0, then overwrite
+        cums = tables.exit_cum[entry_idx, np.where(tail, 0, tau).astype(np.int64)]
+        cums[tail] = tables.tail_cum[entry_idx[tail]]
+        # count u > cums per draw; a sum over the short K axis runs far
+        # faster down a (K, n) copy than along the rows of (n, K)
+        return trans[(u > cums.T.copy()).sum(axis=0)]
 
 
 def _entry_closure(dist: IncrementDistribution) -> tuple[list[int], list[int]]:

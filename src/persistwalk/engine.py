@@ -6,15 +6,23 @@ Trial ``i`` of a run draws exclusively from the counter stream keyed by
 ``(seed, trial_offset + i)``; each engine consumes stream positions in a
 fixed documented order.  Results therefore depend only on (seed, trial
 index), never on batching, compaction, or how trials are split across
-workers — per-horizon counters merge by integer addition.
+workers — per-horizon counters merge by integer addition.  An engine
+may generate positions past the point where a trial's outcome is settled
+(the stepped engines draw whole blocks); those values are never used, so
+no result depends on them.
 
 Engines
 -------
 ``stepped_*``
-    The reference engines: advance every live trial one step at a time,
-    maintaining position, carried sign and running sign-sum, and test the
-    barrier q·G_s vs p·s in int64 arithmetic at every step.  One uniform
-    per step per trial.
+    The reference engines, and the only ones for step-indexed events on
+    general walks.  One vector pass advances every live trial by a block of
+    up to 64 steps: position, carried sign and running sign-sum for each
+    column, then the earliest column that ends the trial.  The barrier
+    q·G_s vs p·s is tested as G_s against ⌊p·s/q⌋ (strict) or
+    ⌊(p·s − 1)/q⌋ (weak), computed per column in Python integers, so it is
+    exact for every x.  The uniform at stream position s - 1 is the step
+    to time s.  A pass holds at most ``trials`` elements: the block is
+    min(64, trials // live), and the time event stops at t_max.
 
 ``srw_excursion_*``
     Exact fast engines for the simple walk.  Stretch durations come from
@@ -59,13 +67,45 @@ from .rng import trial_keys, uniform_at
 _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
 
 
-def _carry_signs(pos: np.ndarray, prev_sign: np.ndarray) -> np.ndarray:
-    return np.where(pos > 0, 1, np.where(pos < 0, -1, prev_sign)).astype(prev_sign.dtype)
-
-
 # ---------------------------------------------------------------------------
 # stepped engines (any dist)
 # ---------------------------------------------------------------------------
+
+_BLOCK = 64  # most steps one vector pass advances a trial
+
+
+def _step_block(dist: IncrementDistribution, keys: np.ndarray, s0: int, b: int,
+                pos: np.ndarray, sgn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and carried signs at times s0 + 1 .. s0 + b, shape (k, b).
+
+    Every row continues a live trial from its state (``pos``, ``sgn``) at
+    time s0; the step to time s0 + j + 1 uses stream position s0 + j.
+    """
+    u = uniform_at(keys[:, None], np.arange(s0, s0 + b, dtype=np.uint64))
+    pos_blk = pos[:, None] + np.cumsum(steps_from_uniforms(dist, u), axis=1)
+    sgn_blk = np.sign(pos_blk)
+    # a zero position takes the sign before it: the previous column's, or
+    # the carried sign in column 0; a run of zeros resolves one per round
+    flat = sgn_blk.reshape(-1)
+    zero = np.flatnonzero(flat == 0)
+    while zero.size:
+        prev = np.where(zero % b > 0, flat[zero - 1], sgn[zero // b])
+        flat[zero] = prev
+        zero = zero[prev == 0]
+    return pos_blk, sgn_blk
+
+
+def _violating_g(p: int, q: int, s0: int, b: int, strict: bool) -> np.ndarray:
+    """Largest G_s failing the barrier at s = s0 + 1 .. s0 + b.
+
+    G is an integer, so q·G ≤ p·s ⇔ G ≤ ⌊p·s/q⌋ and q·G < p·s ⇔
+    G ≤ ⌈p·s/q⌉ − 1 = ⌊(p·s − 1)/q⌋.  The products are Python integers,
+    one per column, so no x makes them wrap.
+    """
+    r = 0 if strict else 1
+    return np.array([(p * s - r) // q for s in range(s0 + 1, s0 + b + 1)],
+                    dtype=np.int64)
+
 
 def stepped_first_violation(dist: IncrementDistribution, x: Fraction, t_max: int,
                             trials: int, seed: int, *, mode: str = "strict",
@@ -76,26 +116,25 @@ def stepped_first_violation(dist: IncrementDistribution, x: Fraction, t_max: int
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     idx = np.arange(trials, dtype=np.int64)
-    ctr = np.zeros(trials, dtype=np.uint64)
     pos = np.zeros(trials, dtype=np.int64)
     sgn = np.ones(trials, dtype=np.int64)
     g = np.zeros(trials, dtype=np.int64)
     tstar = np.full(trials, t_max + 1, dtype=np.int64)
 
-    for s in range(1, t_max + 1):
-        if not idx.size:
-            break
-        u = uniform_at(keys, ctr)
-        ctr += 1
-        pos += steps_from_uniforms(dist, u)
-        sgn = _carry_signs(pos, sgn)
-        g += sgn
-        viol = (q * g <= p * s) if strict else (q * g < p * s)
-        if viol.any():
-            tstar[idx[viol]] = s
-            live = ~viol
-            idx, keys, ctr, pos, sgn, g = (a[live] for a in (idx, keys, ctr,
-                                                             pos, sgn, g))
+    s = 0
+    while idx.size and s < t_max:
+        # a pass holds at most `trials` elements, like the first step
+        b = min(_BLOCK, t_max - s, max(1, trials // idx.size))
+        pos_blk, sgn_blk = _step_block(dist, keys, s, b, pos, sgn)
+        g_blk = g[:, None] + np.cumsum(sgn_blk, axis=1)
+        viol = g_blk <= _violating_g(p, q, s, b, strict)
+        pos, sgn, g = pos_blk[:, -1], sgn_blk[:, -1], g_blk[:, -1]
+        hit = viol.any(axis=1)
+        if hit.any():
+            tstar[idx[hit]] = s + 1 + viol[hit].argmax(axis=1)
+            live = ~hit
+            idx, keys, pos, sgn, g = (a[live] for a in (idx, keys, pos, sgn, g))
+        s += b
     return tstar
 
 
@@ -111,7 +150,6 @@ def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     idx = np.arange(trials, dtype=np.int64)
-    ctr = np.zeros(trials, dtype=np.uint64)
     pos = np.zeros(trials, dtype=np.int64)
     sgn = np.ones(trials, dtype=np.int64)
     g = np.zeros(trials, dtype=np.int64)
@@ -122,34 +160,34 @@ def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
 
     s = 0
     while idx.size:
-        s += 1
-        u = uniform_at(keys, ctr)
-        ctr += 1
-        pos += steps_from_uniforms(dist, u)
-        new_sgn = _carry_signs(pos, sgn)
-        crossed = new_sgn != sgn
-        if s == 1:
-            crossed[:] = False  # time 0 is not an eligible crossing
-        sgn = new_sgn
-        m += crossed
-        stretch_len = np.where(crossed, 1, stretch_len + 1)
-        g += sgn
-        # the 2k-th crossing closes the event before this step's barrier test
-        done = m >= 2 * k_max
-        viol = ((q * g <= p * s) if strict else (q * g < p * s)) & ~done
-        over = (stretch_len > step_cap) & ~done & ~viol
-        if done.any():
-            mstar[idx[done]] = k_max
-        if viol.any():
-            mstar[idx[viol]] = m[viol] // 2
-        if over.any():
-            mstar[idx[over]] = k_max
-            capped += int(over.sum())
-        drop = done | viol | over
-        if drop.any():
-            live = ~drop
-            idx, keys, ctr, pos, sgn, g, m, stretch_len = (
-                a[live] for a in (idx, keys, ctr, pos, sgn, g, m, stretch_len))
+        b = min(_BLOCK, max(1, trials // idx.size))
+        cols = np.arange(b)
+        pos_blk, sgn_blk = _step_block(dist, keys, s, b, pos, sgn)
+        crossed = sgn_blk != np.concatenate([sgn[:, None], sgn_blk[:, :-1]], axis=1)
+        if s == 0:
+            crossed[:, 0] = False  # time 0 is not an eligible crossing
+        m_blk = m[:, None] + np.cumsum(crossed, axis=1)
+        last = np.maximum.accumulate(np.where(crossed, cols, -1), axis=1)
+        len_blk = np.where(last >= 0, cols - last, stretch_len[:, None] + cols) + 1
+        g_blk = g[:, None] + np.cumsum(sgn_blk, axis=1)
+        # within a step the 2k-th crossing closes the event before the
+        # barrier test, and the step cap counts only if neither fired
+        done = m_blk >= 2 * k_max
+        viol = g_blk <= _violating_g(p, q, s, b, strict)
+        ended = done | viol | (len_blk > step_cap)
+        pos, sgn, g, m, stretch_len = (a[:, -1] for a in (pos_blk, sgn_blk, g_blk,
+                                                          m_blk, len_blk))
+        stop = ended.any(axis=1)
+        if stop.any():
+            rows = np.flatnonzero(stop)
+            j = ended[rows].argmax(axis=1)
+            by_done, by_viol = done[rows, j], viol[rows, j]
+            mstar[idx[rows]] = np.where(by_viol & ~by_done, m_blk[rows, j] // 2, k_max)
+            capped += int((~by_done & ~by_viol).sum())
+            live = ~stop
+            idx, keys, pos, sgn, g, m, stretch_len = (
+                a[live] for a in (idx, keys, pos, sgn, g, m, stretch_len))
+        s += b
     return mstar, capped
 
 
@@ -525,8 +563,7 @@ def pick_engine(dist: IncrementDistribution, engine_kind: str = "auto") -> str:
 
 def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
                   seed: int, *, record_ns: tuple[int, ...] | None = None,
-                  engine_kind: str = "auto", workers: int = 1,
-                  want_final: bool = True) -> XiRunResult:
+                  engine_kind: str = "auto", workers: int = 1) -> XiRunResult:
     """Simulate `trials` excursion-pair sequences of length n.
 
     Returns merged counts; bit-identical for any `workers` split.
@@ -596,7 +633,7 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
     quota = -(-n_excursions // lanes)
     keys = trial_keys(seed, np.arange(lanes, dtype=np.uint64)
                       + np.uint64(_SENTINEL_STREAM))
-    ctr = np.zeros(lanes, dtype=np.uint64)
+    drawn = 0  # stream positions used, the same for every lane
     lane = np.arange(lanes, dtype=np.int64)
     pos = np.zeros(lanes, dtype=np.int64)
     sgn = np.ones(lanes, dtype=np.int64)
@@ -620,22 +657,10 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
             arr[sel, got[sel]] = d
             got[sel] += 1
 
-    block = 64  # steps advanced per vector pass; bookkeeping is per-column
-    cols = np.arange(1, block + 1, dtype=np.int64)
+    block = _BLOCK  # steps advanced per vector pass; bookkeeping is per-column
     while lane.size:
-        k = lane.size
-        u = uniform_at(np.repeat(keys, block),
-                       (np.repeat(ctr, block)
-                        + np.tile(cols.astype(np.uint64) - 1, k)))
-        ctr += block
-        steps = steps_from_uniforms(dist, u).reshape(k, block)
-        pos_blk = pos[:, None] + np.cumsum(steps, axis=1)
-        raw = np.sign(pos_blk).astype(np.int64)
-        # forward-fill zero signs from the carried sign (column 0)
-        nz = np.where(raw != 0, cols, 0)
-        run = np.maximum.accumulate(nz, axis=1)
-        carried = np.concatenate([sgn[:, None], raw], axis=1)
-        sign_blk = np.take_along_axis(carried, run, axis=1)
+        pos_blk, sign_blk = _step_block(dist, keys, drawn, block, pos, sgn)
+        drawn += block
         flips = sign_blk != np.concatenate([sgn[:, None], sign_blk[:, :-1]],
                                            axis=1)
         flips[first_step, 0] = False  # time 0 is not an eligible crossing
@@ -677,9 +702,9 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
         done = (got_p[lane] >= quota) & (got_m[lane] >= quota)
         if done.any():
             live = ~done
-            (lane, keys, ctr, pos, sgn, t, last_cross, fresh, first_step) = (
-                a[live] for a in (lane, keys, ctr, pos, sgn, t, last_cross,
-                                  fresh, first_step))
+            (lane, keys, pos, sgn, t, last_cross, fresh, first_step) = (
+                a[live] for a in (lane, keys, pos, sgn, t, last_cross, fresh,
+                                  first_step))
 
     info = {"engine": "stepped-lanes", "censored_pos": censored[0],
             "censored_neg": censored[1], "cap": step_cap + 1,

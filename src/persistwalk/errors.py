@@ -51,10 +51,6 @@ class NonPositiveArgument(PersistWalkError):
     """A density/CDF argument that must be > 0 is not."""
 
 
-class DegenerateUniform(PersistWalkError):
-    """A uniform deviate landed exactly on the boundary of its open interval."""
-
-
 # --- estimation ---------------------------------------------------------------
 
 class InsufficientTail(PersistWalkError):

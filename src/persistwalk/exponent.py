@@ -246,7 +246,7 @@ def estimate_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int, *
         raise OutOfDomain(f"x={x} outside [0, 1)")
     res = engine.run_xi_trials(dist, x, n, trials, seed,
                                record_ns=(n,), engine_kind=engine_kind,
-                               workers=workers, want_final=True)
+                               workers=workers)
     decided = res.decided
     negative = res.negative_final
     q_hat = negative / decided if decided else float("nan")

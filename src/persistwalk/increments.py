@@ -78,20 +78,11 @@ class IncrementDistribution:
         return self.atoms == ((-1, Fraction(1, 2)), (1, Fraction(1, 2)))
 
     @property
-    def is_unit_up(self) -> bool:
-        """Exactly one positive atom and it sits at +1."""
-        pos = [v for v, _ in self.atoms if v > 0]
-        return pos == [1]
-
-    @property
     def max_step(self) -> int:
         return max(abs(v) for v, _ in self.atoms)
 
     def variance(self) -> Fraction:
         return sum((Fraction(v) ** 2) * p for v, p in self.atoms)
-
-    def prob_positive(self) -> Fraction:
-        return sum((p for v, p in self.atoms if v > 0), Fraction(0))
 
     def mirrored(self) -> "IncrementDistribution":
         """The law of ``-X`` (used to reuse one-sided machinery on both sides)."""
@@ -110,9 +101,6 @@ class IncrementDistribution:
         if self.name:
             cfg["name"] = self.name
         return cfg
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_config())
 
 
 @lru_cache(maxsize=None)

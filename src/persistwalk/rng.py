@@ -114,10 +114,6 @@ class RandomStream:
         self.key = stream_key(seed, stream_id)
         self.position = position
 
-    @classmethod
-    def for_trial(cls, seed: int, trial_index: int) -> "RandomStream":
-        return cls(seed, stream_id=trial_index)
-
     def spawn(self, stream_id: int) -> "RandomStream":
         """Independent stream under the same seed (for sub-tasks)."""
         return RandomStream(self.seed, stream_id=stream_id)

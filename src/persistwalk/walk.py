@@ -88,10 +88,6 @@ class ExcursionDecomposition:
     endpoint_values: list[tuple[int, int | None]]
 
     @property
-    def n_stretches(self) -> int:
-        return len(self.durations)
-
-    @property
     def first_stretch_sign(self) -> int | None:
         return self.stretch_signs[0] if self.stretch_signs else None
 

@@ -1,10 +1,12 @@
 """Half-excursion duration laws: exact SRW inversion and general tables."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 
 from persistwalk import durations, walk
 from persistwalk.increments import preset, validate
@@ -174,6 +176,49 @@ def test_tables_cache_and_shape():
     assert t.pos.entries == [1] and t.neg.entries == [1]
     assert t.pos.exit_values == [-1]
     assert durations.DEFAULT_TABLE_SIZE == 1 << 15
+    # arrays are stacked over entries: (E, N+1), (E, N+1, K), (E, K), (E,)
+    assert t.pos.neg_surv.shape == (1, 4097)
+    assert t.pos.exit_cum.shape == (1, 4097, 1)
+    assert t.pos.tail_cum.shape == (1, 1) and t.pos.tail_p.shape == (1,)
+
+
+# SHA-256 of every table array and of sample_tau/sample_exit on fixed
+# uniforms, from the build that stepped absorption inside the DP loop, kept
+# one array per entry and sampled exits entry by entry; none of that may
+# move a bit
+TABLE_DIGESTS = {
+    "unit-up:-2": "71966fa558e4dc9d6214ce81ca8f734ad72b3f125f9ef01159fc537b938bc8ca",
+    "unit-up:-2,-3": "87850318d4fa99b9ee3976385476fcbde57654dfed4cc9f5e2138f1733730d84",
+    "lazy": "7983bb78ea2b8492bd755fb12b65d3c154869fc7e069afefa95de91c44f0c07a",
+    "unit-up:-17,-2": "fe4d6776c24bb83da016c0355b36571d35c7ac8daceadcff5b9889960618f9bb",
+}
+
+
+@pytest.mark.parametrize("name,dist", [
+    ("unit-up:-2", preset("unit-up", negatives=[-2])),
+    ("unit-up:-2,-3", preset("unit-up", negatives=[-2, -3])),
+    ("lazy", validate([(-1, Fraction(1, 4)), (0, Fraction(1, 2)),
+                       (1, Fraction(1, 4))])),
+    # 17 landing depths: row sums over more than 8 columns
+    ("unit-up:-17,-2", preset("unit-up", negatives=[-17, -2])),
+])
+def test_tables_and_draws_pinned(name, dist):
+    t = durations.excursion_tables(dist, 2048)
+    h = hashlib.sha256()
+    for side in ("pos", "neg"):
+        st = getattr(t, side)
+        for e in range(len(st.entries)):
+            for a in (st.neg_surv[e], st.exit_cum[e], st.tail_cum[e], st.tail_p[e]):
+                h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        n = 50_000
+        ei = (RandomStream(406, 0).uniforms(n) * len(st.entries)).astype(np.int64)
+        u = RandomStream(406, 1).uniforms(n) ** 3  # many draws past the table
+        tau, tail = t.sample_tau(side, ei, u)
+        ex = t.sample_exit(side, ei, tau, tail, RandomStream(406, 2).uniforms(n))
+        assert tail.sum() > 10_000
+        h.update(np.ascontiguousarray(tau, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(ex, dtype="<i8").tobytes())
+    assert h.hexdigest() == TABLE_DIGESTS[name]
 
 
 def test_srw_table_matches_convolution():

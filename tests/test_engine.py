@@ -1,5 +1,7 @@
 """Event engines: stepped vs exact-excursion vs duration-table agreement."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -10,12 +12,13 @@ from hypothesis import strategies as st
 
 from persistwalk import durations, engine, walk
 from persistwalk.errors import OutOfDomain
-from persistwalk.increments import preset, steps_from_uniforms
+from persistwalk.increments import preset, steps_from_uniforms, validate
 from persistwalk.rng import trial_keys, uniform_at
 
 SIMPLE = preset("simple")
 UNIT_UP = preset("unit-up", negatives=[-2])
 TG = preset("truncated-geometric", p="1/2", cutoff=3)
+LAZY = validate([(-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4))])
 
 
 def test_pick_engine():
@@ -55,30 +58,149 @@ def test_survival_counts_merge():
     np.testing.assert_array_equal(m.survivors, [9, 3])
 
 
-def brute_first_violation_times(dist, x, t_max, trials, seed, mode):
-    """Recompute stepped_first_violation from raw paths, trial by trial."""
+def brute_first_violation_times(dist, x, t_max, trials, seed, mode,
+                                trial_offset=0):
+    """Recompute stepped_first_violation from raw paths, trial by trial,
+    with the barrier q·G_s vs p·s in Python integers."""
     p, q = x.numerator, x.denominator
-    keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
+    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
+                                      dtype=np.uint64))
     out = np.empty(trials, dtype=np.int64)
     for i in range(trials):
         u = uniform_at(np.full(t_max, keys[i], dtype=np.uint64),
                        np.arange(t_max, dtype=np.uint64))
         path = np.concatenate([[0], np.cumsum(steps_from_uniforms(dist, u))])
-        g = walk.sign_sum(path)[1:]
-        s = np.arange(1, t_max + 1)
+        g = walk.sign_sum(path)[1:].astype(object)
+        s = np.arange(1, t_max + 1).astype(object)
         viol = (q * g <= p * s) if mode == "strict" else (q * g < p * s)
-        hits = np.flatnonzero(viol)
+        hits = np.flatnonzero(viol.astype(bool))
         out[i] = hits[0] + 1 if hits.size else t_max + 1
     return out
 
 
-@pytest.mark.parametrize("dist", [SIMPLE, UNIT_UP, TG])
+def _carry_signs(pos, prev_sign):
+    return np.where(pos > 0, 1, np.where(pos < 0, -1, prev_sign)).astype(prev_sign.dtype)
+
+
+def reference_stepped_a_progress(dist, x, k_max, trials, seed, *, mode="weak",
+                                 step_cap=10 ** 9, trial_offset=0):
+    """stepped_a_progress one step per pass, as the engine ran before it
+    advanced trials in blocks, with the barrier in Python integers.
+
+    Also returns the set of (s, flags) with s a step that ended a trial
+    and flags the triple (2k-th crossing, barrier, step cap) raised there.
+    """
+    p, q = x.numerator, x.denominator
+    strict = mode == "strict"
+    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
+                                      dtype=np.uint64))
+    idx = np.arange(trials, dtype=np.int64)
+    ctr = np.zeros(trials, dtype=np.uint64)
+    pos = np.zeros(trials, dtype=np.int64)
+    sgn = np.ones(trials, dtype=np.int64)
+    g = np.zeros(trials, dtype=np.int64)
+    m = np.zeros(trials, dtype=np.int64)
+    stretch_len = np.zeros(trials, dtype=np.int64)
+    mstar = np.zeros(trials, dtype=np.int64)
+    capped = 0
+    endings = set()
+
+    s = 0
+    while idx.size:
+        s += 1
+        u = uniform_at(keys, ctr)
+        ctr += 1
+        pos += steps_from_uniforms(dist, u)
+        new_sgn = _carry_signs(pos, sgn)
+        crossed = new_sgn != sgn
+        if s == 1:
+            crossed[:] = False  # time 0 is not an eligible crossing
+        sgn = new_sgn
+        m += crossed
+        stretch_len = np.where(crossed, 1, stretch_len + 1)
+        g += sgn
+        lhs = q * g.astype(object)
+        barrier = np.asarray(lhs <= p * s if strict else lhs < p * s, dtype=bool)
+        long = stretch_len > step_cap
+        done = m >= 2 * k_max
+        viol = barrier & ~done
+        over = long & ~done & ~viol
+        if done.any():
+            mstar[idx[done]] = k_max
+        if viol.any():
+            mstar[idx[viol]] = m[viol] // 2
+        if over.any():
+            mstar[idx[over]] = k_max
+            capped += int(over.sum())
+        drop = done | viol | over
+        if drop.any():
+            endings |= {(s, f) for f in zip(done[drop].tolist(),
+                                            barrier[drop].tolist(),
+                                            long[drop].tolist())}
+            live = ~drop
+            idx, keys, ctr, pos, sgn, g, m, stretch_len = (
+                a[live] for a in (idx, keys, ctr, pos, sgn, g, m, stretch_len))
+    return mstar, capped, endings
+
+
+@pytest.mark.parametrize("dist", [SIMPLE, UNIT_UP, TG, LAZY])
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(2, 3)])
 @pytest.mark.parametrize("mode", ["strict", "weak"])
 def test_stepped_engine_matches_paths(dist, x, mode):
     got = engine.stepped_first_violation(dist, x, 60, 200, 8881, mode=mode)
     want = brute_first_violation_times(dist, x, 60, 200, 8881, mode)
     np.testing.assert_array_equal(got, want)
+    # 1000 steps span many blocks and are not a multiple of 64; the batch
+    # sizes give blocks of 1 step, of up to 7, and of up to 64
+    for trials in (1, 7, 200):
+        got = engine.stepped_first_violation(dist, x, 1000, trials, 8882,
+                                             mode=mode, trial_offset=13)
+        want = brute_first_violation_times(dist, x, 1000, trials, 8882, mode,
+                                           trial_offset=13)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_stepped_barrier_exact_for_wide_x():
+    # q·G_s was formed in int64, which wraps at x = (2^60 - 1)/2^61 once
+    # G_s ≥ 4: P(no violation by t = 20) read 0.0 where x = 1/2 reads 0.2095
+    x = Fraction(2 ** 60 - 1, 2 ** 61)
+    for mode in ("strict", "weak"):
+        got = engine.stepped_first_violation(SIMPLE, x, 20, 2000, 7, mode=mode)
+        want = brute_first_violation_times(SIMPLE, x, 20, 2000, 7, mode)
+        np.testing.assert_array_equal(got, want)
+        assert np.mean(got > 20) > 0.2
+    got, capped = engine.stepped_a_progress(SIMPLE, x, 2, 300, 7, step_cap=64)
+    want, want_capped, _ = reference_stepped_a_progress(SIMPLE, x, 2, 300, 7,
+                                                        step_cap=64)
+    np.testing.assert_array_equal(got, want)
+    assert capped == want_capped
+
+
+@pytest.mark.parametrize("dist", [SIMPLE, UNIT_UP, TG, LAZY])
+def test_stepped_a_progress_matches_step_loop(dist):
+    # without a cap a trial runs to its 2k-th crossing, and stretch lengths
+    # have an n^(-1/2) tail, so that case runs fewer trials
+    flags, mixed = set(), False
+    for step_cap, trials in ((3, 300), (64, 300), (10 ** 9, 40)):
+        for x in (Fraction(0), Fraction(1, 2), Fraction(2, 3)):
+            for mode in ("strict", "weak"):
+                for k_max in (1, 3):
+                    got, capped = engine.stepped_a_progress(
+                        dist, x, k_max, trials, 8883, mode=mode,
+                        step_cap=step_cap, trial_offset=17)
+                    want, want_capped, seen = reference_stepped_a_progress(
+                        dist, x, k_max, trials, 8883, mode=mode,
+                        step_cap=step_cap, trial_offset=17)
+                    np.testing.assert_array_equal(got, want)
+                    assert capped == want_capped
+                    flags |= {f for _, f in seen}
+                    mixed |= len(seen) > len({s for s, _ in seen})
+    # each outcome ends some trial, a barrier failure and a cap overrun
+    # coincide on one step, and some step ends trials by different outcomes
+    # (a 2k-th crossing is an up step, where the barrier cannot fail)
+    assert {(True, False, False), (False, True, False), (False, False, True),
+            (False, True, True)} <= flags
+    assert mixed
 
 
 @given(st.integers(0, 25), st.integers(0, 40),
@@ -249,6 +371,13 @@ def test_worker_splits_are_bit_identical():
                                     (10, 200), engine_kind=kind, workers=3)
         np.testing.assert_array_equal(one.survivors, many.survivors)
         assert one.capped == many.capped
+    # each chunk picks its own block lengths; the counts must not move
+    one = engine.atilde_counts(UNIT_UP, Fraction(0), 2000, 3000, 533,
+                               (10, 100, 2000), workers=1)
+    two = engine.atilde_counts(UNIT_UP, Fraction(0), 2000, 3000, 533,
+                               (10, 100, 2000), workers=2)
+    assert one.engine == two.engine == "stepped"
+    np.testing.assert_array_equal(one.survivors, two.survivors)
     kw = dict(step_cap=20_000)  # keep the stepped reference runs short
     one = engine.a_counts(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4), **kw)
     many = engine.a_counts(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4),
@@ -310,8 +439,27 @@ def test_srw_xi_cap_retry_resolution():
     assert abs(p1 - p2) <= 4 * math.sqrt(p2 * (1 - p2) * 2 / 4000)
 
 
+def _pairs_digest(tau_p, tau_m, info):
+    h = hashlib.sha256()
+    for a in (tau_p, tau_m):
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    h.update(json.dumps(info, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# digests of (tau_plus, tau_minus, info) from the engine that stepped lanes
+# with its own inline block code; the shared block helper must keep them
+PAIRS_DIGESTS = {
+    581: "a67dde90e4964f7d55a8aa1145936b476d4222c1d62d5228966daf2b2be1a5a0",
+    582: "0115f0f39ebeb28f3185a91e31d54c4a1da445bd3c72aea705afbb7a9f390d73",
+    583: "cee061fc673921fc82a547eba3d4cc92a942943d1e0f63b6175a49385c24841f",
+    584: "0d1eab4125d924254c42bcd36b617c1e0c5993b3d54669ec79a25ec470a72541",
+}
+
+
 def test_collect_duration_pairs_simple():
     tau_p, tau_m, info = engine.collect_duration_pairs(SIMPLE, 50_000, 581)
+    assert _pairs_digest(tau_p, tau_m, info) == PAIRS_DIGESTS[581]
     assert info["engine"] == "exact-excursion"
     assert tau_p.shape == tau_m.shape == (50_000,)
     for h in (2, 10, 100):
@@ -331,6 +479,8 @@ def test_collect_duration_pairs_lane_invariance():
                                                      **kw)
     b_p, b_m, info_b = engine.collect_duration_pairs(UNIT_UP, n, 583,
                                                      lanes=101, **kw)
+    assert _pairs_digest(a_p, a_m, info_a) == PAIRS_DIGESTS[582]
+    assert _pairs_digest(b_p, b_m, info_b) == PAIRS_DIGESTS[583]
     assert len(a_p) >= n and len(b_p) >= n
     assert np.all(a_p >= 1) and np.all(a_m >= 1)
     for h in (1, 4, 16, 64):
@@ -350,6 +500,7 @@ def test_collect_duration_pairs_censoring():
     # mid-block can be recorded at its true length up to cap + 63
     tau_p, tau_m, info = engine.collect_duration_pairs(UNIT_UP, 4000, 584,
                                                        step_cap=256, lanes=32)
+    assert _pairs_digest(tau_p, tau_m, info) == PAIRS_DIGESTS[584]
     assert tau_p.max() <= 256 + 63 and tau_m.max() <= 256 + 63
     assert info["censored_pos"] + info["censored_neg"] > 0
     assert info["restarts"] > 0
