@@ -25,11 +25,13 @@ Engines
     min(64, trials // live), and the time event stops at t_max.
 
 ``srw_excursion_*``
-    Exact fast engines for the simple walk.  Stretch durations come from
-    the closed-form passage law (:mod:`.durations`), and because the sign
-    is constant on a stretch the sign-sum is piecewise linear in s, so the
-    first barrier violation inside a stretch is a two-line integer
-    computation instead of a walk:
+    Exact fast engines for the simple walk: two wrappers round one stretch
+    loop, which stops a trial at its first violation, at t ≥ t_max (time
+    event) or after 2·k_max stretches (excursion event).  Stretch durations
+    come from the closed-form passage law (:mod:`.durations`), and because
+    the sign is constant on a stretch the sign-sum is piecewise linear in
+    s, so the first barrier violation inside a stretch is a two-line
+    integer computation instead of a walk:
 
     * up stretch from (t₀, G₀): the margin q·G_s - p·s strictly increases,
       so only the entry point s = t₀ + 1 can violate;
@@ -44,12 +46,14 @@ Engines
     any other x with :class:`~.errors.OutOfDomain`.
 
 ``run_xi_trials``
-    Excursion-pair runs for W_n = Σ (1-x)τ⁺ - (1+x)τ⁻: exact durations for
-    the simple walk (integer W, cap-aware decided/undecided logic with
-    deterministic retries), duration tables for general walks (float W,
-    always decided).  Consumption: one uniform for the first step, two per
+    Excursion-pair runs for W_n = Σ (1-x)τ⁺ - (1+x)τ⁻, one vectorised pair
+    loop per duration source: exact durations for the simple walk (integer
+    W, cap-aware decided/undecided logic), duration tables for general
+    walks (float W, always decided).  A cap retry reruns the simple-walk
+    loop on the undecided trials, which get the uniforms they had in the
+    full batch.  Consumption: one uniform for the first step, two per
     discarded leading negative stretch, then per pair 4 uniforms (simple)
-    or 2+2 (tables: duration and exit per stretch).
+    or 2+2 (tables: duration and exit per stretch); retries alike.
 """
 
 from __future__ import annotations
@@ -63,8 +67,10 @@ from . import durations as dur
 from .errors import OutOfDomain
 from .increments import IncrementDistribution, steps_from_uniforms
 from .rng import trial_keys, uniform_at
+from .walk import _is_strict
 
 _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
+_NO_LIMIT = np.iinfo(np.int64).max  # no horizon or stretch bound
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +118,7 @@ def stepped_first_violation(dist: IncrementDistribution, x: Fraction, t_max: int
                             trial_offset: int = 0) -> np.ndarray:
     """First violation time per trial; t_max + 1 means the trial survived."""
     p, q = x.numerator, x.denominator
-    strict = mode == "strict"
+    strict = _is_strict(mode)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     idx = np.arange(trials, dtype=np.int64)
@@ -146,7 +152,7 @@ def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
     number of trials that hit the per-stretch step cap (these are counted
     as surviving to k_max — the documented upward-bias convention)."""
     p, q = x.numerator, x.denominator
-    strict = mode == "strict"
+    strict = _is_strict(mode)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     idx = np.arange(trials, dtype=np.int64)
@@ -233,17 +239,30 @@ def _down_first_violation(g, t, p, q, strict):
     return np.maximum(sstar, t + 1)
 
 
-def srw_excursion_first_violation(x: Fraction, t_max: int, trials: int, seed: int, *,
-                                  mode: str = "strict", trial_offset: int = 0,
-                                  cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP
-                                  ) -> tuple[np.ndarray, int]:
-    """Exact first-violation times for the simple walk, one stretch at a time."""
+def _passage(keys, ctr, cap_exp=dur.DEFAULT_PASSAGE_CAP_EXP):
+    """τ and cap flags from the uniforms at stream positions ctr, ctr + 1."""
+    return dur.srw_tau_from_uniform_pairs(uniform_at(keys, ctr),
+                                          uniform_at(keys, ctr + 1),
+                                          cap_exp=cap_exp)
+
+
+def _srw_stretches(x: Fraction, trials: int, seed: int, mode: str,
+                   trial_offset: int, cap_exp: int, t_max: int,
+                   n_stretches: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The exact stretch loop behind both simple-walk events.
+
+    A trial runs stretch by stretch until its first violation, until
+    t ≥ t_max, or through n_stretches stretches.  Returns per trial the
+    violation time and the index of the stretch it falls in (both -1 for a
+    trial that did not violate), and the number of capped passage draws.
+    """
     p, q = _exact_ratio(x)
-    strict = mode == "strict"
+    strict = _is_strict(mode)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     idx = np.arange(trials, dtype=np.int64)
-    tstar = np.full(trials, t_max + 1, dtype=np.int64)
+    tstar = np.full(trials, -1, dtype=np.int64)
+    kstar = np.full(trials, -1, dtype=np.int64)
     t = np.zeros(trials, dtype=np.int64)
     g = np.zeros(trials, dtype=np.int64)
     ctr = np.zeros(trials, dtype=np.uint64)
@@ -252,12 +271,10 @@ def srw_excursion_first_violation(x: Fraction, t_max: int, trials: int, seed: in
     ctr += 1
     up = u0 >= 0.5  # matches the sampler's atom order (-1 below 1/2)
     capped_draws = 0
-
-    while idx.size:
-        u1 = uniform_at(keys, ctr)
-        u2 = uniform_at(keys, ctr + 1)
+    stretch = 0
+    while idx.size and stretch < n_stretches:
+        tau, cap = _passage(keys, ctr, cap_exp)
         ctr += 2
-        tau, cap = dur.srw_tau_from_uniform_pairs(u1, u2, cap_exp=cap_exp)
         capped_draws += int(cap.sum())
 
         dead = np.empty(idx.shape, dtype=bool)
@@ -269,16 +286,28 @@ def srw_excursion_first_violation(x: Fraction, t_max: int, trials: int, seed: in
         dead[dn] = sstar <= np.minimum(t[dn] + tau[dn], t_max)
         when[dn] = sstar
 
-        if dead.any():
-            tstar[idx[dead]] = when[dead]
+        rows = idx[dead]
+        tstar[rows] = when[dead]
+        kstar[rows] = stretch
         t = t + tau
         g = np.where(up, g + tau, g - tau)
-        survived = ~dead & (t >= t_max)
-        keep = ~dead & ~survived
+        keep = ~dead & (t < t_max)
         if not keep.all():
             idx, t, g, keys, ctr, up = (a[keep] for a in (idx, t, g, keys, ctr, up))
         up = ~up
-    return tstar, capped_draws
+        stretch += 1
+    return tstar, kstar, capped_draws
+
+
+def srw_excursion_first_violation(x: Fraction, t_max: int, trials: int, seed: int, *,
+                                  mode: str = "strict", trial_offset: int = 0,
+                                  cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP
+                                  ) -> tuple[np.ndarray, int]:
+    """Exact first-violation times for the simple walk, one stretch at a
+    time; t_max + 1 means the trial survived."""
+    tstar, kstar, capped_draws = _srw_stretches(x, trials, seed, mode, trial_offset,
+                                                cap_exp, t_max, _NO_LIMIT)
+    return np.where(kstar < 0, t_max + 1, tstar), capped_draws
 
 
 def srw_excursion_a_progress(x: Fraction, k_max: int, trials: int, seed: int, *,
@@ -290,47 +319,9 @@ def srw_excursion_a_progress(x: Fraction, k_max: int, trials: int, seed: int, *,
     mstar[i] = number of complete excursions through which trial i kept
     q·G_s vs p·s on the right side (weak mode by default), capped at k_max.
     """
-    p, q = _exact_ratio(x)
-    strict = mode == "strict"
-    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
-                                      dtype=np.uint64))
-    idx = np.arange(trials, dtype=np.int64)
-    mstar = np.zeros(trials, dtype=np.int64)
-    t = np.zeros(trials, dtype=np.int64)
-    g = np.zeros(trials, dtype=np.int64)
-    ctr = np.zeros(trials, dtype=np.uint64)
-
-    u0 = uniform_at(keys, ctr)
-    ctr += 1
-    up = u0 >= 0.5
-    capped_draws = 0
-
-    for stretch in range(2 * k_max):
-        if not idx.size:
-            break
-        u1 = uniform_at(keys, ctr)
-        u2 = uniform_at(keys, ctr + 1)
-        ctr += 2
-        tau, cap = dur.srw_tau_from_uniform_pairs(u1, u2, cap_exp=cap_exp)
-        capped_draws += int(cap.sum())
-
-        dead = np.empty(idx.shape, dtype=bool)
-        dead[up] = _up_entry_violation(g[up], t[up], p, q, strict)
-        dn = ~up
-        sstar = _down_first_violation(g[dn], t[dn], p, q, strict)
-        dead[dn] = sstar <= t[dn] + tau[dn]
-
-        if dead.any():
-            mstar[idx[dead]] = stretch // 2
-        t = t + tau
-        g = np.where(up, g + tau, g - tau)
-        keep = ~dead
-        if not keep.all():
-            idx, t, g, keys, ctr, up = (a[keep] for a in (idx, t, g, keys, ctr, up))
-        up = ~up
-    if idx.size:
-        mstar[idx] = k_max
-    return mstar, capped_draws
+    _, kstar, capped_draws = _srw_stretches(x, trials, seed, mode, trial_offset,
+                                            cap_exp, _NO_LIMIT, 2 * k_max)
+    return np.where(kstar < 0, k_max, kstar // 2), capped_draws
 
 
 # ---------------------------------------------------------------------------
@@ -374,28 +365,6 @@ class XiRunResult:
         )
 
 
-def _srw_xi_single(key: np.uint64, n_pairs: int, wp: int, wm: int,
-                   cap_exp: int) -> tuple[int, bool, bool]:
-    """Replay one trial's W_n serially at a (possibly raised) duration cap."""
-    keys = np.array([key], dtype=np.uint64)
-    c = 0
-    u0 = float(uniform_at(keys, np.array([c], dtype=np.uint64))[0])
-    c += 1
-    if u0 < 0.5:  # leading negative stretch: burn its two draws
-        c += 2
-    w = 0
-    cap_pos = cap_neg = False
-    for _ in range(n_pairs):
-        u = uniform_at(keys.repeat(4), np.arange(c, c + 4, dtype=np.uint64))
-        c += 4
-        tp, cp = dur.srw_tau_from_uniform_pairs(u[0:1], u[1:2], cap_exp=cap_exp)
-        tm, cm = dur.srw_tau_from_uniform_pairs(u[2:3], u[3:4], cap_exp=cap_exp)
-        w += wp * int(tp[0]) - wm * int(tm[0])
-        cap_pos |= bool(cp[0])
-        cap_neg |= bool(cm[0])
-    return w, cap_pos, cap_neg
-
-
 def _w_negative(d, s, p, q):
     """W < 0 for q·W = q·D - p·S, i.e. D < ⌈p·S/q⌉; with S = s₁q + s₀ that
     bound is p·s₁ + ⌈p·s₀/q⌉, where p·s₁ < S and p·s₀ < p·q."""
@@ -403,42 +372,58 @@ def _w_negative(d, s, p, q):
     return d < p * s1 - (-(p * s0) // q)
 
 
-def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
-                  record_ns: tuple[int, ...], trial_offset: int,
-                  cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP,
-                  max_retries: int = 3) -> XiRunResult:
-    p, q = _exact_ratio(x)
-    wp, wm = q - p, q + p  # q * xi = wp * tau+ - wm * tau-
-    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
-                                      dtype=np.uint64))
-    ctr = np.zeros(trials, dtype=np.uint64)
-    u0 = uniform_at(keys, ctr)
+class _XiRecorder:
+    """alive/neg counts at the recorded n, fed the sign of W after each pair."""
+
+    def __init__(self, record_ns: tuple[int, ...], trials: int):
+        self.record_ns = tuple(sorted(record_ns))
+        self.alive = np.ones(trials, dtype=bool)
+        self.alive_counts = np.zeros(len(self.record_ns), dtype=np.int64)
+        self.neg_counts = np.zeros_like(self.alive_counts)
+
+    def __call__(self, m: int, neg: np.ndarray) -> None:
+        self.alive &= ~neg
+        for j, n in enumerate(self.record_ns):
+            if n == m:
+                self.alive_counts[j] = int(self.alive.sum())
+                self.neg_counts[j] = int(neg.sum())
+
+    def result(self, neg: np.ndarray, undecided: np.ndarray, capped_draws: int,
+               retries: int, engine: str) -> XiRunResult:
+        decided = ~undecided
+        return XiRunResult(
+            record_ns=self.record_ns, trials=self.alive.size,
+            alive_counts=self.alive_counts, neg_counts=self.neg_counts,
+            decided=int(decided.sum()),
+            negative_final=int((neg & decided).sum()),
+            undecided=int(undecided.sum()), capped_draws=capped_draws,
+            retries_used=retries, engine=engine,
+        )
+
+
+def _srw_xi_pairs(keys: np.ndarray, n_pairs: int, p: int, q: int, cap_exp: int,
+                  record=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact W_m of the simple walk for m = 1 .. n_pairs, one trial per key.
+
+    Feeds W_m < 0 to ``record`` after each pair, and returns the final sign
+    mask, the mask of trials whose final sign a capped duration leaves
+    undecided, and the number of capped draws.
+    """
+    ctr = np.zeros(keys.size, dtype=np.uint64)
+    down = uniform_at(keys, ctr) < 0.5
     ctr += 1
-    down = u0 < 0.5
-    if down.any():
-        # leading negative stretch is not part of any pair: burn its draws
-        ctr[down] += 2
+    ctr[down] += 2  # leading negative stretch is not part of any pair
 
     # W is carried as D = Σ τ⁺ - τ⁻ and S = Σ τ⁺ + τ⁻, q·W = q·D - p·S
-    d = np.zeros(trials, dtype=np.int64)
-    s = np.zeros(trials, dtype=np.int64)
-    neg = np.zeros(trials, dtype=bool)
-    alive = np.ones(trials, dtype=bool)
-    cap_pos = np.zeros(trials, dtype=bool)
-    cap_neg = np.zeros(trials, dtype=bool)
+    d = np.zeros(keys.size, dtype=np.int64)
+    s = np.zeros(keys.size, dtype=np.int64)
+    neg = np.zeros(keys.size, dtype=bool)
+    cap_pos = np.zeros(keys.size, dtype=bool)
+    cap_neg = np.zeros(keys.size, dtype=bool)
     capped_draws = 0
-    rec = sorted(record_ns)
-    alive_counts = np.zeros(len(rec), dtype=np.int64)
-    neg_counts = np.zeros(len(rec), dtype=np.int64)
-    ri = 0
-
     for m in range(1, n_pairs + 1):
-        u1 = uniform_at(keys, ctr)
-        u2 = uniform_at(keys, ctr + 1)
-        tp, cp = dur.srw_tau_from_uniform_pairs(u1, u2, cap_exp=cap_exp)
-        u1 = uniform_at(keys, ctr + 2)
-        u2 = uniform_at(keys, ctr + 3)
-        tm, cm = dur.srw_tau_from_uniform_pairs(u1, u2, cap_exp=cap_exp)
+        tp, cp = _passage(keys, ctr, cap_exp)
+        tm, cm = _passage(keys, ctr + 2, cap_exp)
         ctr += 4
         d += tp - tm
         s += tp + tm
@@ -446,35 +431,31 @@ def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
         cap_neg |= cm
         capped_draws += int(cp.sum()) + int(cm.sum())
         neg = _w_negative(d, s, p, q)
-        alive &= ~neg
-        while ri < len(rec) and rec[ri] == m:
-            alive_counts[ri] = int(alive.sum())
-            neg_counts[ri] = int(neg.sum())
-            ri += 1
-
+        if record is not None:
+            record(m, neg)
     # A capped duration was recorded as a lower bound, so a trial's final
     # sign is only trustworthy when no cap opposes it.
-    undecided_mask = (neg & cap_pos) | (~neg & cap_neg)
+    return neg, (neg & cap_pos) | (~neg & cap_neg), capped_draws
+
+
+def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
+                  record_ns: tuple[int, ...], trial_offset: int,
+                  cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP,
+                  max_retries: int = 3) -> XiRunResult:
+    p, q = _exact_ratio(x)
+    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
+                                      dtype=np.uint64))
+    rec = _XiRecorder(record_ns, trials)
+    neg, undecided, capped_draws = _srw_xi_pairs(keys, n_pairs, p, q, cap_exp, rec)
+    # Retry r reruns the pair loop on the undecided trials at cap_exp + 2r;
+    # their streams give them the same uniforms as in the full batch.
     retries = 0
-    for r in range(1, max_retries + 1):
-        if not undecided_mask.any():
-            break
-        retries = r
-        for i in np.flatnonzero(undecided_mask):
-            wi, cpi, cmi = _srw_xi_single(keys[i], n_pairs, wp, wm,
-                                          cap_exp + 2 * r)
-            neg[i] = wi < 0
-            undecided_mask[i] = (wi < 0 and cpi) or (wi >= 0 and cmi)
-    undecided = int(undecided_mask.sum())
-    decided_mask = ~undecided_mask
-    return XiRunResult(
-        record_ns=tuple(rec), trials=trials,
-        alive_counts=alive_counts, neg_counts=neg_counts,
-        decided=int(decided_mask.sum()),
-        negative_final=int((neg & decided_mask).sum()),
-        undecided=undecided, capped_draws=capped_draws,
-        retries_used=retries, engine="exact-excursion",
-    )
+    while undecided.any() and retries < max_retries:
+        retries += 1
+        rows = np.flatnonzero(undecided)
+        neg[rows], undecided[rows], _ = _srw_xi_pairs(keys[rows], n_pairs, p, q,
+                                                      cap_exp + 2 * retries)
+    return rec.result(neg, undecided, capped_draws, retries, "exact-excursion")
 
 
 def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
@@ -492,33 +473,23 @@ def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
     ctr += 1
     first = steps_from_uniforms(dist, u0)
     pos_idx = np.zeros(trials, dtype=np.int64)
-    up_start = first >= 0
     for v in dist.values():
-        m = first == v
-        if not m.any():
-            continue
-        if v >= 0:
-            pos_idx[m] = tables.pos_index[int(v)]
-        else:
-            pos_idx[m] = tables.neg_index[int(v)]
-    dn = ~up_start
+        index = tables.pos_index if v >= 0 else tables.neg_index
+        pos_idx[first == v] = index[int(v)]
+    dn = first < 0
     if dn.any():
         # leading negative stretch: draw its duration and exit, discard tau
         ut = uniform_at(keys[dn], ctr[dn])
-        ctr[dn] += 1
         tau0, tail0 = tables.sample_tau("neg", pos_idx[dn], ut)
-        ue = uniform_at(keys[dn], ctr[dn])
-        ctr[dn] += 1
+        ue = uniform_at(keys[dn], ctr[dn] + 1)
+        ctr[dn] += 2
         pos_idx[dn] = tables.sample_exit("neg", pos_idx[dn], tau0, tail0, ue)
 
+    # W stays a float summed pair by pair: a √-tail τ can pass 2^63, and
+    # any other summation order would change its rounding
     w = np.zeros(trials, dtype=np.float64)
-    alive = np.ones(trials, dtype=bool)
+    rec = _XiRecorder(record_ns, trials)
     tail_draws = 0
-    rec = sorted(record_ns)
-    alive_counts = np.zeros(len(rec), dtype=np.int64)
-    neg_counts = np.zeros(len(rec), dtype=np.int64)
-    ri = 0
-
     for m in range(1, n_pairs + 1):
         ut = uniform_at(keys, ctr)
         tau_p, tp_tail = tables.sample_tau("pos", pos_idx, ut)
@@ -531,20 +502,9 @@ def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
         ctr += 4
         tail_draws += int(tp_tail.sum()) + int(tm_tail.sum())
         w += wp * tau_p - wm * tau_m
-        alive &= w >= 0.0
-        while ri < len(rec) and rec[ri] == m:
-            alive_counts[ri] = int(alive.sum())
-            neg_counts[ri] = int((w < 0.0).sum())
-            ri += 1
-
-    neg = w < 0.0
-    return XiRunResult(
-        record_ns=tuple(rec), trials=trials,
-        alive_counts=alive_counts, neg_counts=neg_counts,
-        decided=trials, negative_final=int(neg.sum()),
-        undecided=0, capped_draws=tail_draws,
-        retries_used=0, engine="duration-table",
-    )
+        rec(m, w < 0.0)
+    return rec.result(w < 0.0, np.zeros(trials, dtype=bool), tail_draws, 0,
+                      "duration-table")
 
 
 def pick_engine(dist: IncrementDistribution, engine_kind: str = "auto") -> str:
@@ -568,30 +528,24 @@ def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
 
     Returns merged counts; bit-identical for any `workers` split.
     """
+    if n < 1:
+        raise ValueError(f"n={n} < 1")
     if record_ns is None:
         record_ns = (n,)
     record_ns = tuple(sorted(set(int(r) for r in record_ns)))
-    if record_ns and record_ns[-1] > n:
-        raise ValueError("record_ns beyond n")
+    if record_ns and (record_ns[0] < 1 or record_ns[-1] > n):
+        raise ValueError(f"record_ns must lie in 1..{n}")
     kind = pick_engine(dist, engine_kind)
-    if kind == "exact-excursion":
-        fn = _srw_xi_worker
-        args = (x, n, seed, record_ns)
-    else:
-        fn = _table_xi_worker
-        args = (dist, x, n, seed, record_ns)
+    if kind != "exact-excursion":
         dur.excursion_tables(dist)  # build once before any fork
-    parts = _run_in_chunks(fn, args, trials, workers)
-    return XiRunResult.merge(parts)
+    args = (dist, x, n, seed, record_ns, kind)
+    return XiRunResult.merge(_run_in_chunks(_xi_worker, args, trials, workers))
 
 
-def _srw_xi_worker(args, trials, offset):
-    x, n, seed, record_ns = args
-    return _srw_xi_chunk(x, n, trials, seed, record_ns, offset)
-
-
-def _table_xi_worker(args, trials, offset):
-    dist, x, n, seed, record_ns = args
+def _xi_worker(args, trials, offset):
+    dist, x, n, seed, record_ns, kind = args
+    if kind == "exact-excursion":
+        return _srw_xi_chunk(x, n, trials, seed, record_ns, offset)
     return _table_xi_chunk(dist, x, n, trials, seed, record_ns, offset)
 
 
@@ -620,10 +574,8 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
         ids = np.arange(n_excursions, dtype=np.uint64) + np.uint64(_SENTINEL_STREAM)
         keys = trial_keys(seed, ids)
         z = np.zeros(n_excursions, dtype=np.uint64)
-        tau_p, cp = dur.srw_tau_from_uniform_pairs(
-            uniform_at(keys, z), uniform_at(keys, z + 1))
-        tau_m, cm = dur.srw_tau_from_uniform_pairs(
-            uniform_at(keys, z + 2), uniform_at(keys, z + 3))
+        tau_p, cp = _passage(keys, z)
+        tau_m, cm = _passage(keys, z + 2)
         info = {"engine": "exact-excursion", "censored_pos": int(cp.sum()),
                 "censored_neg": int(cm.sum()), "cap": (1 << 41) + 2,
                 "lanes": 0, "restarts": 0}

@@ -154,6 +154,8 @@ def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
     :class:`HorizonOverflow` instead.
     """
     x = Fraction(x)
+    if on_cap not in ("count", "raise"):
+        raise ValueError(f"on_cap must be 'count' or 'raise', not {on_cap!r}")
     if k_max < 1:
         raise OutOfRange(f"k_max={k_max} < 1")
     if trials < 1:

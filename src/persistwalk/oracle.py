@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import CapExceeded, OutOfDomain
 from .increments import IncrementDistribution
+from .walk import _is_strict
 
 DEFAULT_CAP = 2000
 
@@ -71,7 +72,7 @@ def exact_atilde(dist: IncrementDistribution, x, t: int, *,
     if t > cap:
         raise CapExceeded(f"t={t} exceeds the DP cap {cap}")
     p, q = x.numerator, x.denominator
-    strict = mode == "strict"
+    strict = _is_strict(mode)
     atoms, denom = _weights(dist)
 
     states: dict[tuple[int, int, int], int] = {(0, 1, 0): 1}
@@ -117,10 +118,10 @@ def exact_a(dist: IncrementDistribution, x, k: int, t_cap: int, *,
         raise OutOfDomain(f"k={k} must be >= 0")
     if t_cap > cap:
         raise CapExceeded(f"t_cap={t_cap} exceeds the DP cap {cap}")
+    strict = _is_strict(mode)
     if k == 0:
         return Fraction(1), Fraction(1)
     p, q = x.numerator, x.denominator
-    strict = mode == "strict"
     atoms, denom = _weights(dist)
     target = 2 * k
 

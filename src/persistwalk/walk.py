@@ -119,6 +119,14 @@ def decompose(path: Sequence[int] | Path) -> ExcursionDecomposition:
     )
 
 
+def _is_strict(mode: str) -> bool:
+    """True for the strict barrier, False for the weak one; refuses any
+    other mode rather than reading it as weak."""
+    if mode not in ("strict", "weak"):
+        raise ValueError(f"mode must be 'strict' or 'weak', not {mode!r}")
+    return mode == "strict"
+
+
 def first_violation_time(path: Sequence[int] | Path, x: Fraction,
                          mode: str = "strict") -> int | float:
     """Smallest s ≥ 1 with G_s ≤ x·s (strict mode) or G_s < x·s (weak mode).
@@ -133,7 +141,7 @@ def first_violation_time(path: Sequence[int] | Path, x: Fraction,
     s = np.arange(1, len(g) + 1, dtype=np.int64)
     lhs = x.denominator * g
     rhs = x.numerator * s
-    bad = lhs <= rhs if mode == "strict" else lhs < rhs
+    bad = lhs <= rhs if _is_strict(mode) else lhs < rhs
     hits = np.flatnonzero(bad)
     return int(hits[0]) + 1 if hits.size else math.inf
 

@@ -423,6 +423,31 @@ def test_xi_record_ns_validation():
                              record_ns=(10, 5, 5))
     assert r.record_ns == (5, 10)
     assert r.decided + r.undecided == r.trials
+    # an entry below 1 was never reached and zeroed every count after it
+    for bad in ((0, 10), (-3, 10)):
+        with pytest.raises(ValueError):
+            engine.run_xi_trials(SIMPLE, Fraction(0), 10, 500, 561,
+                                 record_ns=bad)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            engine.run_xi_trials(SIMPLE, Fraction(0), n, 500, 561)
+    ref = engine.run_xi_trials(SIMPLE, Fraction(0), 10, 500, 561,
+                               record_ns=(10,))
+    r = engine.run_xi_trials(SIMPLE, Fraction(0), 10, 500, 561,
+                             record_ns=(1, 10))
+    assert r.alive_counts[0] >= r.alive_counts[1] == ref.alive_counts[0] > 0
+
+
+def test_engines_refuse_unknown_mode():
+    # a misspelt mode used to run the weak barrier silently
+    runs = ((engine.stepped_first_violation, (SIMPLE, Fraction(0), 10, 5, 1)),
+            (engine.stepped_a_progress, (SIMPLE, Fraction(0), 2, 5, 1)),
+            (engine.srw_excursion_first_violation, (Fraction(0), 10, 5, 1)),
+            (engine.srw_excursion_a_progress, (Fraction(0), 2, 5, 1)))
+    for fn, args in runs:
+        for mode in ("Strict", "weak ", ""):
+            with pytest.raises(ValueError, match="mode"):
+                fn(*args, mode=mode)
 
 
 def test_srw_xi_cap_retry_resolution():
@@ -437,6 +462,45 @@ def test_srw_xi_cap_retry_resolution():
     p1 = res.alive_counts[0] / 4000
     p2 = ref.alive_counts[0] / 4000
     assert abs(p1 - p2) <= 4 * math.sqrt(p2 * (1 - p2) * 2 / 4000)
+
+
+def int_xi_final(x, n_pairs, keys, cap_exp):
+    """Final sign of W (summed in Python integers) and the undecided mask
+    per trial, at one passage cap."""
+    p, q = x.numerator, x.denominator
+    ctr = np.zeros(keys.size, dtype=np.uint64)
+    ctr += np.where(uniform_at(keys, ctr) < 0.5, 3, 1).astype(np.uint64)
+    w = np.zeros(keys.size, dtype=object)
+    cap_pos = np.zeros(keys.size, dtype=bool)
+    cap_neg = np.zeros(keys.size, dtype=bool)
+    for _ in range(n_pairs):
+        tp, cp = durations.srw_tau_from_uniform_pairs(
+            uniform_at(keys, ctr), uniform_at(keys, ctr + 1), cap_exp=cap_exp)
+        tm, cm = durations.srw_tau_from_uniform_pairs(
+            uniform_at(keys, ctr + 2), uniform_at(keys, ctr + 3), cap_exp=cap_exp)
+        ctr += 4
+        w = w + (q - p) * tp.astype(object) - (q + p) * tm.astype(object)
+        cap_pos |= cp
+        cap_neg |= cm
+    neg = np.asarray(w < 0, dtype=bool)
+    return neg, (neg & cap_pos) | (~neg & cap_neg)
+
+
+def test_srw_xi_retry_matches_integer_replay():
+    # retry r settles a trial left undecided by the rounds before it from
+    # its whole replay at cap_exp + 2r; here every trial is replayed at
+    # every cap, in Python integers, and only the undecided ones take it
+    x, n_pairs, trials, seed = Fraction(1, 2), 10, 4000, 571
+    keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
+    neg, undecided = int_xi_final(x, n_pairs, keys, 12)
+    for r in (1, 2, 3):
+        neg_r, undecided_r = int_xi_final(x, n_pairs, keys, 12 + 2 * r)
+        neg = np.where(undecided, neg_r, neg)
+        undecided &= undecided_r
+    res = engine._srw_xi_chunk(x, n_pairs, trials, seed, (10,), 0, cap_exp=12)
+    assert res.undecided == int(undecided.sum()) > 0
+    assert res.decided == trials - res.undecided
+    assert res.negative_final == int((neg & ~undecided).sum())
 
 
 def _pairs_digest(tau_p, tau_m, info):
@@ -507,3 +571,116 @@ def test_collect_duration_pairs_censoring():
     assert info["cap"] == 257
     # censored stretches really are written with the sentinel value
     assert np.any(tau_p == 257) or np.any(tau_m == 257)
+
+
+def _digest(*parts):
+    """SHA-256 over int64 arrays and JSON-able values, in order."""
+    h = hashlib.sha256()
+    for a in parts:
+        if isinstance(a, np.ndarray):
+            h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+        else:
+            h.update(json.dumps(a).encode())
+    return h.hexdigest()
+
+
+def _xi_digest(res):
+    return _digest(res.alive_counts, res.neg_counts,
+                   [res.decided, res.negative_final, res.undecided,
+                    res.capped_draws, res.retries_used])
+
+
+X_PINNED = [Fraction(0), Fraction(1, 2), X_WIDE[0]]
+
+# digests of the simple-walk engines from the commit that ran the time and
+# excursion events in two separate stretch loops and replayed cap retries
+# trial by trial; the shared loops must keep every output bit for bit
+STRETCH_DIGESTS = {
+    ("time", "0", "strict"):
+        "204db739200ec14ca337890a9b0885160239c6e23a061995948451ba9eb0bcd7",
+    ("excursion", "0", "strict"):
+        "5bc01b977ece4a7ac657225a2e91089712c51c22b208e2e58e28ff7bc33f3e67",
+    ("time", "0", "weak"):
+        "836ec10bacc7ea51635208326dc4f5666fa689ef668314765ef6067151c4f26a",
+    ("excursion", "0", "weak"):
+        "48d9c7eaa36b24647e08c36fa4fe68766002a1ad5bc2da54eaf6ec0b44bd3e10",
+    ("time", "1/2", "strict"):
+        "0fd48de76ed5fc07cd282a974852c8c7add0ffc19179f4c0fdd06df71fc21b8f",
+    ("excursion", "1/2", "strict"):
+        "d8e69d8ebcd3260b8b87391d662ec54e85c045e815807914dca914104d7c5b2b",
+    ("time", "1/2", "weak"):
+        "0c6c2f5fa7b892c66b6267918ecfdca82f16affb7c183eabbdbe78723bc16f9a",
+    ("excursion", "1/2", "weak"):
+        "fddb449e7c63f2dc7eba2e78b5aa5d35b8638db9d41f38bd3e4f2cba863b965b",
+    ("time", "1/3037000000", "strict"):
+        "204db739200ec14ca337890a9b0885160239c6e23a061995948451ba9eb0bcd7",
+    ("excursion", "1/3037000000", "strict"):
+        "5bc01b977ece4a7ac657225a2e91089712c51c22b208e2e58e28ff7bc33f3e67",
+    ("time", "1/3037000000", "weak"):
+        "204db739200ec14ca337890a9b0885160239c6e23a061995948451ba9eb0bcd7",
+    ("excursion", "1/3037000000", "weak"):
+        "5bc01b977ece4a7ac657225a2e91089712c51c22b208e2e58e28ff7bc33f3e67",
+    ("time", "cap", "strict"):
+        "bb877170f67f81ef33e5c484caf64ed1c84c9338dbaf9614c1b5bad525ea0989",
+    ("excursion", "cap", "weak"):
+        "4e2710ed8060b71fdaaa60ac261f2cdafe728d2cff61468cdead86af5ebf8223",
+}
+
+XI_DIGESTS = {
+    "0": "1022100fd381b4a7b0ee67b90455359cca2348652728aa915f2b3ebb709e87cd",
+    "1/2": "87209f21b076345f83bf07d61490136d5736db04f69afc02c8ff765d0cb3e207",
+    "1/3037000000": "38b176c7fd4f74d3296cb23d55d61a62fd37f5898050ac9ef9a72908f71852c3",
+    "retry": "7fd8f93695a747a73e7622c55cd889907c39df370f0e2d49ef2ff4255a8e3928",
+}
+
+TABLE_XI_DIGESTS = {
+    "simple": "bee7ff52c3f0478912b9abb20c8dd3fbb55c5e2464f363a84f16634a616e841c",
+    "unit-up": "16aa2b4e4ffde2bfaf810d56b14c2a557223677de475af725845b9ee81e71c4b",
+    "tg": "38c6df5a78fa578033429d4557e455f08ebb77fbad354ddcd9ea6a4e65dd6d3d",
+    "lazy": "7f565ec33bfd1caeb3fde4a242e8354170b65ccda9d819c0a0c4d3d0a003d326",
+}
+
+
+@pytest.mark.parametrize("x", X_PINNED, ids=str)
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_exact_stretch_engines_pinned(x, mode):
+    tstar, capped = engine.srw_excursion_first_violation(
+        x, 3000, 2000, 591, mode=mode, trial_offset=1234)
+    assert _digest(tstar, capped) == STRETCH_DIGESTS["time", str(x), mode]
+    mstar, capped = engine.srw_excursion_a_progress(
+        x, 60, 2000, 592, mode=mode, trial_offset=1234)
+    assert _digest(mstar, capped) == STRETCH_DIGESTS["excursion", str(x), mode]
+
+
+def test_exact_stretch_engines_pinned_with_caps():
+    # a tiny passage cap makes capped draws common; their count is pinned too
+    tstar, capped = engine.srw_excursion_first_violation(
+        Fraction(1, 2), 3000, 2000, 593, trial_offset=77, cap_exp=6)
+    assert capped > 0
+    assert _digest(tstar, capped) == STRETCH_DIGESTS["time", "cap", "strict"]
+    mstar, capped = engine.srw_excursion_a_progress(
+        Fraction(1, 2), 60, 2000, 594, trial_offset=77, cap_exp=6)
+    assert capped > 0
+    assert _digest(mstar, capped) == STRETCH_DIGESTS["excursion", "cap", "weak"]
+
+
+@pytest.mark.parametrize("x", X_PINNED, ids=str)
+def test_srw_xi_chunk_pinned(x):
+    res = engine._srw_xi_chunk(x, 50, 2000, 595, (10, 50), 321)
+    assert _xi_digest(res) == XI_DIGESTS[str(x)]
+
+
+def test_srw_xi_chunk_retry_pinned():
+    res = engine._srw_xi_chunk(Fraction(1, 2), 10, 4000, 571, (10,), 0,
+                               cap_exp=12)
+    assert res.retries_used >= 1 and res.undecided > 0
+    assert _xi_digest(res) == XI_DIGESTS["retry"]
+
+
+@pytest.mark.parametrize("name,dist", [("simple", SIMPLE),
+                                       ("unit-up", UNIT_UP),
+                                       ("tg", TG), ("lazy", LAZY)])
+def test_table_xi_chunk_pinned(name, dist):
+    res = engine._table_xi_chunk(dist, Fraction(1, 3), 30, 2000, 596,
+                                 (10, 30), 321)
+    assert _xi_digest(res) == TABLE_XI_DIGESTS[name]

@@ -90,6 +90,16 @@ def test_survival_a_cap_handling():
         mc.survival_a(UNIT_UP, 0, 2, 500, seed=704, on_cap="raise", **kw)
 
 
+def test_survival_refuses_unknown_mode_and_on_cap():
+    # "Strict" used to give the weak curve and "rasie" used to count caps
+    with pytest.raises(ValueError, match="mode"):
+        mc.survival_atilde(SIMPLE, 0, 100, 100, seed=705, mode="Strict")
+    with pytest.raises(ValueError, match="mode"):
+        mc.survival_a(SIMPLE, 0, 2, 100, seed=705, mode="Weak")
+    with pytest.raises(ValueError, match="on_cap"):
+        mc.survival_a(SIMPLE, 0, 2, 100, seed=705, on_cap="rasie")
+
+
 def test_fit_exponent_recovers_exact_power_law():
     grid = mc.geometric_grid(4096)
     p = 0.9 * grid.astype(float) ** -0.37

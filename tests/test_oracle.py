@@ -152,6 +152,14 @@ def test_a_brackets_nest_as_the_horizon_grows():
     assert hi_prev - lo_prev < F(16, 100)
 
 
+def test_unknown_mode_is_refused():
+    with pytest.raises(ValueError, match="mode"):
+        oracle.exact_atilde(SIMPLE, 0, 4, mode="Strict")
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="mode"):
+            oracle.exact_a(SIMPLE, 0, k, 8, mode="wek")
+
+
 def test_a_domain_and_cap():
     with pytest.raises(OutOfDomain):
         oracle.exact_a(SIMPLE, 1, 1, 10)

@@ -109,6 +109,12 @@ def test_first_violation_rejects_bad_x():
         walk.first_violation_time([0, 1], Fraction(1))
 
 
+def test_first_violation_rejects_unknown_mode():
+    # a misspelt mode used to run the weak barrier silently
+    with pytest.raises(ValueError, match="mode"):
+        walk.first_violation_time([0, 1, 0], Fraction(0), "Strict")
+
+
 def test_simulate_path_deterministic():
     d = preset("simple")
     a = walk.simulate_path(d, 100, RandomStream(5, 0))
