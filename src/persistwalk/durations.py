@@ -35,11 +35,20 @@ exit-value split in the tail uses the empirical split over the second half
 of the table, which has converged to the tail limit at the table's accuracy.
 Tail draws are counted so consumers can report how much of a run leaned on
 the extension.
+
+Sampling has no loop over entry states.  A duration draw indexes the
+survival rows stacked over entries as one flat array: the √-law guess picks
+a start row from a guide table (Chen & Asau 1974; Devroye 1986, §III.2)
+built once with the tables, at or a few rows before the crossing, and exact
+steps move it to the row a binary search of the entry's row returns.  An
+exit draw gathers the first K - 1 cumulatives of its row by flat index and
+counts those below u; the map from exit column to the other side's entry
+index is also built once with the tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -174,11 +183,19 @@ class SideTables:
 
     ``entries`` are entry positions as *distances from zero* (always
     positive here; the caller mirrors the negative side).  The arrays are
-    stacked over the entry index e: ``neg_surv[e, n] = -P(τ > n)``, shape
-    (E, N+1), negated so each row ascends, ready for searchsorted;
+    stacked over the entry index e, C-contiguous, so flat index
+    e·(N+1) + n reads row e at n: ``neg_surv[e, n] = -P(τ > n)``, shape
+    (E, N+1), negated so each row ascends and -u compares against it
+    directly (as searchsorted would);
     ``exit_cum[e, n, k]``, shape (E, N+1, K), the cumulative split over the
     K ``exit_values`` given τ = n; ``tail_cum[e]``, shape (E, K), the split
     given τ > N; and ``tail_p[e] = P(τ > N)``, shape (E,).
+
+    ``guide``, derived from these on construction, is a guide table over the
+    √-tail guess g = ⌈N·(P(τ > N)/u)²⌉ ∈ [0, N]: ``guide[e·(N+1) + g]`` is
+    the flat index into ``neg_surv`` of the first n ≥ 1 with P(τ > n) < u
+    at the largest u whose guess is g, so the draws with that guess start
+    there or a few rows before their crossing.
     """
 
     entries: list[int]
@@ -188,6 +205,22 @@ class SideTables:
     tail_cum: np.ndarray
     tail_p: np.ndarray
     n_table: int
+    guide: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_table = self.n_table
+        rows = self.neg_surv.shape[0]
+        # guess g ≥ 2 takes u in [p·√(N/g), p·√(N/(g - 1))), p = P(τ > N),
+        # and the crossing at its largest u is the earliest; guesses 0 and 1
+        # take u ≥ p·√N, and every u < 1 crosses at n ≥ 1
+        top = np.sqrt(n_table / np.arange(1.0, n_table))
+        guide = np.ones((rows, n_table + 1), dtype=np.int64)
+        for e in range(rows):
+            guide[e, 2:] = np.searchsorted(self.neg_surv[e], -self.tail_p[e] * top,
+                                           side="right")
+        np.maximum(guide, 1, out=guide)
+        guide += (n_table + 1) * np.arange(rows)[:, None]
+        self.guide = guide.reshape(-1)
 
 
 def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
@@ -266,44 +299,72 @@ class ExcursionTables:
     pos_index: dict[int, int]    # entry position (> 0) -> index into pos tables
     neg_index: dict[int, int]    # entry position (< 0) -> index into neg tables
     n_table: int
+    exit_entry: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # exit column k of a side (landing depth k + 1) -> entry index on
+        # the other side
+        self.exit_entry = {
+            side: np.array([other[sign * d] for d in
+                            range(1, len(tables.exit_values) + 1)], dtype=np.int64)
+            for side, tables, other, sign in (("pos", self.pos, self.neg_index, -1),
+                                              ("neg", self.neg, self.pos_index, 1))}
 
     def sample_tau(self, side: str, entry_idx: np.ndarray, u: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Durations for a batch of stretches (float64), plus tail-draw flags."""
+        """Durations for a batch of stretches (float64), plus tail-draw flags.
+
+        τ is the first n with P(τ > n) < u in the entry's row, the index
+        ``searchsorted(neg_surv[e], -u, "right")`` returns.  The √-tail
+        n = N·(P(τ > N)/u)² is the draw itself where u ≤ P(τ > N); elsewhere
+        its ceiling g picks the start row ``guide[e, g]`` in the flat stacked
+        rows, and exact steps move it down while P(τ > n - 1) < u and up
+        while P(τ > n) ≥ u, until nothing moves.  Each row is non-increasing
+        from P(τ > 0) = 1 to P(τ > N) < u, so the steps stay in the row and
+        the result never depends on how good the start is.
+        """
         tables = self.pos if side == "pos" else self.neg
-        tau = np.empty(u.shape, dtype=np.float64)
-        tail = np.zeros(u.shape, dtype=bool)
-        for e in range(len(tables.entries)):
-            m = entry_idx == e
-            if not np.any(m):
-                continue
-            um = u[m]
-            ns = tables.neg_surv[e]
-            t = np.searchsorted(ns, -um, side="right").astype(np.float64)
-            pt = tables.tail_p[e]
-            deep = um <= pt
-            if np.any(deep):
-                t[deep] = np.ceil(self.n_table * (pt / um[deep]) ** 2)
-            tau[m] = t
-            tail[m] = deep
+        pt = tables.tail_p[entry_idx]
+        tau = np.ceil(self.n_table * (pt / u) ** 2)
+        tail = u <= pt
+        rows = np.flatnonzero(~tail)
+        if rows.size:
+            flat = tables.neg_surv.reshape(-1)
+            neg_u = -u[rows]
+            base = entry_idx[rows] * (self.n_table + 1)
+            at = tables.guide[base + np.minimum(tau[rows], self.n_table).astype(np.int64)]
+            move = np.flatnonzero(flat[at - 1] > neg_u)
+            while move.size:
+                at[move] -= 1
+                move = move[flat[at[move] - 1] > neg_u[move]]
+            move = np.flatnonzero(flat[at] <= neg_u)
+            while move.size:
+                at[move] += 1
+                move = move[flat[at[move]] <= neg_u[move]]
+            tau[rows] = at - base
         return tau, tail
 
     def sample_exit(self, side: str, entry_idx: np.ndarray, tau: np.ndarray,
                     tail: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next entry indices (on the opposite side) for a batch of stretches."""
+        """Next entry indices (on the opposite side) for a batch of stretches.
+
+        The exit is the first column whose cumulative reaches u.  Only the
+        first K - 1 columns are compared: past them the exit is the last
+        column, also where that column's cumulative rounded below 1.0.
+        """
         tables = self.pos if side == "pos" else self.neg
-        other_index = self.neg_index if side == "pos" else self.pos_index
-        land_sign = -1 if side == "pos" else 1  # a pos stretch lands below zero
-        kcols = len(tables.exit_values)
-        # landing depth k+1 on this side is entry land_sign*(k+1) on the other
-        trans = np.array([other_index[land_sign * d] for d in range(1, kcols + 1)],
-                         dtype=np.int64)
+        trans = self.exit_entry[side]
+        kcols = trans.size
+        if kcols == 1:
+            return np.full(u.shape, trans[0])
+        head = np.arange(kcols - 1)[:, None]
         # a tail draw's τ lies past the table: read row 0, then overwrite
-        cums = tables.exit_cum[entry_idx, np.where(tail, 0, tau).astype(np.int64)]
-        cums[tail] = tables.tail_cum[entry_idx[tail]]
-        # count u > cums per draw; a sum over the short K axis runs far
-        # faster down a (K, n) copy than along the rows of (n, K)
-        return trans[(u > cums.T.copy()).sum(axis=0)]
+        row = entry_idx * (self.n_table + 1) + np.where(tail, 0, tau).astype(np.int64)
+        cums = tables.exit_cum.reshape(-1)[row * kcols + head]  # (K - 1, n)
+        deep = np.flatnonzero(tail)
+        if deep.size:
+            cums[:, deep] = tables.tail_cum.reshape(-1)[entry_idx[deep] * kcols + head]
+        return trans[(u > cums).sum(axis=0)]
 
 
 def _entry_closure(dist: IncrementDistribution) -> tuple[list[int], list[int]]:

@@ -569,6 +569,15 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
     restarts fresh.  A fresh
     walk's leading negative stretch is discarded so that stretch slot i
     is always a positive-stretch / negative-stretch pair.
+
+    Each pass steps the live lanes by a block of 64·m steps, m growing as
+    lanes fill their quotas (m ≤ lanes // live) but only so far that no
+    live stretch can reach the cap before the block's last 64-step
+    boundary, so the cap is still checked at every 64-step boundary of
+    the shared stream position.  The block's crossings come out of one
+    ``nonzero`` in lane-then-time order; a lane's slots are filled in that
+    order, and a lane whose quotas fill before the last boundary skips the
+    cap check, as it would have left the run at its own boundary.
     """
     if dist.is_simple:
         ids = np.arange(n_excursions, dtype=np.uint64) + np.uint64(_SENTINEL_STREAM)
@@ -609,31 +618,58 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
             arr[sel, got[sel]] = d
             got[sel] += 1
 
-    block = _BLOCK  # steps advanced per vector pass; bookkeeping is per-column
     while lane.size:
+        # a pass holds at most 64·lanes elements, like the first one; it
+        # ends no later than the first 64-step boundary at which a live
+        # stretch could reach the cap, the only place the cap is checked
+        age = int((t - last_cross).max())
+        block = _BLOCK * max(1, min(lanes // lane.size,
+                                    1 + (step_cap - 1 - age) // _BLOCK))
         pos_blk, sign_blk = _step_block(dist, keys, drawn, block, pos, sgn)
         drawn += block
         flips = sign_blk != np.concatenate([sgn[:, None], sign_blk[:, :-1]],
                                            axis=1)
         flips[first_step, 0] = False  # time 0 is not an eligible crossing
         first_step[:] = False
-        for j in range(block):
-            crossed = flips[:, j]
-            if not crossed.any():
-                continue
-            cross_t = t[crossed] + j  # the flip is between times t+j and t+j+1
-            dur_done = cross_t - last_cross[crossed]
-            sign_done = (sign_blk[crossed, j - 1] if j else sgn[crossed])
-            skip = fresh[crossed] & (sign_done < 0)
-            _record(lane[crossed][~skip], dur_done[~skip], sign_done[~skip])
-            fresh[crossed] = False
-            last_cross[crossed] = cross_t
+        # crossings by lane, then by time; the flip in column c is between
+        # times t + c and t + c + 1 and ends the stretch begun at the
+        # lane's previous crossing
+        row, col = np.nonzero(flips)
+        cross_t = t[row] + col
+        first = np.ones(row.size, dtype=bool)
+        first[1:] = row[1:] != row[:-1]
+        prev = np.empty_like(cross_t)
+        prev[1:] = cross_t[:-1]
+        prev[first] = last_cross[row[first]]
+        sign_done = np.where(col > 0, sign_blk[row, col - 1], sgn[row])
+        keep = ~(first & fresh[row] & (sign_done < 0))
+        # a lane whose quotas both fill before the block's last 64-step
+        # boundary would have left the run there, so it skips the cap check
+        early = np.ones(lane.size, dtype=bool)
+        for arr, got, sign in ((out_p, got_p, 1), (out_m, got_m, -1)):
+            sel = np.flatnonzero(keep & (sign_done == sign))
+            r = row[sel]
+            # slot = the lane's count so far + rank among its block events
+            rank = np.arange(r.size)
+            rank -= np.maximum.accumulate(
+                np.where(np.r_[True, r[1:] != r[:-1]], rank, 0))
+            have = got[lane]
+            slot = have[r] + rank
+            room = slot < quota
+            arr[lane[r[room]], slot[room]] = cross_t[sel[room]] - prev[sel[room]]
+            got[lane] = np.minimum(have + np.bincount(r, minlength=lane.size), quota)
+            inner = r[col[sel] < block - _BLOCK]
+            early &= have + np.bincount(inner, minlength=lane.size) >= quota
+        fresh[row] = False
+        last = np.ones(row.size, dtype=bool)
+        last[:-1] = first[1:]
+        last_cross[row[last]] = cross_t[last]
         t += block
         pos = pos_blk[:, -1]
         sgn = sign_blk[:, -1]
-        # censor stretches that outgrew the cap (checked at block ends, so a
-        # censored stretch is cap..cap+block long; recorded as cap + 1)
-        over = (t - last_cross) >= step_cap
+        # censor stretches that outgrew the cap (a censored stretch is
+        # cap..cap+63 long; recorded as cap + 1)
+        over = ((t - last_cross) >= step_cap) & ~early
         if over.any():
             sign_over = sgn[over]
             drop = fresh[over] & (sign_over < 0)

@@ -19,6 +19,8 @@ Two implementations are provided and kept in lockstep:
 
 The uniform mapping ``((h >> 11) + 0.5) * 2**-53`` lands strictly inside
 (0, 1), so downstream ``log``/``arccos`` style transforms never see 0 or 1.
+Only its top bucket, h >> 11 = 2**53 - 1, would round to 1.0; both paths
+map it to 1 - 2**-53, a value no other bucket takes.
 Uniforms are bit-identical between the scalar and vector paths; quantities
 derived through libm calls (exponentials, say) agree to the last ulp or so
 but are not guaranteed bitwise across paths.
@@ -46,6 +48,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN_U64 = np.uint64(GOLDEN)
 _TWO_NEG53 = 2.0 ** -53
+_U_MAX = 1.0 - _TWO_NEG53  # the top bucket's uniform, which would round to 1.0
 
 
 def fmix64(z: int) -> int:
@@ -89,8 +92,10 @@ def u64_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 def uniform_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Uniforms on the open interval (0, 1) at the given counter positions."""
-    h = u64_at(keys, counters)
-    return ((h >> _U64_11).astype(np.float64) + 0.5) * _TWO_NEG53
+    u = (u64_at(keys, counters) >> _U64_11).astype(np.float64)
+    u += 0.5
+    u *= _TWO_NEG53
+    return np.minimum(u, _U_MAX, out=u)
 
 
 class RandomStream:
@@ -125,7 +130,7 @@ class RandomStream:
 
     def uniform(self) -> float:
         """One uniform on (0, 1); consumes one counter position."""
-        return ((self.next_u64() >> 11) + 0.5) * _TWO_NEG53
+        return min(((self.next_u64() >> 11) + 0.5) * _TWO_NEG53, _U_MAX)
 
     def exponential(self) -> float:
         """Standard exponential deviate; consumes one counter position."""

@@ -234,6 +234,25 @@ def test_console_script_entry_point(tmp_path):
     assert "phi=" in res.stdout
 
 
+def test_exponent_surface_script(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "exponent_surface.py"
+    res = subprocess.run([sys.executable, str(script), "--x-points", "3",
+                          "--b-points", "3", "--outdir", str(tmp_path)],
+                         capture_output=True, text=True, env=_checkout_env())
+    assert res.returncode == 0, res.stderr
+    assert f"wrote {tmp_path / 'exponent_surface.csv'} (9 points)" in res.stdout
+    worst = float(re.search(r"round-trip error: (\S+)", res.stdout).group(1))
+    assert worst < 1e-8
+    rows = (tmp_path / "exponent_surface.csv").read_text().splitlines()
+    assert rows[0] == f"# persistwalk {persistwalk.__version__}"
+    assert rows[2] == "x,b,phi,kappa,psi_bar"
+    body = np.array([[float(v) for v in r.split(",")] for r in rows[3:]])
+    assert body.shape == (9, 5)
+    # rows run over b within x; x = 0, b = 1 is the second: phi(0, 1) = 1/2
+    assert body[1, :2].tolist() == [0.0, 1.0]
+    assert body[1, 2] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_pyproject_declares_entry_point():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml",

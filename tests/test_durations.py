@@ -221,6 +221,104 @@ def test_tables_and_draws_pinned(name, dist):
     assert h.hexdigest() == TABLE_DIGESTS[name]
 
 
+def reference_sample_tau(tables, side, entry_idx, u):
+    """Inversion by a binary search of each entry's whole survival row, one
+    entry state at a time, with the √-tail formula past the table."""
+    st = getattr(tables, side)
+    tau = np.empty(u.shape, dtype=np.float64)
+    tail = np.zeros(u.shape, dtype=bool)
+    for e in range(len(st.entries)):
+        m = entry_idx == e
+        um = u[m]
+        t = np.searchsorted(st.neg_surv[e], -um, side="right").astype(np.float64)
+        pt = st.tail_p[e]
+        deep = um <= pt
+        t[deep] = np.ceil(tables.n_table * (pt / um[deep]) ** 2)
+        tau[m] = t
+        tail[m] = deep
+    return tau, tail
+
+
+def reference_sample_exit(tables, side, entry_idx, tau, tail, u):
+    """Exit by gathering each draw's whole cumulative row and counting the
+    columns below u (an index past the last column raises)."""
+    st = getattr(tables, side)
+    other = tables.neg_index if side == "pos" else tables.pos_index
+    sign = -1 if side == "pos" else 1
+    trans = np.array([other[sign * d] for d in range(1, len(st.exit_values) + 1)],
+                     dtype=np.int64)
+    cums = st.exit_cum[entry_idx, np.where(tail, 0, tau).astype(np.int64)]
+    cums[tail] = st.tail_cum[entry_idx[tail]]
+    return trans[(u > cums.T.copy()).sum(axis=0)]
+
+
+SAMPLER_WALKS = {
+    "simple": preset("simple"),
+    "unit-up:-2": preset("unit-up", negatives=[-2]),
+    "unit-up:-2,-3": preset("unit-up", negatives=[-2, -3]),
+    "lazy": validate([(-1, Fraction(1, 4)), (0, Fraction(1, 2)),
+                      (1, Fraction(1, 4))]),
+    "unit-up:-17,-2": preset("unit-up", negatives=[-17, -2]),
+}
+
+
+@pytest.mark.parametrize("n_table", [2048, durations.DEFAULT_TABLE_SIZE])
+@pytest.mark.parametrize("name", list(SAMPLER_WALKS))
+def test_samplers_match_full_search(name, n_table):
+    # every survival value of every row, its neighbours toward 0 and 1, the
+    # tail edge P(τ > N) with its neighbours and the largest uniform; then
+    # exits at one cumulative of each draw's row, cycling over the columns,
+    # with its neighbours
+    t = durations.excursion_tables(SAMPLER_WALKS[name], n_table)
+    for side in ("pos", "neg"):
+        st = getattr(t, side)
+        us, es = [], []
+        for e in range(len(st.entries)):
+            s = -st.neg_surv[e]
+            pt = st.tail_p[e]
+            u = np.concatenate([s, np.nextafter(s, 0), np.nextafter(s, 1),
+                                [pt, np.nextafter(pt, 0), np.nextafter(pt, 1),
+                                 1 - 2.0 ** -53]])
+            u = u[(u > 0) & (u < 1)]
+            us.append(u)
+            es.append(np.full(u.size, e, dtype=np.int64))
+        u, ei = np.concatenate(us), np.concatenate(es)
+        tau, tail = t.sample_tau(side, ei, u)
+        tau_ref, tail_ref = reference_sample_tau(t, side, ei, u)
+        np.testing.assert_array_equal(tau, tau_ref)
+        np.testing.assert_array_equal(tail, tail_ref)
+        assert tail.any() and not tail.all()
+
+        kcols = len(st.exit_values)
+        rows = np.where(tail, 0, tau).astype(np.int64)
+        cums = st.exit_cum[ei, rows]
+        cums[tail] = st.tail_cum[ei[tail]]
+        k = np.arange(u.size) % kcols
+        at = cums[np.arange(u.size), k]
+        for ue in (at, np.nextafter(at, 0), np.nextafter(at, 1)):
+            ue = np.clip(ue, 2.0 ** -54, 1 - 2.0 ** -53)
+            ex = t.sample_exit(side, ei, tau, tail, ue)
+            ok = ue <= cums[:, -1]
+            np.testing.assert_array_equal(
+                ex[ok], reference_sample_exit(t, side, ei[ok], tau[ok], tail[ok],
+                                              ue[ok]))
+            # past a last cumulative that rounded below 1.0: the last exit
+            assert np.all(ex[~ok] == t.exit_entry[side][-1])
+
+
+def test_sample_exit_past_a_last_cumulative_below_one():
+    # on unit-up:-2,-3 the pos row e = 0, n = 6 sums to 1 - 2^-52; a u
+    # above that once counted one column past the last exit
+    t = durations.excursion_tables(preset("unit-up", negatives=[-2, -3]), 2048)
+    assert t.pos.exit_cum[0, 6, -1] == 1 - 2.0 ** -52
+    args = ("pos", np.array([0]), np.array([6.0]), np.array([False]),
+            np.array([1 - 2.0 ** -53]))
+    assert t.sample_exit(*args).tolist() == [t.neg_index[-3]]
+    with pytest.raises(IndexError):
+        reference_sample_exit(t, *args)
+    assert t.sample_exit(*args[:-1], np.array([1.0])).tolist() == [t.neg_index[-3]]
+
+
 def test_srw_table_matches_convolution():
     # the per-entry DP and the passage-time convolution are independent
     # derivations of the same survival curve

@@ -512,12 +512,16 @@ def _pairs_digest(tau_p, tau_m, info):
 
 
 # digests of (tau_plus, tau_minus, info) from the engine that stepped lanes
-# with its own inline block code; the shared block helper must keep them
+# with its own inline block code (581-584) and from the collector that read
+# each 64-step block column by column (585, 587); the shared block helper,
+# the one-pass crossing bookkeeping and the growing block must keep them
 PAIRS_DIGESTS = {
     581: "a67dde90e4964f7d55a8aa1145936b476d4222c1d62d5228966daf2b2be1a5a0",
     582: "0115f0f39ebeb28f3185a91e31d54c4a1da445bd3c72aea705afbb7a9f390d73",
     583: "cee061fc673921fc82a547eba3d4cc92a942943d1e0f63b6175a49385c24841f",
     584: "0d1eab4125d924254c42bcd36b617c1e0c5993b3d54669ec79a25ec470a72541",
+    585: "e2c84a31ccdc94869676e38c5349a2caac59440ef953df7d51fdc1dc1fd74d47",
+    587: "d4028271071ff48c2b66c8e0df66d09251e3f8462684e4dfbb841934c881b538",
 }
 
 
@@ -571,6 +575,19 @@ def test_collect_duration_pairs_censoring():
     assert info["cap"] == 257
     # censored stretches really are written with the sentinel value
     assert np.any(tau_p == 257) or np.any(tau_m == 257)
+
+
+def test_collect_duration_pairs_lanes_finish_apart():
+    # lanes fill their quotas far apart, so the block grows while the last
+    # ones run; on the lazy walk some lanes fill theirs inside a grown block,
+    # before its last 64-step boundary, and skip that boundary's cap check,
+    # as they would have left the run at their own boundary
+    for dist, n, seed, lanes, cap in ((UNIT_UP, 20_000, 585, 256, 1 << 14),
+                                      (LAZY, 5000, 587, 37, 1000)):
+        tau_p, tau_m, info = engine.collect_duration_pairs(
+            dist, n, seed, lanes=lanes, step_cap=cap)
+        assert _pairs_digest(tau_p, tau_m, info) == PAIRS_DIGESTS[seed]
+        assert info["restarts"] > 0
 
 
 def _digest(*parts):

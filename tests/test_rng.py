@@ -1,9 +1,12 @@
 """Counter-stream RNG: determinism, range, and block/scalar agreement."""
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persistwalk.increments import preset, steps_from_uniforms, validate
 from persistwalk.rng import (RandomStream, fmix64, fmix64_array, stream_key,
                              trial_keys, u64_at, uniform_at)
 
@@ -99,3 +102,41 @@ def test_spawn_is_keyed_by_stream_id():
     assert child.key == fresh.key
     assert uniform_at(np.array([child.key], dtype=np.uint64),
                       np.array([0], dtype=np.uint64))[0] == fresh.uniform()
+
+
+def _unfmix64(h: int) -> int:
+    """Inverse of fmix64: undo each xorshift and multiply by the inverse
+    constants mod 2**64."""
+    mask = 2 ** 64 - 1
+
+    def unshift(z, s):
+        x = z
+        for k in range(s, 64, s):
+            x ^= z >> k
+        return x
+
+    z = unshift(h, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 2 ** 64)) & mask
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64)) & mask
+    return unshift(z, 30)
+
+
+def test_top_bucket_stays_below_one():
+    # h >> 11 = 2^53 - 1 puts (h >> 11) + 0.5 halfway to 2^53, which rounds
+    # up to 1.0; both paths return 1 - 2^-53 for it instead
+    assert ((2 ** 53 - 1) + 0.5) * 2.0 ** -53 == 1.0
+    key = _unfmix64(2 ** 64 - 1)
+    assert fmix64(key) == 2 ** 64 - 1
+    s = RandomStream(0, 0)
+    s.key = key
+    u = s.uniform()
+    block = uniform_at(np.array([key], dtype=np.uint64),
+                       np.array([0], dtype=np.uint64))
+    assert u == block[0] == 1 - 2.0 ** -53
+    # a walk with three or more atoms maps it to its last atom
+    for dist in (preset("truncated-geometric", p="1/2", cutoff=3),
+                 preset("unit-up", negatives=[-2, -3]),
+                 validate([(-1, Fraction(1, 4)), (0, Fraction(1, 2)),
+                           (1, Fraction(1, 4))])):
+        assert steps_from_uniforms(dist, block).tolist() == [dist.values()[-1]]
