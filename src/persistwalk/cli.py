@@ -51,7 +51,10 @@ def _add_common(sp, *, trials_default=100_000):
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--engine", default="auto",
                     choices=("auto", "exact", "table", "stepped"),
-                    help="simulation engine (auto picks per distribution)")
+                    help="simulation engine: auto runs exact stretches, on the "
+                    "passage law for the simple walk and on the duration "
+                    "tables for any other walk; stepped is the step-by-step "
+                    "reference, for any x")
 
 
 def _add_curve_out(sp):
@@ -69,6 +72,8 @@ def _emit_curve(args, curve, label: str) -> None:
             f"(trials={curve.trials}, engine={curve.engine}")
     if curve.capped:
         line += f", capped={curve.capped}"
+    if curve.tail_draws:
+        line += f", tail_draws={curve.tail_draws}"
     print(line + ")")
     if args.out:
         montecarlo.write_survival_csv(curve, args.out)

@@ -36,6 +36,12 @@ of the table, which has converged to the tail limit at the table's accuracy.
 Tail draws are counted so consumers can report how much of a run leaned on
 the extension.
 
+The tables drive every general-walk run that moves stretch by stretch:
+the ξ pair runs and both barrier events (the engine's stretch loop), each
+stretch taking one uniform for τ and one for its exit, which is the next
+stretch's entry.  :meth:`ExcursionTables.sample_stretches` draws a batch
+whose stretches lie on both sides at once.
+
 Sampling has no loop over entry states.  A duration draw indexes the
 survival rows stacked over entries as one flat array: the √-law guess picks
 a start row from a guide table (Chen & Asau 1974; Devroye 1986, §III.2)
@@ -309,6 +315,34 @@ class ExcursionTables:
                             range(1, len(tables.exit_values) + 1)], dtype=np.int64)
             for side, tables, other, sign in (("pos", self.pos, self.neg_index, -1),
                                               ("neg", self.neg, self.pos_index, 1))}
+
+    def first_entries(self, first: np.ndarray) -> np.ndarray:
+        """Entry index of the stretch each first step opens: a step v ≥ 0 on
+        the positive side (0 at height 0), v < 0 on the negative side."""
+        entry = np.zeros(first.shape, dtype=np.int64)
+        for v in self.dist.values():
+            index = self.pos_index if v >= 0 else self.neg_index
+            entry[first == v] = index[int(v)]
+        return entry
+
+    def sample_stretches(self, up: np.ndarray, entry_idx: np.ndarray,
+                         u_tau: np.ndarray, u_exit: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(τ, tail flags, next entry) for stretches on both sides at once:
+        positive where ``up`` is set, entered at ``entry_idx`` on that side;
+        the next entry indexes the other side's tables."""
+        if up.all() or not up.any():  # one side: no gathers
+            side = "pos" if up.all() else "neg"
+            tau, tail = self.sample_tau(side, entry_idx, u_tau)
+            return tau, tail, self.sample_exit(side, entry_idx, tau, tail, u_exit)
+        tau = np.empty(up.shape)
+        tail = np.empty(up.shape, dtype=bool)
+        nxt = np.empty_like(entry_idx)
+        for side, rows in (("pos", up), ("neg", ~up)):
+            e = entry_idx[rows]
+            tau[rows], tail[rows] = self.sample_tau(side, e, u_tau[rows])
+            nxt[rows] = self.sample_exit(side, e, tau[rows], tail[rows], u_exit[rows])
+        return tau, tail, nxt
 
     def sample_tau(self, side: str, entry_idx: np.ndarray, u: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:

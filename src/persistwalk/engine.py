@@ -13,25 +13,13 @@ no result depends on them.
 
 Engines
 -------
-``stepped_*``
-    The reference engines, and the only ones for step-indexed events on
-    general walks.  One vector pass advances every live trial by a block of
-    up to 64 steps: position, carried sign and running sign-sum for each
-    column, then the earliest column that ends the trial.  The barrier
-    q·G_s vs p·s is tested as G_s against ⌊p·s/q⌋ (strict) or
-    ⌊(p·s − 1)/q⌋ (weak), computed per column in Python integers, so it is
-    exact for every x.  The uniform at stream position s - 1 is the step
-    to time s.  A pass holds at most ``trials`` elements: the block is
-    min(64, trials // live), and the time event stops at t_max.
-
-``srw_excursion_*``
-    Exact fast engines for the simple walk: two wrappers round one stretch
-    loop, which stops a trial at its first violation, at t ≥ t_max (time
-    event) or after 2·k_max stretches (excursion event).  Stretch durations
-    come from the closed-form passage law (:mod:`.durations`), and because
-    the sign is constant on a stretch the sign-sum is piecewise linear in
-    s, so the first barrier violation inside a stretch is a two-line
-    integer computation instead of a walk:
+``_stretches``
+    The exact stretch loop behind both barrier events on every walk.  A
+    trial runs stretch by stretch until its first violation, until
+    t ≥ t_max (time event) or through 2·k_max stretches (excursion event).
+    Under the carried-sign rule the sign is constant on a stretch and G
+    moves by ±1 per step, whatever the step law, so the first violation in
+    a stretch is a two-line integer computation instead of a walk:
 
     * up stretch from (t₀, G₀): the margin q·G_s - p·s strictly increases,
       so only the entry point s = t₀ + 1 can violate;
@@ -39,11 +27,30 @@ Engines
       s ≥ q·(G₀ + t₀)/(p + q); the earliest offender is the ceiling of that
       ratio (strict mode) or one past its floor (weak mode).
 
-    Consumption: one uniform for the first-step sign, then two per stretch.
-    Products with p or q are formed only of remainders, below q·(p + q),
-    or stay below the sums they split, so the engines (and the simple-walk
-    ξ runs) are exact in int64 for every x with q·(p + q) < 2^63 and refuse
-    any other x with :class:`~.errors.OutOfDomain`.
+    Consumption: one uniform for the first step (``steps_from_uniforms``;
+    v ≥ 0 opens a positive stretch, at height 0 for v = 0), then two per
+    stretch: two unit passages of the exact passage law on the simple walk
+    (``srw_excursion_*``), or τ and the exit entry from the duration tables
+    on any other walk.  A table τ is a float whose √-tail can pass 2^63;
+    every τ is clamped one step past what can matter (t_max - t + 1, or
+    step_cap + 1), and a table stretch longer than step_cap ends its trial
+    as a censored survivor unless the barrier fell first.  Products with p
+    or q are formed only of remainders, below q·(p + q), or stay below the
+    sums they split, so the loop (and the simple-walk ξ runs) is exact in
+    int64 for every x with q·(p + q) < 2^63 and horizon below 2^62 steps,
+    and refuses any other input with :class:`~.errors.OutOfDomain`.
+
+``stepped_*``
+    The reference engines the tests compare the stretch loop against,
+    selected only by ``engine_kind="stepped"``.  One vector pass advances
+    every live trial by a block of up to 64 steps: position, carried sign
+    and running sign-sum for each column, then the earliest column that
+    ends the trial.  The barrier q·G_s vs p·s is tested as G_s against
+    ⌊p·s/q⌋ (strict) or ⌊(p·s − 1)/q⌋ (weak), computed per column in
+    Python integers, so it is exact for every x.  The uniform at stream
+    position s - 1 is the step to time s.  A pass holds at most ``trials``
+    elements: the block is min(64, trials // live), and the time event
+    stops at t_max.
 
 ``run_xi_trials``
     Excursion-pair runs for W_n = Σ (1-x)τ⁺ - (1+x)τ⁻, one vectorised pair
@@ -58,19 +65,20 @@ Engines
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import durations as dur
 from .errors import OutOfDomain
-from .increments import IncrementDistribution, steps_from_uniforms
+from .increments import IncrementDistribution, preset, steps_from_uniforms
 from .rng import trial_keys, uniform_at
 from .walk import _is_strict
 
 _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
-_NO_LIMIT = np.iinfo(np.int64).max  # no horizon or stretch bound
+_NO_LIMIT = 1 << 62  # no horizon, stretch count or step cap; t stays below it
+_SIMPLE = preset("simple")
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +206,7 @@ def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
 
 
 # ---------------------------------------------------------------------------
-# exact excursion engines (simple walk)
+# the exact stretch loop (any walk)
 # ---------------------------------------------------------------------------
 
 def _exact_ratio(x: Fraction) -> tuple[int, int]:
@@ -208,7 +216,8 @@ def _exact_ratio(x: Fraction) -> tuple[int, int]:
     p, q = x.numerator, x.denominator
     if q * (p + q) >= 1 << 63:
         raise OutOfDomain(f"x={x}: q·(p+q) ≥ 2^63 is beyond exact int64 "
-                          "arithmetic in the simple-walk engines")
+                          "arithmetic in the stretch engines; the stepped "
+                          "reference (--engine stepped) accepts it")
     return p, q
 
 
@@ -246,57 +255,66 @@ def _passage(keys, ctr, cap_exp=dur.DEFAULT_PASSAGE_CAP_EXP):
                                           cap_exp=cap_exp)
 
 
-def _srw_stretches(x: Fraction, trials: int, seed: int, mode: str,
-                   trial_offset: int, cap_exp: int, t_max: int,
-                   n_stretches: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The exact stretch loop behind both simple-walk events.
-
-    A trial runs stretch by stretch until its first violation, until
-    t ≥ t_max, or through n_stretches stretches.  Returns per trial the
-    violation time and the index of the stretch it falls in (both -1 for a
-    trial that did not violate), and the number of capped passage draws.
+def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
+               mode: str, trial_offset: int, t_max: int, n_stretches: int, *,
+               tables: dur.ExcursionTables | None = None,
+               cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP,
+               step_cap: int = _NO_LIMIT) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Both events on the passage law (``tables`` None) or on ``tables``:
+    per trial the violation time (t_max + 1 if none) and its stretch index
+    (n_stretches if none), the trials step_cap censored, and the flagged
+    draws: capped passage draws, or tail draws that could end before t_max.
     """
     p, q = _exact_ratio(x)
     strict = _is_strict(mode)
+    longest = min(step_cap, (4 << cap_exp) + 2 if tables is None else _NO_LIMIT)
+    if min(t_max + 1, n_stretches * (longest + 1)) >= _NO_LIMIT:  # bounds every t
+        raise OutOfDomain("a horizon of 2^62 steps is beyond the stretch loop's "
+                          "exact int64 arithmetic")
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     idx = np.arange(trials, dtype=np.int64)
-    tstar = np.full(trials, -1, dtype=np.int64)
-    kstar = np.full(trials, -1, dtype=np.int64)
+    tstar = np.full(trials, t_max + 1, dtype=np.int64)
+    kstar = np.full(trials, n_stretches, dtype=np.int64)
     t = np.zeros(trials, dtype=np.int64)
     g = np.zeros(trials, dtype=np.int64)
     ctr = np.zeros(trials, dtype=np.uint64)
 
-    u0 = uniform_at(keys, ctr)
+    first = steps_from_uniforms(dist, uniform_at(keys, ctr))
     ctr += 1
-    up = u0 >= 0.5  # matches the sampler's atom order (-1 below 1/2)
-    capped_draws = 0
+    up = first >= 0
+    entry = np.zeros(trials, np.int64) if tables is None else tables.first_entries(first)
+    censored = flagged = 0
     stretch = 0
     while idx.size and stretch < n_stretches:
-        tau, cap = _passage(keys, ctr, cap_exp)
+        if tables is None:
+            tau, flag = _passage(keys, ctr, cap_exp)
+        else:
+            tau, flag, entry = tables.sample_stretches(up, entry, uniform_at(keys, ctr),
+                                                       uniform_at(keys, ctr + 1))
+            tau = np.minimum(tau, _NO_LIMIT).astype(np.int64)  # √-tail τ: float
+            flag &= t < t_max - tables.n_table - 1  # else τ > N decides nothing
         ctr += 2
-        capped_draws += int(cap.sum())
+        flagged += int(flag.sum())
+        tau = np.minimum(tau, np.minimum(t_max - t, step_cap) + 1)
 
-        dead = np.empty(idx.shape, dtype=bool)
-        when = np.empty(idx.shape, dtype=np.int64)
-        dead[up] = _up_entry_violation(g[up], t[up], p, q, strict)
-        when[up] = t[up] + 1
-        dn = ~up
-        sstar = _down_first_violation(g[dn], t[dn], p, q, strict)
-        dead[dn] = sstar <= np.minimum(t[dn] + tau[dn], t_max)
-        when[dn] = sstar
-
+        when = np.where(up, t + 1, _down_first_violation(g, t, p, q, strict))
+        dead = np.where(up, _up_entry_violation(g, t, p, q, strict),
+                        when <= np.minimum(t + tau, t_max))
         rows = idx[dead]
         tstar[rows] = when[dead]
         kstar[rows] = stretch
+        over = ~dead & (tau > step_cap)  # outgrew the cap, barrier intact
+        censored += int(over.sum())
         t = t + tau
         g = np.where(up, g + tau, g - tau)
-        keep = ~dead & (t < t_max)
+        keep = ~dead & ~over & (t < t_max)
         if not keep.all():
-            idx, t, g, keys, ctr, up = (a[keep] for a in (idx, t, g, keys, ctr, up))
+            idx, t, g, keys, ctr, up, entry = (a[keep] for a in
+                                               (idx, t, g, keys, ctr, up, entry))
         up = ~up
         stretch += 1
-    return tstar, kstar, capped_draws
+    return tstar, kstar, censored, flagged
 
 
 def srw_excursion_first_violation(x: Fraction, t_max: int, trials: int, seed: int, *,
@@ -304,10 +322,10 @@ def srw_excursion_first_violation(x: Fraction, t_max: int, trials: int, seed: in
                                   cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP
                                   ) -> tuple[np.ndarray, int]:
     """Exact first-violation times for the simple walk, one stretch at a
-    time; t_max + 1 means the trial survived."""
-    tstar, kstar, capped_draws = _srw_stretches(x, trials, seed, mode, trial_offset,
-                                                cap_exp, t_max, _NO_LIMIT)
-    return np.where(kstar < 0, t_max + 1, tstar), capped_draws
+    time; t_max + 1 means the trial survived.  Also the capped draws."""
+    tstar, _, _, capped_draws = _stretches(_SIMPLE, x, trials, seed, mode, trial_offset,
+                                           t_max, _NO_LIMIT, cap_exp=cap_exp)
+    return tstar, capped_draws
 
 
 def srw_excursion_a_progress(x: Fraction, k_max: int, trials: int, seed: int, *,
@@ -319,14 +337,22 @@ def srw_excursion_a_progress(x: Fraction, k_max: int, trials: int, seed: int, *,
     mstar[i] = number of complete excursions through which trial i kept
     q·G_s vs p·s on the right side (weak mode by default), capped at k_max.
     """
-    _, kstar, capped_draws = _srw_stretches(x, trials, seed, mode, trial_offset,
-                                            cap_exp, _NO_LIMIT, 2 * k_max)
-    return np.where(kstar < 0, k_max, kstar // 2), capped_draws
+    _, kstar, _, capped_draws = _stretches(_SIMPLE, x, trials, seed, mode, trial_offset,
+                                           _NO_LIMIT, 2 * k_max, cap_exp=cap_exp)
+    return kstar // 2, capped_draws
 
 
 # ---------------------------------------------------------------------------
 # excursion-pair runs: W_n = sum of (1-x) tau+ - (1+x) tau-
 # ---------------------------------------------------------------------------
+
+def _merged(parts: list, **fixed):
+    """A record of parts' type with every field not in ``fixed`` summed over
+    parts: counts from chunks of trials merge by addition."""
+    return type(parts[0])(**{f.name: fixed[f.name] if f.name in fixed
+                             else sum(getattr(p, f.name) for p in parts)
+                             for f in fields(parts[0])})
+
 
 @dataclass
 class XiRunResult:
@@ -350,19 +376,8 @@ class XiRunResult:
 
     @staticmethod
     def merge(parts: list["XiRunResult"]) -> "XiRunResult":
-        first = parts[0]
-        return XiRunResult(
-            record_ns=first.record_ns,
-            trials=sum(p.trials for p in parts),
-            alive_counts=np.sum([p.alive_counts for p in parts], axis=0),
-            neg_counts=np.sum([p.neg_counts for p in parts], axis=0),
-            decided=sum(p.decided for p in parts),
-            negative_final=sum(p.negative_final for p in parts),
-            undecided=sum(p.undecided for p in parts),
-            capped_draws=sum(p.capped_draws for p in parts),
-            retries_used=max(p.retries_used for p in parts),
-            engine=first.engine,
-        )
+        return _merged(parts, record_ns=parts[0].record_ns, engine=parts[0].engine,
+                       retries_used=max(p.retries_used for p in parts))
 
 
 def _w_negative(d, s, p, q):
@@ -463,27 +478,20 @@ def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
                     trial_offset: int, n_table: int = dur.DEFAULT_TABLE_SIZE
                     ) -> XiRunResult:
     tables = dur.excursion_tables(dist, n_table)
-    wp = float(Fraction(1, 1) - x)
-    wm = float(Fraction(1, 1) + x)
+    wp, wm = float(1 - x), float(1 + x)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     ctr = np.zeros(trials, dtype=np.uint64)
 
-    u0 = uniform_at(keys, ctr)
+    first = steps_from_uniforms(dist, uniform_at(keys, ctr))
     ctr += 1
-    first = steps_from_uniforms(dist, u0)
-    pos_idx = np.zeros(trials, dtype=np.int64)
-    for v in dist.values():
-        index = tables.pos_index if v >= 0 else tables.neg_index
-        pos_idx[first == v] = index[int(v)]
-    dn = first < 0
-    if dn.any():
-        # leading negative stretch: draw its duration and exit, discard tau
-        ut = uniform_at(keys[dn], ctr[dn])
-        tau0, tail0 = tables.sample_tau("neg", pos_idx[dn], ut)
-        ue = uniform_at(keys[dn], ctr[dn] + 1)
-        ctr[dn] += 2
-        pos_idx[dn] = tables.sample_exit("neg", pos_idx[dn], tau0, tail0, ue)
+    pos_idx = tables.first_entries(first)
+    up, down = np.ones(trials, dtype=bool), np.zeros(trials, dtype=bool)
+    # leading negative stretch: draw its duration and exit, discard tau
+    dn = np.flatnonzero(first < 0)
+    pos_idx[dn] = tables.sample_stretches(down[dn], pos_idx[dn], uniform_at(
+        keys[dn], ctr[dn]), uniform_at(keys[dn], ctr[dn] + 1))[2]
+    ctr[dn] += 2
 
     # W stays a float summed pair by pair: a √-tail τ can pass 2^63, and
     # any other summation order would change its rounding
@@ -491,14 +499,10 @@ def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
     rec = _XiRecorder(record_ns, trials)
     tail_draws = 0
     for m in range(1, n_pairs + 1):
-        ut = uniform_at(keys, ctr)
-        tau_p, tp_tail = tables.sample_tau("pos", pos_idx, ut)
-        ue = uniform_at(keys, ctr + 1)
-        neg_idx = tables.sample_exit("pos", pos_idx, tau_p, tp_tail, ue)
-        ut = uniform_at(keys, ctr + 2)
-        tau_m, tm_tail = tables.sample_tau("neg", neg_idx, ut)
-        ue = uniform_at(keys, ctr + 3)
-        pos_idx = tables.sample_exit("neg", neg_idx, tau_m, tm_tail, ue)
+        tau_p, tp_tail, neg_idx = tables.sample_stretches(
+            up, pos_idx, uniform_at(keys, ctr), uniform_at(keys, ctr + 1))
+        tau_m, tm_tail, pos_idx = tables.sample_stretches(
+            down, neg_idx, uniform_at(keys, ctr + 2), uniform_at(keys, ctr + 3))
         ctr += 4
         tail_draws += int(tp_tail.sum()) + int(tm_tail.sum())
         w += wp * tau_p - wm * tau_m
@@ -711,17 +715,11 @@ class SurvivalCounts:
     survivors: np.ndarray   # survivors at each grid horizon
     capped: int
     engine: str
+    tail_draws: int = 0     # table tail draws that could decide an outcome
 
     @staticmethod
     def merge(parts: list["SurvivalCounts"]) -> "SurvivalCounts":
-        first = parts[0]
-        return SurvivalCounts(
-            grid=first.grid,
-            trials=sum(p.trials for p in parts),
-            survivors=np.sum([p.survivors for p in parts], axis=0),
-            capped=sum(p.capped for p in parts),
-            engine=first.engine,
-        )
+        return _merged(parts, grid=parts[0].grid, engine=parts[0].engine)
 
 
 def _counts_from_times(times: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
@@ -730,55 +728,56 @@ def _counts_from_times(times: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
     return times.size - np.searchsorted(s, np.asarray(grid), side="right")
 
 
-def _atilde_worker(args, trials, offset):
-    dist, x, t_max, seed, grid, mode, kind = args
+def _survival_worker(args, trials, offset):
+    """Survivors of one chunk over the grid: time event (``event`` "time",
+    horizon t_max) or excursion event (horizon k_max)."""
+    dist, x, event, horizon, seed, grid, mode, step_cap, kind = args
+    timed = event == "time"
+    capped = tail = 0
     if kind == "exact-excursion":
-        tstar, capped = srw_excursion_first_violation(
-            x, t_max, trials, seed, mode=mode, trial_offset=offset)
+        run = srw_excursion_first_violation if timed else srw_excursion_a_progress
+        out, capped = run(x, horizon, trials, seed, mode=mode, trial_offset=offset)
+    elif kind == "stepped" and timed:
+        out = stepped_first_violation(dist, x, horizon, trials, seed, mode=mode,
+                                      trial_offset=offset)
+    elif kind == "stepped":
+        out, capped = stepped_a_progress(dist, x, horizon, trials, seed, mode=mode,
+                                         step_cap=step_cap, trial_offset=offset)
     else:
-        tstar = stepped_first_violation(dist, x, t_max, trials, seed,
-                                        mode=mode, trial_offset=offset)
-        capped = 0
-    return SurvivalCounts(grid=grid, trials=trials,
-                          survivors=_counts_from_times(tstar, grid),
-                          capped=capped, engine=kind)
-
-
-def _a_worker(args, trials, offset):
-    dist, x, k_max, seed, grid, mode, kind, step_cap = args
-    if kind == "exact-excursion":
-        mstar, capped = srw_excursion_a_progress(
-            x, k_max, trials, seed, mode=mode, trial_offset=offset)
-    else:
-        mstar, capped = stepped_a_progress(dist, x, k_max, trials, seed,
-                                           mode=mode, step_cap=step_cap,
-                                           trial_offset=offset)
-    survivors = np.array([(mstar >= k).sum() for k in grid], dtype=np.int64)
+        tstar, kstar, capped, tail = _stretches(
+            dist, x, trials, seed, mode, offset, horizon if timed else _NO_LIMIT,
+            _NO_LIMIT if timed else 2 * horizon, tables=dur.excursion_tables(dist),
+            step_cap=step_cap)
+        out = tstar if timed else kstar // 2
+    # survivors: violation times past t, or at least k complete excursions
+    survivors = _counts_from_times(out, grid if timed else tuple(k - 1 for k in grid))
     return SurvivalCounts(grid=grid, trials=trials, survivors=survivors,
-                          capped=capped, engine=kind)
+                          capped=capped, engine=kind, tail_draws=tail)
+
+
+def _survival_counts(dist, engine_kind, trials, workers, *args) -> SurvivalCounts:
+    """_survival_worker over every chunk, merged; ``args`` follow dist."""
+    kind = pick_engine(dist, engine_kind)
+    if kind == "duration-table":
+        dur.excursion_tables(dist)  # build once before any fork
+    return SurvivalCounts.merge(_run_in_chunks(_survival_worker, (dist, *args, kind),
+                                               trials, workers))
 
 
 def atilde_counts(dist: IncrementDistribution, x: Fraction, t_max: int,
                   trials: int, seed: int, grid: tuple[int, ...], *,
                   mode: str = "strict", engine_kind: str = "auto",
                   workers: int = 1) -> SurvivalCounts:
-    kind = pick_engine(dist, engine_kind)
-    if kind == "duration-table":
-        kind = "stepped"  # step-indexed events need the stepped engine
-    args = (dist, x, t_max, seed, tuple(grid), mode, kind)
-    return SurvivalCounts.merge(_run_in_chunks(_atilde_worker, args, trials,
-                                               workers))
+    return _survival_counts(dist, engine_kind, trials, workers, x, "time", t_max,
+                            seed, tuple(grid), mode, _NO_LIMIT)
 
 
 def a_counts(dist: IncrementDistribution, x: Fraction, k_max: int,
              trials: int, seed: int, grid: tuple[int, ...], *,
              mode: str = "weak", engine_kind: str = "auto",
              step_cap: int = 10 ** 9, workers: int = 1) -> SurvivalCounts:
-    kind = pick_engine(dist, engine_kind)
-    if kind == "duration-table":
-        kind = "stepped"
-    args = (dist, x, k_max, seed, tuple(grid), mode, kind, step_cap)
-    return SurvivalCounts.merge(_run_in_chunks(_a_worker, args, trials, workers))
+    return _survival_counts(dist, engine_kind, trials, workers, x, "excursion", k_max,
+                            seed, tuple(grid), mode, step_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,7 @@ class SurvivalCurve:
     trials: int
     capped: int = 0
     engine: str = ""
+    tail_draws: int = 0        # table √-tail draws that could decide an outcome
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -117,9 +118,10 @@ def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
     """Survival curve of the time event up to t_max.
 
     Each trial runs to its first violation (or t_max); survivors at horizon
-    t are the trials with violation time > t.  For the simple walk the
-    default engine advances whole stretches using the exact passage-time
-    law; `engine_kind="stepped"` forces the step-by-step reference engine.
+    t are the trials with violation time > t.  The default engine advances
+    whole stretches, with durations from the exact passage-time law on the
+    simple walk and from the duration tables on any other walk;
+    `engine_kind="stepped"` forces the step-by-step reference engine.
     """
     x = Fraction(x)
     if t_max < 2:
@@ -137,7 +139,8 @@ def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
                         engine=counts.engine, workers=workers)
     return SurvivalCurve(kind="time", horizons=grid, survivors=counts.survivors,
                          trials=trials, capped=counts.capped,
-                         engine=counts.engine, config=cfg)
+                         engine=counts.engine, tail_draws=counts.tail_draws,
+                         config=cfg)
 
 
 def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
@@ -147,11 +150,15 @@ def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
                workers: int = 1) -> SurvivalCurve:
     """Survival curve of the excursion event up to k_max excursions.
 
-    A stretch running past `step_cap` steps leaves the trial's outcome
-    unknown; such trials are counted as survivors at every horizon (an
-    upward bias of at most capped/trials) and the count is carried on the
-    curve.  `on_cap="raise"` turns any capped trial into
-    :class:`HorizonOverflow` instead.
+    A stretch running past `step_cap` steps, with the barrier intact up to
+    one step past it, leaves the trial's outcome unknown; such trials are
+    counted as survivors at every horizon (an upward bias of at most
+    capped/trials) and the count is carried on the curve.  The cap applies
+    to the duration tables (the default on every walk but the simple one)
+    and to the stepped reference.  On the simple walk the exact passage law
+    ignores it and caps a unit passage at 2^40 + 1 steps instead; `capped`
+    then counts those capped draws.  `on_cap="raise"` turns any capped
+    trial or draw into :class:`HorizonOverflow` instead.
     """
     x = Fraction(x)
     if on_cap not in ("count", "raise"):
@@ -177,7 +184,7 @@ def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
     return SurvivalCurve(kind="excursion", horizons=grid,
                          survivors=counts.survivors, trials=trials,
                          capped=counts.capped, engine=counts.engine,
-                         config=cfg)
+                         tail_draws=counts.tail_draws, config=cfg)
 
 
 def gamma_ratio(k, phi_val: float):
@@ -351,6 +358,8 @@ def write_survival_csv(curve: SurvivalCurve, path, *, extra_comments=()) -> None
         buf.write(f"# {line}\n")
     if curve.capped:
         buf.write(f"# capped_trials: {curve.capped}\n")
+    if curve.tail_draws:
+        buf.write(f"# tail_draws: {curve.tail_draws}\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for i, h in enumerate(curve.horizons):
         s = curve.survivors[i]

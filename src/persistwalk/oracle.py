@@ -52,17 +52,15 @@ def _weights(dist: IncrementDistribution) -> tuple[list[tuple[int, int]], int]:
     return [(int(v), int(p * denom)) for v, p in dist.atoms], denom
 
 
-def _violated(q_gsum: int, p_s: int, strict: bool) -> bool:
-    return q_gsum <= p_s if strict else q_gsum < p_s
-
-
 def exact_atilde(dist: IncrementDistribution, x, t: int, *,
                  mode: str = "strict", cap: int = DEFAULT_CAP) -> Fraction:
     """P(sign-sum stays above x·s for all s = 1..t), exactly.
 
     Forward DP over (position, carried sign, sign-sum); states that violate
     the barrier are dropped into a dead-mass accumulator so conservation
-    can be checked at every layer.
+    can be checked at every layer.  The barrier at layer s is one integer
+    threshold: q·G ≤ p·s ⇔ G ≤ ⌊p·s/q⌋ (strict), q·G < p·s ⇔
+    G ≤ ⌊(p·s − 1)/q⌋ (weak).
     """
     x = Fraction(x)
     if not (0 <= x < 1):
@@ -72,20 +70,21 @@ def exact_atilde(dist: IncrementDistribution, x, t: int, *,
     if t > cap:
         raise CapExceeded(f"t={t} exceeds the DP cap {cap}")
     p, q = x.numerator, x.denominator
-    strict = _is_strict(mode)
+    r = 0 if _is_strict(mode) else 1
     atoms, denom = _weights(dist)
 
     states: dict[tuple[int, int, int], int] = {(0, 1, 0): 1}
-    dead = Fraction(0)
+    dead = 0  # numerator over denom**s
     for s in range(1, t + 1):
         nxt: dict[tuple[int, int, int], int] = {}
         dead_mass = 0
+        worst = (p * s - r) // q  # largest sign-sum failing the barrier
         for (pos, sign, g), m in states.items():
             for v, w in atoms:
                 npos = pos + v
                 nsign = 1 if npos > 0 else (-1 if npos < 0 else sign)
                 ng = g + nsign
-                if _violated(q * ng, p * s, strict):
+                if ng <= worst:
                     dead_mass += m * w
                 else:
                     key = (npos, nsign, ng)
@@ -118,7 +117,7 @@ def exact_a(dist: IncrementDistribution, x, k: int, t_cap: int, *,
         raise OutOfDomain(f"k={k} must be >= 0")
     if t_cap > cap:
         raise CapExceeded(f"t_cap={t_cap} exceeds the DP cap {cap}")
-    strict = _is_strict(mode)
+    r = 0 if _is_strict(mode) else 1
     if k == 0:
         return Fraction(1), Fraction(1)
     p, q = x.numerator, x.denominator
@@ -126,12 +125,12 @@ def exact_a(dist: IncrementDistribution, x, k: int, t_cap: int, *,
     target = 2 * k
 
     states: dict[tuple[int, int, int, int], int] = {(0, 1, 0, 0): 1}
-    success = Fraction(0)
-    dead = Fraction(0)
+    success = dead = 0  # numerators over denom**s
     for s in range(1, t_cap + 1):
         nxt: dict[tuple[int, int, int, int], int] = {}
         dead_mass = 0
         success_mass = 0
+        worst = (p * s - r) // q  # largest sign-sum failing the barrier
         for (pos, sign, g, c), m in states.items():
             for v, w in atoms:
                 npos = pos + v
@@ -143,21 +142,19 @@ def exact_a(dist: IncrementDistribution, x, k: int, t_cap: int, *,
                     success_mass += m * w
                     continue
                 ng = g + nsign
-                if _violated(q * ng, p * s, strict):
+                if ng <= worst:
                     dead_mass += m * w
                 else:
                     key = (npos, nsign, ng, nc)
                     nxt[key] = nxt.get(key, 0) + m * w
         states = nxt
-        scale = Fraction(1, denom ** s)
-        success += success_mass * scale
-        dead += dead_mass * scale
-        alive = Fraction(sum(states.values()), denom ** s)
-        if alive + dead + success != 1:
+        success = success * denom + success_mass
+        dead = dead * denom + dead_mass
+        alive = sum(states.values())
+        if alive + dead + success != denom ** s:
             raise AssertionError(f"mass leak at layer {s}")
-    lower = success
-    upper = success + Fraction(sum(states.values()), denom ** t_cap)
-    return lower, upper
+    total = denom ** t_cap
+    return Fraction(success, total), Fraction(success + alive, total)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,25 @@ def test_estimate_b_commands(capsys):
     assert 0.5 <= b_hat <= 2.0
 
 
+def test_estimate_a_general_walk_runs_on_tables(capsys):
+    # this command used to fall back to the O(t) stepped engine and had not
+    # finished after 100 s at --k-max 400 --trials 1500
+    rc, out, _ = run_cli(capsys, "estimate-a", "--dist", "unit-up:-2",
+                         "--x", "1/4", "--k-max", "100", "--trials", "500",
+                         "--seed", "614")
+    assert rc == 0
+    assert "engine=duration-table" in out and "tail_draws=" in out
+    # an x beyond the stretch loop's int64 arithmetic names the way round it
+    wide = f"{2 ** 40 - 1}/{2 ** 41}"
+    rc, _, err = run_cli(capsys, "estimate-atilde", "--dist", "unit-up:-2",
+                         "--x", wide, "--t-max", "10", "--trials", "10")
+    assert rc == 1 and "OutOfDomain" in err and "--engine stepped" in err
+    rc, out, _ = run_cli(capsys, "estimate-atilde", "--dist", "unit-up:-2",
+                         "--x", wide, "--t-max", "10", "--trials", "10",
+                         "--engine", "stepped")
+    assert rc == 0 and "engine=stepped" in out
+
+
 def test_diagnose_skew_command(tmp_path, capsys):
     out_csv = tmp_path / "skew.csv"
     rc, out, _ = run_cli(capsys, "diagnose-skew", "--dist", "simple",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistwalk import durations, engine, walk
+from persistwalk import durations, engine, oracle, walk
 from persistwalk.errors import OutOfDomain
 from persistwalk.increments import preset, steps_from_uniforms, validate
 from persistwalk.rng import trial_keys, uniform_at
@@ -371,18 +371,23 @@ def test_worker_splits_are_bit_identical():
                                     (10, 200), engine_kind=kind, workers=3)
         np.testing.assert_array_equal(one.survivors, many.survivors)
         assert one.capped == many.capped
-    # each chunk picks its own block lengths; the counts must not move
-    one = engine.atilde_counts(UNIT_UP, Fraction(0), 2000, 3000, 533,
-                               (10, 100, 2000), workers=1)
-    two = engine.atilde_counts(UNIT_UP, Fraction(0), 2000, 3000, 533,
-                               (10, 100, 2000), workers=2)
-    assert one.engine == two.engine == "stepped"
-    np.testing.assert_array_equal(one.survivors, two.survivors)
-    kw = dict(step_cap=20_000)  # keep the stepped reference runs short
-    one = engine.a_counts(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4), **kw)
-    many = engine.a_counts(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4),
-                           workers=4, **kw)
-    np.testing.assert_array_equal(one.survivors, many.survivors)
+    # each chunk picks its own block lengths (stepped reference) or its own
+    # pass sizes (duration tables, the default); the counts must not move
+    for kind, engine_name, w_time, w_exc in (("stepped", "stepped", 2, 4),
+                                             ("auto", "duration-table", 3, 3)):
+        one = engine.atilde_counts(UNIT_UP, Fraction(0), 2000, 3000, 533,
+                                   (10, 100, 2000), engine_kind=kind, workers=1)
+        two = engine.atilde_counts(UNIT_UP, Fraction(0), 2000, 3000, 533,
+                                   (10, 100, 2000), engine_kind=kind,
+                                   workers=w_time)
+        assert one.engine == two.engine == engine_name
+        np.testing.assert_array_equal(one.survivors, two.survivors)
+        kw = dict(step_cap=20_000, engine_kind=kind)  # short stepped runs
+        one = engine.a_counts(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4), **kw)
+        many = engine.a_counts(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4),
+                               workers=w_exc, **kw)
+        np.testing.assert_array_equal(one.survivors, many.survivors)
+        assert (one.capped, one.tail_draws) == (many.capped, many.tail_draws)
 
 
 def test_xi_workers_bit_identical():
@@ -701,3 +706,118 @@ def test_table_xi_chunk_pinned(name, dist):
     res = engine._table_xi_chunk(dist, Fraction(1, 3), 30, 2000, 596,
                                  (10, 30), 321)
     assert _xi_digest(res) == TABLE_XI_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the stretch loop on the duration tables (every walk but the simple one)
+# ---------------------------------------------------------------------------
+
+UP23 = preset("unit-up", negatives=[-2, -3])
+TABLE_WALKS = {"unit-up": UNIT_UP, "unit-up-2-3": UP23, "tg": TG, "lazy": LAZY}
+# the DP at t = 181 costs seconds per cell on the walks with more atoms, so
+# each (x, mode) pair takes it on one walk and every walk takes t ≤ 60
+DP_FAR = {("unit-up", "0", "strict"), ("unit-up-2-3", "1/2", "weak"),
+          ("tg", "1/2", "strict"), ("lazy", "0", "weak")}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_WALKS))
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_table_time_event_matches_exact_dp(name, x, mode):
+    dist = TABLE_WALKS[name]
+    grid = (5, 20, 60, 181)
+    c = engine.atilde_counts(dist, x, 181, 20_000, 611, grid, mode=mode)
+    assert c.engine == "duration-table" and c.capped == c.tail_draws == 0
+    for i, t in enumerate(grid):
+        if t == 181 and (name, str(x), mode) not in DP_FAR:
+            continue
+        p = float(oracle.exact_atilde(dist, x, t, mode=mode))
+        sigma = math.sqrt(p * (1 - p) / c.trials)
+        assert abs(c.survivors[i] / c.trials - p) <= 5 * sigma, f"t={t}"
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_WALKS))
+def test_table_time_event_matches_stepped(name):
+    dist = TABLE_WALKS[name]
+    grid = tuple(int(g) for g in 2 ** np.arange(12))
+    for x, mode in ((Fraction(0), "strict"), (Fraction(1, 2), "weak")):
+        tb = engine.atilde_counts(dist, x, 2048, 10_000, 621, grid, mode=mode)
+        st = engine.atilde_counts(dist, x, 2048, 10_000, 622, grid, mode=mode,
+                                  engine_kind="stepped")
+        assert (tb.engine, st.engine) == ("duration-table", "stepped")
+        assert _proportions_close(tb, st, z=4.0)
+
+
+@pytest.mark.parametrize("name", ["unit-up", "tg", "lazy"])
+def test_table_excursion_event_matches_stepped_and_dp(name):
+    # both engines count a trial whose stretch outgrows the step cap as a
+    # survivor, so the two samples share one law; against the DP bracket the
+    # tables run at the default cap, which censors next to nothing
+    dist, grid = TABLE_WALKS[name], (1, 2, 4)
+    for x, mode in ((Fraction(0), "weak"), (Fraction(1, 2), "strict")):
+        # at a cap of 3 steps most trials end censored, at 2000 a few
+        for step_cap in (3, 2000):
+            kw = dict(mode=mode, step_cap=step_cap)
+            tb = engine.a_counts(dist, x, 4, 8000, 631, grid, **kw)
+            st = engine.a_counts(dist, x, 4, 8000, 632, grid,
+                                 engine_kind="stepped", **kw)
+            assert tb.capped > 0 and st.capped > 0
+            assert _proportions_close(tb, st, z=4.0)
+            assert abs(tb.capped - st.capped) <= 4 * math.sqrt(tb.capped + st.capped)
+        c = engine.a_counts(dist, x, 4, 20_000, 633, grid, mode=mode)
+        assert c.capped <= 5
+        for i, k in enumerate(grid):
+            lo, hi = (float(v) for v in oracle.exact_a(dist, x, k, 60, mode=mode))
+            sigma = math.sqrt(max(hi * (1 - hi), lo * (1 - lo)) / c.trials)
+            p_hat = c.survivors[i] / c.trials
+            assert lo - 4 * sigma <= p_hat <= hi + 4 * sigma + c.capped / c.trials
+
+
+def test_table_tail_draws_counted_only_where_they_decide():
+    n = durations.DEFAULT_TABLE_SIZE
+    # a tail τ is longer than N, so no time event to N + 1 can use its value
+    near = engine.atilde_counts(UNIT_UP, Fraction(0), n + 1, 20_000, 641, (n + 1,))
+    far = engine.atilde_counts(UNIT_UP, Fraction(0), 4 * n, 20_000, 641, (4 * n,))
+    assert near.tail_draws == 0 < far.tail_draws
+    exc = engine.a_counts(UNIT_UP, Fraction(0), 200, 2000, 642, (200,))
+    assert exc.tail_draws > 0
+
+
+def test_table_stretches_refuse_wrapping_inputs():
+    # x = (2^40 - 1)/2^41 passes q·(p + q) ≥ 2^63; the tables refuse it on
+    # auto, and only the stepped reference runs it
+    x = Fraction(2 ** 40 - 1, 2 ** 41)
+    with pytest.raises(OutOfDomain, match="--engine stepped"):
+        engine.atilde_counts(UNIT_UP, x, 100, 50, 651, (100,))
+    with pytest.raises(OutOfDomain):
+        engine.a_counts(UNIT_UP, x, 2, 50, 651, (2,))
+    c = engine.atilde_counts(UNIT_UP, x, 100, 50, 651, (100,), engine_kind="stepped")
+    assert c.engine == "stepped"
+    # t could pass 2^62 steps: a horizon that long, or 2·k_max stretches of
+    # up to step_cap steps each
+    with pytest.raises(OutOfDomain, match="2\\^62"):
+        engine.atilde_counts(UNIT_UP, Fraction(0), 2 ** 62, 50, 651, (10,))
+    with pytest.raises(OutOfDomain, match="2\\^62"):
+        engine.a_counts(UNIT_UP, Fraction(0), 2 ** 31, 50, 651, (2,),
+                        step_cap=2 ** 30)
+
+
+# digests of (violation time, stretch index, censored, tail draws) of the
+# stretch loop on the duration tables, both events, caps and tails included
+TABLE_STRETCH_DIGESTS = {
+    "unit-up": "d1cbdd6510e78a530df75bac97db8bfb053f57e4b6c6bd8e9de73721b8214c5f",
+    "tg": "49aaec8620a16c4dc49b5b133e340ff7f900b6f7522b59346985a6f8256246be",
+    "lazy": "5f4b634581538e977c258c67eee89e0e320169e073e578d9b9bfefaa3f12d225",
+}
+
+
+@pytest.mark.parametrize("name", ["unit-up", "tg", "lazy"])
+def test_table_stretches_pinned(name):
+    dist = TABLE_WALKS[name]
+    tables = durations.excursion_tables(dist)
+    time_ = engine._stretches(dist, Fraction(1, 3), 2000, 661, "strict", 1234,
+                              3000, engine._NO_LIMIT, tables=tables)
+    exc = engine._stretches(dist, Fraction(1, 3), 2000, 662, "weak", 1234,
+                            engine._NO_LIMIT, 120, tables=tables, step_cap=1000)
+    assert exc[2] > 0 and exc[3] > 0
+    assert _digest(*time_, *exc) == TABLE_STRETCH_DIGESTS[name]

@@ -64,12 +64,15 @@ def test_survival_atilde_matches_exact_dp():
 
 def test_survival_atilde_stepped_dist_matches_exact_dp():
     grid = (1, 3, 6)
-    curve = mc.survival_atilde(TG, F(1, 2), 6, 8000, seed=702, grid=grid)
-    assert curve.engine == "stepped"
-    for i, t in enumerate(grid):
-        p = float(oracle.exact_atilde(TG, F(1, 2), t))
-        sigma = math.sqrt(p * (1 - p) / curve.trials)
-        assert abs(curve.p_hat[i] - p) <= 3 * sigma, f"t={t}"
+    # the stepped reference, then the duration tables that auto picks
+    for kind, engine in (("stepped", "stepped"), ("auto", "duration-table")):
+        curve = mc.survival_atilde(TG, F(1, 2), 6, 8000, seed=702, grid=grid,
+                                   engine_kind=kind)
+        assert curve.engine == engine
+        for i, t in enumerate(grid):
+            p = float(oracle.exact_atilde(TG, F(1, 2), t))
+            sigma = math.sqrt(p * (1 - p) / curve.trials)
+            assert abs(curve.p_hat[i] - p) <= 3 * sigma, f"{kind} t={t}"
 
 
 def test_survival_a_within_certified_bracket():
@@ -212,6 +215,7 @@ def test_csv_float_survivors_and_cap_comment(tmp_path):
     text = path.read_text()
     assert "# capped_trials: 3" in text
     assert "# reference curve" in text
+    assert "tail_draws" not in text  # written only when some were counted
     back = mc.read_survival_csv(path)
     assert back.survivors.dtype == np.float64
     np.testing.assert_allclose(back.survivors, curve.survivors, rtol=0, atol=0)
@@ -248,3 +252,13 @@ def test_gamma_ratio():
         mc.gamma_ratio(10, 1.0)
     with pytest.raises(OutOfRange):
         mc.gamma_ratio(-1, 0.5)
+
+
+def test_tail_draws_reach_the_curve_and_csv(tmp_path):
+    # general walks run the excursion event on the duration tables, whose
+    # √-tail draws are counted on the curve and in a CSV comment
+    curve = mc.survival_a(UNIT_UP, 0, 50, 2000, seed=706, grid=(10, 50))
+    assert curve.engine == "duration-table" and curve.tail_draws > 0
+    path = tmp_path / "a.csv"
+    mc.write_survival_csv(curve, path)
+    assert f"# tail_draws: {curve.tail_draws}\n" in path.read_text()

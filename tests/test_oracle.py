@@ -142,6 +142,42 @@ def test_a_bracket_pinned_values():
     assert oracle.exact_a(SIMPLE, 0, 2, 9) == (F(1, 512), F(185, 512))
 
 
+# values of the DP that tested q·G against p·s state by state and summed
+# Fractions per layer; one integer threshold per layer and integer mass
+# bookkeeping must return the same rationals
+UNIT_UP = increments.preset("unit-up", negatives=[-2])
+DP_PINNED = {
+    ("unit-up", "strict"): ("88966207875842048/450283905890997363",
+                            "296181243904/22876792454961",
+                            "4979501768704/22876792454961"),
+    ("unit-up", "weak"): ("2615354763543052288/12157665459056928801",
+                          "524013435392/22876792454961",
+                          "5542972652032/22876792454961"),
+    ("tg", "strict"): (
+        "1371375664232991277832442978525660370654789000981/"
+        "9028751479390699717312017900815782025058563653632",
+        "329175451702445292732454509658152007/"
+        "22758579803951670177896857389143949312",
+        "7630994906251274472343792573441110793/"
+        "45517159607903340355793714778287898624"),
+    ("tg", "weak"): (
+        "13076448792760081707573313838446059982137685256015/"
+        "81258763314516297455808161107342038225527072882688",
+        "443193117722610490543760704255693987/"
+        "22758579803951670177896857389143949312",
+        "12743700240138386485509185480756665/"
+        "70242530259110093141656967250444288"),
+}
+
+
+@pytest.mark.parametrize("name,dist", [("unit-up", UNIT_UP), ("tg", TG)])
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_dp_values_pinned(name, dist, mode):
+    atilde, lo, hi = (F(v) for v in DP_PINNED[name, mode])
+    assert oracle.exact_atilde(dist, F(1, 3), 40, mode=mode) == atilde
+    assert oracle.exact_a(dist, F(1, 3), 2, 30, mode=mode) == (lo, hi)
+
+
 def test_a_brackets_nest_as_the_horizon_grows():
     lo_prev, hi_prev = F(0), F(1)
     for t_cap in (10, 20, 40, 80):
