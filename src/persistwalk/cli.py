@@ -54,7 +54,8 @@ def _add_common(sp, *, trials_default=100_000):
                     help="simulation engine: auto runs exact stretches, on the "
                     "passage law for the simple walk and on the duration "
                     "tables for any other walk; stepped is the step-by-step "
-                    "reference, for any x")
+                    "reference for the barrier events only (estimate-atilde, "
+                    "estimate-a), for any x")
 
 
 def _add_curve_out(sp):
@@ -160,7 +161,10 @@ def _cmd_estimate_b(args) -> int:
     est = estimate_b(dist, args.method, args.seed, **kwargs)
     print(f"b_hat={est.b_hat:.6g} stderr={est.stderr:.6g} "
           f"method={est.method}")
-    for key in ("n_pairs", "tail_counts", "q_hat", "drift", "engine"):
+    # the approximations: censored stretches (tail), undecided trials and
+    # capped draws at n and 4n (q; on the tables these are √-tail draws)
+    for key in ("censored_pos", "censored_neg", "q_hat", "drift", "undecided",
+                "capped_draws", "engine"):
         if key in est.diagnostics:
             print(f"  {key}={est.diagnostics[key]}")
     return 0

@@ -65,6 +65,7 @@ _TABLE_BITS = 19
 _TABLE_LEN = 1 << _TABLE_BITS
 DEFAULT_PASSAGE_CAP_EXP = 39  # cap j at 2^39, i.e. T at 2^40 + 1
 DEFAULT_TABLE_SIZE = 1 << 15
+_SIGMA_PAD = 8.0  # table range in standard deviations of an n_table-step walk
 
 
 @lru_cache(maxsize=1)
@@ -230,7 +231,7 @@ class SideTables:
 
 
 def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
-                      n_table: int, sigma_pad: float = 8.0) -> SideTables:
+                      n_table: int) -> SideTables:
     """DP tables for stretches on the nonnegative side of ``dist``.
 
     The stretch lives on positions ≥ 0 (zero carries the stretch's sign) and
@@ -243,7 +244,7 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
     probs = [float(p) for p in dist.probabilities()]
     max_down = -min(values)
     exit_values = [-d for d in range(1, max_down + 1)]  # signed landings -1..-max
-    p_max = int(np.ceil(sigma_pad * float(dist.variance()) ** 0.5 * n_table ** 0.5))
+    p_max = int(np.ceil(_SIGMA_PAD * float(dist.variance()) ** 0.5 * n_table ** 0.5))
     p_max = max(p_max, max(entries) + 1, dist.max_step + 1)
 
     n_entries = len(entries)

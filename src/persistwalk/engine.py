@@ -8,18 +8,23 @@ fixed documented order.  Results therefore depend only on (seed, trial
 index), never on batching, compaction, or how trials are split across
 workers — per-horizon counters merge by integer addition.  An engine
 may generate positions past the point where a trial's outcome is settled
-(the stepped engines draw whole blocks); those values are never used, so
+(the stepped reference draws whole blocks); those values are never used, so
 no result depends on them.
 
 Engines
 -------
+Both barrier events run on one contract: a trial stops at its first
+violation, at t ≥ t_max, after n_stretches crossings, or when a stretch
+outgrows step_cap; the time event is (t_max, no stretch limit), the
+excursion event (no horizon, 2·k_max).  Per trial the engine returns the
+violation time (t_max + 1 if none) and the crossings before it
+(n_stretches if none), plus the number of trials step_cap censored.
+
 ``_stretches``
-    The exact stretch loop behind both barrier events on every walk.  A
-    trial runs stretch by stretch until its first violation, until
-    t ≥ t_max (time event) or through 2·k_max stretches (excursion event).
-    Under the carried-sign rule the sign is constant on a stretch and G
-    moves by ±1 per step, whatever the step law, so the first violation in
-    a stretch is a two-line integer computation instead of a walk:
+    The exact stretch loop behind both events on every walk.  Under the
+    carried-sign rule the sign is constant on a stretch and G moves by ±1
+    per step, whatever the step law, so the first violation in a stretch is
+    a two-line integer computation instead of a walk:
 
     * up stretch from (t₀, G₀): the margin q·G_s - p·s strictly increases,
       so only the entry point s = t₀ + 1 can violate;
@@ -40,17 +45,17 @@ Engines
     int64 for every x with q·(p + q) < 2^63 and horizon below 2^62 steps,
     and refuses any other input with :class:`~.errors.OutOfDomain`.
 
-``stepped_*``
-    The reference engines the tests compare the stretch loop against,
-    selected only by ``engine_kind="stepped"``.  One vector pass advances
-    every live trial by a block of up to 64 steps: position, carried sign
-    and running sign-sum for each column, then the earliest column that
-    ends the trial.  The barrier q·G_s vs p·s is tested as G_s against
-    ⌊p·s/q⌋ (strict) or ⌊(p·s − 1)/q⌋ (weak), computed per column in
-    Python integers, so it is exact for every x.  The uniform at stream
-    position s - 1 is the step to time s.  A pass holds at most ``trials``
-    elements: the block is min(64, trials // live), and the time event
-    stops at t_max.
+``_stepped``
+    The stepped reference the tests compare the stretch loop against,
+    selected only by ``engine_kind="stepped"`` (``stepped_first_violation``
+    and ``stepped_a_progress`` wrap it).  One vector pass advances every
+    live trial by a block of min(64, max(1, trials // live)) steps, never
+    past t_max, so a pass holds at most ``trials`` elements; the uniform at
+    stream position s - 1 is the step to time s.  Within a step the
+    n_stretches-th crossing ends the trial first, then the barrier, then
+    the cap.  The barrier q·G_s vs p·s is tested as G_s against ⌊p·s/q⌋
+    (strict) or ⌊(p·s − 1)/q⌋ (weak) in Python integers, so it is exact
+    for every x.
 
 ``run_xi_trials``
     Excursion-pair runs for W_n = Σ (1-x)τ⁺ - (1+x)τ⁻, one vectorised pair
@@ -79,10 +84,11 @@ from .walk import _is_strict
 _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
 _NO_LIMIT = 1 << 62  # no horizon, stretch count or step cap; t stays below it
 _SIMPLE = preset("simple")
+_XI_RETRIES = 3  # cap retries of the simple-walk ξ pair loop
 
 
 # ---------------------------------------------------------------------------
-# stepped engines (any dist)
+# the stepped reference (any walk, any x)
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # most steps one vector pass advances a trial
@@ -121,44 +127,11 @@ def _violating_g(p: int, q: int, s0: int, b: int, strict: bool) -> np.ndarray:
                     dtype=np.int64)
 
 
-def stepped_first_violation(dist: IncrementDistribution, x: Fraction, t_max: int,
-                            trials: int, seed: int, *, mode: str = "strict",
-                            trial_offset: int = 0) -> np.ndarray:
-    """First violation time per trial; t_max + 1 means the trial survived."""
-    p, q = x.numerator, x.denominator
-    strict = _is_strict(mode)
-    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
-                                      dtype=np.uint64))
-    idx = np.arange(trials, dtype=np.int64)
-    pos = np.zeros(trials, dtype=np.int64)
-    sgn = np.ones(trials, dtype=np.int64)
-    g = np.zeros(trials, dtype=np.int64)
-    tstar = np.full(trials, t_max + 1, dtype=np.int64)
-
-    s = 0
-    while idx.size and s < t_max:
-        # a pass holds at most `trials` elements, like the first step
-        b = min(_BLOCK, t_max - s, max(1, trials // idx.size))
-        pos_blk, sgn_blk = _step_block(dist, keys, s, b, pos, sgn)
-        g_blk = g[:, None] + np.cumsum(sgn_blk, axis=1)
-        viol = g_blk <= _violating_g(p, q, s, b, strict)
-        pos, sgn, g = pos_blk[:, -1], sgn_blk[:, -1], g_blk[:, -1]
-        hit = viol.any(axis=1)
-        if hit.any():
-            tstar[idx[hit]] = s + 1 + viol[hit].argmax(axis=1)
-            live = ~hit
-            idx, keys, pos, sgn, g = (a[live] for a in (idx, keys, pos, sgn, g))
-        s += b
-    return tstar
-
-
-def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
-                       trials: int, seed: int, *, mode: str = "weak",
-                       step_cap: int = 10 ** 9, trial_offset: int = 0
-                       ) -> tuple[np.ndarray, int]:
-    """Complete excursions survived per trial (capped at k_max), plus the
-    number of trials that hit the per-stretch step cap (these are counted
-    as surviving to k_max — the documented upward-bias convention)."""
+def _stepped(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
+             mode: str, trial_offset: int, t_max: int, n_stretches: int,
+             step_cap: int = _NO_LIMIT) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both events step by step: (tstar, kstar, censored), as the first
+    three outputs of :func:`_stretches`."""
     p, q = x.numerator, x.denominator
     strict = _is_strict(mode)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
@@ -169,12 +142,13 @@ def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
     g = np.zeros(trials, dtype=np.int64)
     m = np.zeros(trials, dtype=np.int64)          # crossings seen
     stretch_len = np.zeros(trials, dtype=np.int64)
-    mstar = np.zeros(trials, dtype=np.int64)
-    capped = 0
+    tstar = np.full(trials, t_max + 1, dtype=np.int64)
+    kstar = np.full(trials, n_stretches, dtype=np.int64)
+    censored = 0
 
     s = 0
-    while idx.size:
-        b = min(_BLOCK, max(1, trials // idx.size))
+    while idx.size and s < t_max:
+        b = min(_BLOCK, t_max - s, max(1, trials // idx.size))
         cols = np.arange(b)
         pos_blk, sgn_blk = _step_block(dist, keys, s, b, pos, sgn)
         crossed = sgn_blk != np.concatenate([sgn[:, None], sgn_blk[:, :-1]], axis=1)
@@ -184,9 +158,9 @@ def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
         last = np.maximum.accumulate(np.where(crossed, cols, -1), axis=1)
         len_blk = np.where(last >= 0, cols - last, stretch_len[:, None] + cols) + 1
         g_blk = g[:, None] + np.cumsum(sgn_blk, axis=1)
-        # within a step the 2k-th crossing closes the event before the
-        # barrier test, and the step cap counts only if neither fired
-        done = m_blk >= 2 * k_max
+        # within a step the n-th crossing ends the trial before the barrier
+        # test, and the step cap counts only if neither fired
+        done = m_blk >= n_stretches
         viol = g_blk <= _violating_g(p, q, s, b, strict)
         ended = done | viol | (len_blk > step_cap)
         pos, sgn, g, m, stretch_len = (a[:, -1] for a in (pos_blk, sgn_blk, g_blk,
@@ -196,13 +170,35 @@ def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
             rows = np.flatnonzero(stop)
             j = ended[rows].argmax(axis=1)
             by_done, by_viol = done[rows, j], viol[rows, j]
-            mstar[idx[rows]] = np.where(by_viol & ~by_done, m_blk[rows, j] // 2, k_max)
-            capped += int((~by_done & ~by_viol).sum())
+            censored += int((~by_done & ~by_viol).sum())
+            dead = by_viol & ~by_done
+            rows, j = rows[dead], j[dead]
+            tstar[idx[rows]] = s + 1 + j
+            kstar[idx[rows]] = m_blk[rows, j]
             live = ~stop
             idx, keys, pos, sgn, g, m, stretch_len = (
                 a[live] for a in (idx, keys, pos, sgn, g, m, stretch_len))
         s += b
-    return mstar, capped
+    return tstar, kstar, censored
+
+
+def stepped_first_violation(dist: IncrementDistribution, x: Fraction, t_max: int,
+                            trials: int, seed: int, *, mode: str = "strict",
+                            trial_offset: int = 0) -> np.ndarray:
+    """First violation time per trial; t_max + 1 means the trial survived."""
+    return _stepped(dist, x, trials, seed, mode, trial_offset, t_max, _NO_LIMIT)[0]
+
+
+def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
+                       trials: int, seed: int, *, mode: str = "weak",
+                       step_cap: int = 10 ** 9, trial_offset: int = 0
+                       ) -> tuple[np.ndarray, int]:
+    """Complete excursions survived per trial (capped at k_max), plus the
+    number of trials that hit the per-stretch step cap (these are counted
+    as surviving to k_max — the documented upward-bias convention)."""
+    _, kstar, capped = _stepped(dist, x, trials, seed, mode, trial_offset, _NO_LIMIT,
+                                2 * k_max, step_cap)
+    return kstar // 2, capped
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +257,7 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
                cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP,
                step_cap: int = _NO_LIMIT) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Both events on the passage law (``tables`` None) or on ``tables``:
-    per trial the violation time (t_max + 1 if none) and its stretch index
-    (n_stretches if none), the trials step_cap censored, and the flagged
+    (tstar, kstar, censored) as in the module docstring, and the flagged
     draws: capped passage draws, or tail draws that could end before t_max.
     """
     p, q = _exact_ratio(x)
@@ -455,8 +450,7 @@ def _srw_xi_pairs(keys: np.ndarray, n_pairs: int, p: int, q: int, cap_exp: int,
 
 def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
                   record_ns: tuple[int, ...], trial_offset: int,
-                  cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP,
-                  max_retries: int = 3) -> XiRunResult:
+                  cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP) -> XiRunResult:
     p, q = _exact_ratio(x)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
@@ -465,7 +459,7 @@ def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
     # Retry r reruns the pair loop on the undecided trials at cap_exp + 2r;
     # their streams give them the same uniforms as in the full batch.
     retries = 0
-    while undecided.any() and retries < max_retries:
+    while undecided.any() and retries < _XI_RETRIES:
         retries += 1
         rows = np.flatnonzero(undecided)
         neg[rows], undecided[rows], _ = _srw_xi_pairs(keys[rows], n_pairs, p, q,
@@ -475,9 +469,8 @@ def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
 
 def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
                     trials: int, seed: int, record_ns: tuple[int, ...],
-                    trial_offset: int, n_table: int = dur.DEFAULT_TABLE_SIZE
-                    ) -> XiRunResult:
-    tables = dur.excursion_tables(dist, n_table)
+                    trial_offset: int) -> XiRunResult:
+    tables = dur.excursion_tables(dist)
     wp, wm = float(1 - x), float(1 + x)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
@@ -530,7 +523,8 @@ def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
                   engine_kind: str = "auto", workers: int = 1) -> XiRunResult:
     """Simulate `trials` excursion-pair sequences of length n.
 
-    Returns merged counts; bit-identical for any `workers` split.
+    Returns merged counts; bit-identical for any `workers` split.  Stepped
+    is for the barrier events only: ``engine_kind="stepped"`` is refused.
     """
     if n < 1:
         raise ValueError(f"n={n} < 1")
@@ -540,6 +534,9 @@ def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
     if record_ns and (record_ns[0] < 1 or record_ns[-1] > n):
         raise ValueError(f"record_ns must lie in 1..{n}")
     kind = pick_engine(dist, engine_kind)
+    if kind == "stepped":
+        raise ValueError("the ξ pair runs have no stepped engine; "
+                         "stepped is for the barrier events only")
     if kind != "exact-excursion":
         dur.excursion_tables(dist)  # build once before any fork
     args = (dist, x, n, seed, record_ns, kind)
@@ -729,28 +726,28 @@ def _counts_from_times(times: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
 
 
 def _survival_worker(args, trials, offset):
-    """Survivors of one chunk over the grid: time event (``event`` "time",
-    horizon t_max) or excursion event (horizon k_max)."""
-    dist, x, event, horizon, seed, grid, mode, step_cap, kind = args
-    timed = event == "time"
-    capped = tail = 0
-    if kind == "exact-excursion":
-        run = srw_excursion_first_violation if timed else srw_excursion_a_progress
-        out, capped = run(x, horizon, trials, seed, mode=mode, trial_offset=offset)
-    elif kind == "stepped" and timed:
-        out = stepped_first_violation(dist, x, horizon, trials, seed, mode=mode,
-                                      trial_offset=offset)
-    elif kind == "stepped":
-        out, capped = stepped_a_progress(dist, x, horizon, trials, seed, mode=mode,
-                                         step_cap=step_cap, trial_offset=offset)
-    else:
+    """Survivors of one chunk over the grid.  The event is set by its
+    limits: (t_max, _NO_LIMIT) is the time event, (_NO_LIMIT, 2·k_max) the
+    excursion event."""
+    dist, x, t_max, n_stretches, seed, grid, mode, step_cap, kind = args
+    timed = n_stretches == _NO_LIMIT
+    tail = 0
+    if kind == "stepped":
+        tstar, kstar, capped = _stepped(dist, x, trials, seed, mode, offset, t_max,
+                                        n_stretches, step_cap)
+    elif kind == "duration-table":
         tstar, kstar, capped, tail = _stretches(
-            dist, x, trials, seed, mode, offset, horizon if timed else _NO_LIMIT,
-            _NO_LIMIT if timed else 2 * horizon, tables=dur.excursion_tables(dist),
-            step_cap=step_cap)
-        out = tstar if timed else kstar // 2
+            dist, x, trials, seed, mode, offset, t_max, n_stretches,
+            tables=dur.excursion_tables(dist), step_cap=step_cap)
+    elif timed:  # in its own entry point, which the bench times as one span
+        tstar, capped = srw_excursion_first_violation(x, t_max, trials, seed, mode=mode,
+                                                      trial_offset=offset)
+    else:
+        tstar, kstar, _, capped = _stretches(_SIMPLE, x, trials, seed, mode, offset,
+                                             t_max, n_stretches)
     # survivors: violation times past t, or at least k complete excursions
-    survivors = _counts_from_times(out, grid if timed else tuple(k - 1 for k in grid))
+    survivors = (_counts_from_times(tstar, grid) if timed else
+                 _counts_from_times(kstar // 2, tuple(k - 1 for k in grid)))
     return SurvivalCounts(grid=grid, trials=trials, survivors=survivors,
                           capped=capped, engine=kind, tail_draws=tail)
 
@@ -768,7 +765,7 @@ def atilde_counts(dist: IncrementDistribution, x: Fraction, t_max: int,
                   trials: int, seed: int, grid: tuple[int, ...], *,
                   mode: str = "strict", engine_kind: str = "auto",
                   workers: int = 1) -> SurvivalCounts:
-    return _survival_counts(dist, engine_kind, trials, workers, x, "time", t_max,
+    return _survival_counts(dist, engine_kind, trials, workers, x, t_max, _NO_LIMIT,
                             seed, tuple(grid), mode, _NO_LIMIT)
 
 
@@ -776,8 +773,8 @@ def a_counts(dist: IncrementDistribution, x: Fraction, k_max: int,
              trials: int, seed: int, grid: tuple[int, ...], *,
              mode: str = "weak", engine_kind: str = "auto",
              step_cap: int = 10 ** 9, workers: int = 1) -> SurvivalCounts:
-    return _survival_counts(dist, engine_kind, trials, workers, x, "excursion", k_max,
-                            seed, tuple(grid), mode, step_cap)
+    return _survival_counts(dist, engine_kind, trials, workers, x, _NO_LIMIT,
+                            2 * k_max, seed, tuple(grid), mode, step_cap)
 
 
 # ---------------------------------------------------------------------------

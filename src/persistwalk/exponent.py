@@ -216,12 +216,6 @@ class QEstimate:
     capped_draws: int
     engine: str
 
-    def as_dict(self) -> dict:
-        return dict(q_hat=self.q_hat, stderr=self.stderr, n_pairs=self.n_pairs,
-                    trials=self.trials, decided=self.decided,
-                    negative=self.negative, undecided=self.undecided,
-                    capped_draws=self.capped_draws, engine=self.engine)
-
 
 def estimate_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int, *,
                engine_kind: str = "auto", workers: int = 1) -> QEstimate:

@@ -89,11 +89,6 @@ class IncrementDistribution:
         atoms = tuple(sorted(((-v, p) for v, p in self.atoms)))
         return IncrementDistribution(atoms, name=None)
 
-    def label(self) -> str:
-        if self.name:
-            return self.name
-        return "{" + ",".join(f"{v}:{p}" for v, p in self.atoms) + "}"
-
     # -- serialization ---------------------------------------------------
 
     def to_config(self) -> dict:

@@ -32,18 +32,9 @@ import numpy as np
 
 from .errors import CapExceeded, OutOfDomain
 from .increments import IncrementDistribution
-from .walk import _is_strict
+from .walk import _is_strict, decompose, sign_sum
 
 DEFAULT_CAP = 2000
-
-
-@dataclass(frozen=True)
-class DpState:
-    """One DP tuple; `crossings` only varies for the excursion event."""
-    position: int
-    carried_sign: int
-    sign_sum: int
-    crossings: int = 0
 
 
 def _weights(dist: IncrementDistribution) -> tuple[list[tuple[int, int]], int]:
@@ -175,15 +166,6 @@ class EquivalenceReport:
         return not self.counterexamples
 
 
-def _path_stretches(signs: np.ndarray) -> tuple[list[int], list[int], list[int]]:
-    """(crossing times incl. 0, stretch durations, stretch signs)."""
-    flips = np.flatnonzero(signs[1:-1] * signs[2:] == -1) + 1
-    times = [0] + list(flips)
-    durs = [int(b - a) for a, b in zip(times, times[1:])]
-    sgns = [int(signs[a + 1]) for a in times[:-1]]
-    return times, durs, sgns
-
-
 def equivalence_check(max_len: int = 14,
                       x_values=(Fraction(0), Fraction(1, 4), Fraction(1, 2),
                                 Fraction(3, 4))) -> EquivalenceReport:
@@ -202,16 +184,10 @@ def equivalence_check(max_len: int = 14,
     report = EquivalenceReport(max_len=max_len,
                                x_values=tuple(Fraction(v) for v in x_values))
     for bits in product((-1, 1), repeat=max_len):
-        steps = np.array(bits, dtype=np.int64)
-        path = np.concatenate([[0], np.cumsum(steps)])
-        signs = np.sign(path)
-        for i in range(1, len(signs)):  # zero-carry
-            if signs[i] == 0:
-                signs[i] = signs[i - 1]
-        signs[0] = 1
-        g = np.cumsum(signs[1:])
-        times, durs, sgns = _path_stretches(signs)
-        n_pairs = len(durs) // 2
+        path = np.concatenate([[0], np.cumsum(bits)])
+        g = sign_sum(path)[1:]
+        dec = decompose(path)
+        times, durs = dec.crossing_times, dec.durations
         for x in report.x_values:
             p, q = x.numerator, x.denominator
             svec = np.arange(1, max_len + 1)
@@ -224,12 +200,9 @@ def equivalence_check(max_len: int = 14,
                             else max_len + 1)
             if first_weak != first_strict:
                 report.mode_sensitive.append((bits, x, first_strict, first_weak))
-            for k in range(1, n_pairs + 1):
-                t2k = times[2 * k] if 2 * k < len(times) else None
-                if t2k is None:
-                    break
-                barrier_ok = first_weak > t2k
-                if sgns[0] < 0:
+            for k in range(1, dec.complete_excursions + 1):
+                barrier_ok = first_weak > times[2 * k]
+                if dec.first_stretch_sign < 0:
                     sums_ok = False
                 else:
                     w = 0

@@ -72,10 +72,6 @@ def run(experiment: str) -> ExperimentReport:
                             elapsed=time.time() - t0, details=details)
 
 
-def run_all(names=None) -> list[ExperimentReport]:
-    return [run(n) for n in (names or EXPERIMENTS)]
-
-
 # ---------------------------------------------------------------------------
 # the experiments
 # ---------------------------------------------------------------------------

@@ -159,6 +159,23 @@ def test_estimate_b_commands(capsys):
     assert 0.5 <= b_hat <= 2.0
 
 
+def test_estimate_b_reports_approximations(capsys):
+    # the command used to look up diagnostics no estimator sets, and so
+    # printed none of the counts below
+    rc, out, _ = run_cli(capsys, "estimate-b", "--dist", "unit-up:-2",
+                         "--method", "tail", "--excursions", "3000",
+                         "--step-cap", "1024", "--seed", "615")
+    assert rc == 0
+    censored = re.search(r"censored_pos=(\d+)\n  censored_neg=(\d+)", out)
+    assert censored and int(censored.group(1)) + int(censored.group(2)) > 0
+    rc, out, _ = run_cli(capsys, "estimate-b", "--dist", "unit-up:-2",
+                         "--method", "q", "--n-pairs", "10", "--trials", "500",
+                         "--seed", "616")
+    assert rc == 0
+    assert "undecided=(0, 0)" in out
+    assert re.search(r"capped_draws=\(\d+, \d+\)", out)
+
+
 def test_estimate_a_general_walk_runs_on_tables(capsys):
     # this command used to fall back to the O(t) stepped engine and had not
     # finished after 100 s at --k-max 400 --trials 1500
@@ -191,6 +208,11 @@ def test_diagnose_skew_command(tmp_path, capsys):
     back = mc.read_survival_csv(out_csv)
     assert back.trials == 3000
     assert len(back.horizons) == 2
+    # the ξ pair runs have no stepped engine; the option used to run the
+    # duration tables and report them
+    rc, _, err = run_cli(capsys, "diagnose-skew", "--dist", "simple",
+                         "--n-grid", "4", "--trials", "100", "--engine", "stepped")
+    assert rc == 1 and "ValueError" in err and "no stepped engine" in err
 
 
 def test_error_exit_codes(tmp_path, capsys):

@@ -58,18 +58,23 @@ def test_survival_counts_merge():
     np.testing.assert_array_equal(m.survivors, [9, 3])
 
 
+def brute_paths(dist, t_max, trials, seed, trial_offset=0):
+    """Each trial's path S_0 .. S_t_max from its own stream."""
+    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
+                                      dtype=np.uint64))
+    for key in keys:
+        u = uniform_at(np.full(t_max, key, dtype=np.uint64),
+                       np.arange(t_max, dtype=np.uint64))
+        yield np.concatenate([[0], np.cumsum(steps_from_uniforms(dist, u))])
+
+
 def brute_first_violation_times(dist, x, t_max, trials, seed, mode,
                                 trial_offset=0):
     """Recompute stepped_first_violation from raw paths, trial by trial,
     with the barrier q·G_s vs p·s in Python integers."""
     p, q = x.numerator, x.denominator
-    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
-                                      dtype=np.uint64))
     out = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        u = uniform_at(np.full(t_max, keys[i], dtype=np.uint64),
-                       np.arange(t_max, dtype=np.uint64))
-        path = np.concatenate([[0], np.cumsum(steps_from_uniforms(dist, u))])
+    for i, path in enumerate(brute_paths(dist, t_max, trials, seed, trial_offset)):
         g = walk.sign_sum(path)[1:].astype(object)
         s = np.arange(1, t_max + 1).astype(object)
         viol = (q * g <= p * s) if mode == "strict" else (q * g < p * s)
@@ -158,6 +163,23 @@ def test_stepped_engine_matches_paths(dist, x, mode):
         want = brute_first_violation_times(dist, x, 1000, trials, 8882, mode,
                                            trial_offset=13)
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dist", [SIMPLE, UNIT_UP, LAZY])
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_stepped_time_event_counts_crossings_before_violation(dist, mode):
+    t_max, trials, seed = 200, 100, 8884
+    for x in (Fraction(0), Fraction(1, 2)):
+        tstar, kstar, censored = engine._stepped(dist, x, trials, seed, mode, 0,
+                                                 t_max, engine._NO_LIMIT)
+        want = brute_first_violation_times(dist, x, t_max, trials, seed, mode)
+        np.testing.assert_array_equal(tstar, want)
+        assert censored == 0
+        for path, v, k in zip(brute_paths(dist, t_max, trials, seed), tstar, kstar):
+            crossings = walk.decompose(path).crossing_times[1:]
+            assert k == (sum(c < v for c in crossings) if v <= t_max
+                         else engine._NO_LIMIT)
+        assert (kstar[tstar <= t_max] > 0).any() and (tstar > t_max).any()
 
 
 def test_stepped_barrier_exact_for_wide_x():
@@ -441,6 +463,13 @@ def test_xi_record_ns_validation():
     r = engine.run_xi_trials(SIMPLE, Fraction(0), 10, 500, 561,
                              record_ns=(1, 10))
     assert r.alive_counts[0] >= r.alive_counts[1] == ref.alive_counts[0] > 0
+
+
+def test_xi_runs_refuse_stepped():
+    # the stepped kind used to run the duration tables, even on the simple walk
+    for dist in (SIMPLE, UNIT_UP):
+        with pytest.raises(ValueError, match="no stepped engine"):
+            engine.run_xi_trials(dist, Fraction(0), 10, 100, 1, engine_kind="stepped")
 
 
 def test_engines_refuse_unknown_mode():
