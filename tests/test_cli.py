@@ -45,6 +45,14 @@ def test_oracle_dp_output(capsys):
     assert out.splitlines()[1].startswith("upper 47/128 = ")
 
 
+def test_oracle_dp_refuses_empty_horizon(capsys):
+    for extra in ((), ("--k", "1"), ("--k", "0"), ("--k", "1", "--t-cap", "-1")):
+        rc, out, err = run_cli(capsys, "oracle-dp", "--dist", "simple",
+                               "--x", "0", "--t", "0", *extra)
+        assert rc == 1 and out == "", extra
+        assert "persistwalk oracle-dp: OutOfDomain" in err, extra
+
+
 def test_estimate_atilde_then_fit_round_trip(tmp_path, capsys):
     csv = tmp_path / "curve.csv"
     rc, out, _ = run_cli(capsys, "estimate-atilde", "--dist", "simple",

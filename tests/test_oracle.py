@@ -72,6 +72,121 @@ def brute_a_bracket(x, k, t_cap, mode="weak"):
     return lo, lo + und
 
 
+def reference_exact_atilde(dist, x, t, mode="strict"):
+    """The dict DP over (position, carried sign, sign-sum) that the packed
+    kernel replaced, kept as the reference it must match."""
+    x = F(x)
+    p, q = x.numerator, x.denominator
+    r = 0 if mode == "strict" else 1
+    atoms, denom = oracle._weights(dist)
+    states = {(0, 1, 0): 1}
+    dead = 0
+    for s in range(1, t + 1):
+        nxt = {}
+        dead_mass = 0
+        worst = (p * s - r) // q
+        for (pos, sign, g), m in states.items():
+            for v, w in atoms:
+                npos = pos + v
+                nsign = 1 if npos > 0 else (-1 if npos < 0 else sign)
+                ng = g + nsign
+                if ng <= worst:
+                    dead_mass += m * w
+                else:
+                    key = (npos, nsign, ng)
+                    nxt[key] = nxt.get(key, 0) + m * w
+        states = nxt
+        dead = dead * denom + dead_mass
+        assert sum(states.values()) + dead == denom ** s
+    return F(sum(states.values()), denom ** t)
+
+
+def reference_exact_a(dist, x, k, t_cap, mode="weak"):
+    """The dict DP over (position, carried sign, sign-sum, crossings) that
+    the packed kernel replaced, kept as the reference it must match."""
+    x = F(x)
+    p, q = x.numerator, x.denominator
+    r = 0 if mode == "strict" else 1
+    atoms, denom = oracle._weights(dist)
+    target = 2 * k
+    states = {(0, 1, 0, 0): 1}
+    success = dead = 0
+    for s in range(1, t_cap + 1):
+        nxt = {}
+        dead_mass = success_mass = 0
+        worst = (p * s - r) // q
+        for (pos, sign, g, c), m in states.items():
+            for v, w in atoms:
+                npos = pos + v
+                nsign = 1 if npos > 0 else (-1 if npos < 0 else sign)
+                nc = c + (1 if (nsign != sign and s >= 2) else 0)
+                if nc >= target:
+                    success_mass += m * w
+                    continue
+                ng = g + nsign
+                if ng <= worst:
+                    dead_mass += m * w
+                else:
+                    key = (npos, nsign, ng, nc)
+                    nxt[key] = nxt.get(key, 0) + m * w
+        states = nxt
+        success = success * denom + success_mass
+        dead = dead * denom + dead_mass
+        assert sum(states.values()) + dead + success == denom ** s
+    alive = sum(states.values())
+    total = denom ** t_cap
+    return F(success, total), F(success + alive, total)
+
+
+BIG = 2 ** 40
+REFERENCE_WALKS = {
+    "simple": SIMPLE,
+    "unit-up:-2": increments.parse_dist_spec("unit-up:-2"),
+    "unit-up:-2,-3": increments.parse_dist_spec("unit-up:-2,-3"),
+    "tg:1/2,3": TG,
+    "lazy": increments.validate([(1, F(1, 4)), (0, F(1, 2)), (-1, F(1, 4))],
+                                name="lazy"),
+    "+3/-1": increments.validate([(3, F(1, 4)), (-1, F(3, 4))], name="+3/-1"),
+    "+-2": increments.validate([(2, F(1, 2)), (-2, F(1, 2))], name="+-2"),
+    "+6/-1": increments.validate([(6, F(1, 7)), (-1, F(6, 7))], name="+6/-1"),
+    # one atom far out: rows must stay sparse over positions
+    "2^40": increments.validate([(BIG, F(1, BIG + 3)), (1, F(1, BIG + 3)),
+                                 (-1, F(BIG + 1, BIG + 3))], name="2^40"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_WALKS))
+def test_packed_kernel_matches_reference_dp(name):
+    dist = REFERENCE_WALKS[name]
+    for x in (0, F(1, 4), F(1, 3), F(1, 2), F(3, 4)):
+        for mode in ("strict", "weak"):
+            for t in (1, 2, 3, 7, 20, 33):
+                assert oracle.exact_atilde(dist, x, t, mode=mode) == \
+                    reference_exact_atilde(dist, x, t, mode), (x, mode, t)
+            for k in (1, 2, 3):
+                for t_cap in (1, 2, 9, 30):
+                    assert oracle.exact_a(dist, x, k, t_cap, mode=mode) == \
+                        reference_exact_a(dist, x, k, t_cap, mode), \
+                        (x, mode, k, t_cap)
+
+
+def test_mass_leak_is_caught_at_the_first_layer(monkeypatch):
+    # weights summing to D - 1 lose mass on every step; a slot carry would
+    # change the slot-sums the same way
+    weights = oracle._weights
+
+    def leaky(dist):
+        atoms, denom = weights(dist)
+        (v, w), rest = atoms[0], atoms[1:]
+        return [(v, w - 1)] + rest, denom
+
+    monkeypatch.setattr(oracle, "_weights", leaky)
+    with pytest.raises(AssertionError, match="mass leak at layer 1$"):
+        oracle.exact_atilde(SIMPLE, 0, 5)
+    with pytest.raises(AssertionError, match="mass leak at layer 1$"):
+        oracle.exact_a(TG, F(1, 2), 1, 5)
+
+
 def test_atilde_simple_walk_small_t():
     # strict barrier at x=0 just requires the sign-sum to stay positive;
     # the first possible failure is the fourth step (three up-signs banked)
@@ -127,6 +242,10 @@ def test_atilde_domain_and_cap():
         oracle.exact_atilde(SIMPLE, 0, 0)
     with pytest.raises(CapExceeded):
         oracle.exact_atilde(SIMPLE, 0, 21, cap=20)
+    for t in (-3, 2.5, "4"):
+        with pytest.raises(OutOfDomain, match="t="):
+            oracle.exact_atilde(SIMPLE, 0, t)
+    assert oracle.exact_atilde(SIMPLE, 0, np.int64(4)) == F(3, 8)
 
 
 def test_a_bracket_matches_brute_enumeration():
@@ -203,6 +322,14 @@ def test_a_domain_and_cap():
         oracle.exact_a(SIMPLE, 0, -1, 10)
     with pytest.raises(CapExceeded):
         oracle.exact_a(SIMPLE, 0, 1, 300, cap=200)
+    # a horizon below one step, or not an integer, used to escape as
+    # UnboundLocalError or TypeError
+    for k in (0, 1):
+        for t_cap in (0, -2, 2.5):
+            with pytest.raises(OutOfDomain, match="t_cap="):
+                oracle.exact_a(SIMPLE, 0, k, t_cap)
+    with pytest.raises(OutOfDomain, match="k="):
+        oracle.exact_a(SIMPLE, 0, 1.5, 9)
 
 
 def test_equivalence_check_exhaustive():
