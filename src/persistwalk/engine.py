@@ -41,9 +41,9 @@ violation time (t_max + 1 if none) and the crossings before it
     step_cap + 1), and a table stretch longer than step_cap ends its trial
     as a censored survivor unless the barrier fell first.  Products with p
     or q are formed only of remainders, below q·(p + q), or stay below the
-    sums they split, so the loop (and the simple-walk ξ runs) is exact in
-    int64 for every x with q·(p + q) < 2^63 and horizon below 2^62 steps,
-    and refuses any other input with :class:`~.errors.OutOfDomain`.
+    sums they split, so the loop is exact in int64 for every x with
+    q·(p + q) < 2^63 and horizon below 2^62 steps, and refuses any other
+    input with :class:`~.errors.OutOfDomain`.
 
 ``_stepped``
     The stepped reference the tests compare the stretch loop against,
@@ -58,14 +58,20 @@ violation time (t_max + 1 if none) and the crossings before it
     for every x.
 
 ``run_xi_trials``
-    Excursion-pair runs for W_n = Σ (1-x)τ⁺ - (1+x)τ⁻, one vectorised pair
-    loop per duration source: exact durations for the simple walk (integer
-    W, cap-aware decided/undecided logic), duration tables for general
-    walks (float W, always decided).  A cap retry reruns the simple-walk
-    loop on the undecided trials, which get the uniforms they had in the
-    full batch.  Consumption: one uniform for the first step, two per
-    discarded leading negative stretch, then per pair 4 uniforms (simple)
-    or 2+2 (tables: duration and exit per stretch); retries alike.
+    Excursion-pair runs for W_n = Σ (1-x)τ⁺ - (1+x)τ⁻ in one exact
+    vectorised pair loop, ``_xi_pairs``, on either duration source.  W is
+    carried as integers D = Σ τ⁺ - τ⁻ and S = Σ τ⁺ + τ⁻ with q·W = q·D - p·S,
+    and its sign is exact for x in [0, 1) with q·(p + q) < 2^63; a larger
+    q·(p + q) is refused.  A stretch is one draw from two uniforms: two unit
+    passages of the passage law, or τ and the exit entry from the duration
+    tables, where τ is clamped at the passage cap (4 << cap_exp) + 2 and a
+    clamp hit is flagged as capped.  A capped τ is a lower bound, so it
+    leaves a trial undecided where it opposes the final sign; a cap retry
+    reruns the loop on the undecided trials at cap_exp + 2r, on either
+    source, and they get the uniforms they had in the full batch.
+    Consumption: one uniform for the first step, two for a leading negative
+    stretch (drawn for its exit only, never paired), then two per stretch;
+    retries alike.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ from .walk import _is_strict
 _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
 _NO_LIMIT = 1 << 62  # no horizon, stretch count or step cap; t stays below it
 _SIMPLE = preset("simple")
-_XI_RETRIES = 3  # cap retries of the simple-walk ξ pair loop
+_XI_RETRIES = 3  # cap retries of the ξ pair loop
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +211,14 @@ def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
 # the exact stretch loop (any walk)
 # ---------------------------------------------------------------------------
 
-def _exact_ratio(x: Fraction) -> tuple[int, int]:
+def _exact_ratio(x: Fraction, where: str) -> tuple[int, int]:
     """(p, q) of x = p/q, refused where the exact engines' int64 products
     could wrap: they form p·b₀ with b₀ < q and q·a₀ with a₀ < p + q, both
-    below q·(p + q)."""
+    below q·(p + q).  ``where`` names the engine in the refusal."""
     p, q = x.numerator, x.denominator
     if q * (p + q) >= 1 << 63:
         raise OutOfDomain(f"x={x}: q·(p+q) ≥ 2^63 is beyond exact int64 "
-                          "arithmetic in the stretch engines; the stepped "
-                          "reference (--engine stepped) accepts it")
+                          f"arithmetic in {where}")
     return p, q
 
 
@@ -260,7 +265,8 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     (tstar, kstar, censored) as in the module docstring, and the flagged
     draws: capped passage draws, or tail draws that could end before t_max.
     """
-    p, q = _exact_ratio(x)
+    p, q = _exact_ratio(x, "the stretch engines; the stepped reference "
+                        "(--engine stepped) accepts it")
     strict = _is_strict(mode)
     longest = min(step_cap, (4 << cap_exp) + 2 if tables is None else _NO_LIMIT)
     if min(t_max + 1, n_stretches * (longest + 1)) >= _NO_LIMIT:  # bounds every t
@@ -355,8 +361,12 @@ class XiRunResult:
 
     ``alive_counts[j]`` trials had W_m >= 0 for every m <= record_ns[j];
     ``neg_counts[j]`` trials had W_{record_ns[j]} < 0 (marginal, not
-    running-minimum).  ``decided`` / ``negative_final`` summarize the sign
-    of W at the last recorded n after cap-retry resolution.
+    running-minimum), both from the first pass.  ``decided`` /
+    ``negative_final`` summarize the sign of W_n after cap-retry resolution,
+    and a capped τ still leaves ``undecided`` trials open after
+    ``retries_used`` retries.  ``capped_draws`` counts the first pass's
+    passage-cap hits on the simple walk and its √-tail draws on the tables
+    (at the default cap every table clamp hit is also a tail draw).
     """
     record_ns: tuple[int, ...]
     trials: int
@@ -378,140 +388,118 @@ class XiRunResult:
 def _w_negative(d, s, p, q):
     """W < 0 for q·W = q·D - p·S, i.e. D < ⌈p·S/q⌉; with S = s₁q + s₀ that
     bound is p·s₁ + ⌈p·s₀/q⌉, where p·s₁ < S and p·s₀ < p·q."""
+    if p == 0:
+        return d < 0
     s1, s0 = np.divmod(s, q)
     return d < p * s1 - (-(p * s0) // q)
 
 
-class _XiRecorder:
-    """alive/neg counts at the recorded n, fed the sign of W after each pair."""
-
-    def __init__(self, record_ns: tuple[int, ...], trials: int):
-        self.record_ns = tuple(sorted(record_ns))
-        self.alive = np.ones(trials, dtype=bool)
-        self.alive_counts = np.zeros(len(self.record_ns), dtype=np.int64)
-        self.neg_counts = np.zeros_like(self.alive_counts)
-
-    def __call__(self, m: int, neg: np.ndarray) -> None:
-        self.alive &= ~neg
-        for j, n in enumerate(self.record_ns):
-            if n == m:
-                self.alive_counts[j] = int(self.alive.sum())
-                self.neg_counts[j] = int(neg.sum())
-
-    def result(self, neg: np.ndarray, undecided: np.ndarray, capped_draws: int,
-               retries: int, engine: str) -> XiRunResult:
-        decided = ~undecided
-        return XiRunResult(
-            record_ns=self.record_ns, trials=self.alive.size,
-            alive_counts=self.alive_counts, neg_counts=self.neg_counts,
-            decided=int(decided.sum()),
-            negative_final=int((neg & decided).sum()),
-            undecided=int(undecided.sum()), capped_draws=capped_draws,
-            retries_used=retries, engine=engine,
-        )
+def _xi_stretch(tables, keys, ctr, up, entry, cap_exp):
+    """τ (int64), capped and counted flags and next entry of one stretch per
+    trial, from the uniforms at ctr, ctr + 1 (see the module docstring)."""
+    if tables is None:
+        tau, capped = _passage(keys, ctr, cap_exp)
+        return tau, capped, capped, entry
+    tau, tail, entry = tables.sample_stretches(up, entry, uniform_at(keys, ctr),
+                                               uniform_at(keys, ctr + 1))
+    cap = (4 << cap_exp) + 2
+    capped = tau > cap
+    return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, entry
 
 
-def _srw_xi_pairs(keys: np.ndarray, n_pairs: int, p: int, q: int, cap_exp: int,
-                  record=None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact W_m of the simple walk for m = 1 .. n_pairs, one trial per key.
-
-    Feeds W_m < 0 to ``record`` after each pair, and returns the final sign
-    mask, the mask of trials whose final sign a capped duration leaves
-    undecided, and the number of capped draws.
-    """
+def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
+              keys: np.ndarray, n_pairs: int, p: int, q: int, cap_exp: int,
+              record_ns: tuple[int, ...] = ()
+              ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Exact W_m for m = 1 .. n_pairs, one trial per key: the final sign
+    mask, the mask of trials whose final sign a capped τ leaves undecided,
+    the number of counted draws and, per n in ``record_ns``, the counts of
+    trials with W_m ≥ 0 for every m ≤ n and of those with W_n < 0."""
     ctr = np.zeros(keys.size, dtype=np.uint64)
-    down = uniform_at(keys, ctr) < 0.5
+    first = steps_from_uniforms(dist, uniform_at(keys, ctr))
     ctr += 1
-    ctr[down] += 2  # leading negative stretch is not part of any pair
-
-    # W is carried as D = Σ τ⁺ - τ⁻ and S = Σ τ⁺ + τ⁻, q·W = q·D - p·S
-    d = np.zeros(keys.size, dtype=np.int64)
-    s = np.zeros(keys.size, dtype=np.int64)
-    neg = np.zeros(keys.size, dtype=bool)
-    cap_pos = np.zeros(keys.size, dtype=bool)
-    cap_neg = np.zeros(keys.size, dtype=bool)
-    capped_draws = 0
+    entry = (np.zeros(keys.size, dtype=np.int64) if tables is None
+             else tables.first_entries(first))
+    dn = np.flatnonzero(first < 0)  # a leading negative stretch: its exit only
+    entry[dn] = _xi_stretch(tables, keys[dn], ctr[dn], np.zeros(dn.size, dtype=bool),
+                            entry[dn], cap_exp)[3]
+    ctr[dn] += 2
+    up = np.ones(keys.size, dtype=bool)
+    d, s = np.zeros((2, keys.size), dtype=np.int64)  # Σ τ⁺ - τ⁻ and Σ τ⁺ + τ⁻
+    cap_pos, cap_neg = np.zeros((2, keys.size), dtype=bool)
+    alive = np.ones(keys.size, dtype=bool)
+    counts = np.zeros((2, len(record_ns)), dtype=np.int64)
+    counted = 0
     for m in range(1, n_pairs + 1):
-        tp, cp = _passage(keys, ctr, cap_exp)
-        tm, cm = _passage(keys, ctr + 2, cap_exp)
+        tp, cp, fp, entry = _xi_stretch(tables, keys, ctr, up, entry, cap_exp)
+        tm, cm, fm, entry = _xi_stretch(tables, keys, ctr + 2, ~up, entry, cap_exp)
         ctr += 4
         d += tp - tm
         s += tp + tm
         cap_pos |= cp
         cap_neg |= cm
-        capped_draws += int(cp.sum()) + int(cm.sum())
+        counted += int(np.count_nonzero(fp) + np.count_nonzero(fm))
         neg = _w_negative(d, s, p, q)
-        if record is not None:
-            record(m, neg)
-    # A capped duration was recorded as a lower bound, so a trial's final
-    # sign is only trustworthy when no cap opposes it.
-    return neg, (neg & cap_pos) | (~neg & cap_neg), capped_draws
+        alive &= ~neg
+        if m in record_ns:
+            counts[:, record_ns.index(m)] = alive.sum(), neg.sum()
+    # a capped τ is a lower bound, so a final sign it opposes is undecided
+    return neg, (neg & cap_pos) | (~neg & cap_neg), counted, counts
+
+
+_XI_REFUSAL = "the ξ pair runs, which have no stepped engine"
+
+
+def _xi_chunk(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
+              x: Fraction, n_pairs: int, trials: int, seed: int,
+              record_ns: tuple[int, ...], trial_offset: int,
+              cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP) -> XiRunResult:
+    """The pair loop on one chunk of trials on the passage law (``tables``
+    None) or on ``tables``, then the cap retries: retry r reruns it on the
+    undecided trials at cap_exp + 2r, with the uniforms they had before."""
+    p, q = _exact_ratio(x, _XI_REFUSAL)
+    record_ns = tuple(sorted(record_ns))
+    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
+                                      dtype=np.uint64))
+    neg, undecided, counted, (alive_counts, neg_counts) = _xi_pairs(
+        dist, tables, keys, n_pairs, p, q, cap_exp, record_ns)
+    retries = 0
+    while undecided.any() and retries < _XI_RETRIES:
+        retries += 1
+        rows = np.flatnonzero(undecided)
+        neg[rows], undecided[rows], _, _ = _xi_pairs(dist, tables, keys[rows], n_pairs,
+                                                     p, q, cap_exp + 2 * retries)
+    decided = ~undecided
+    return XiRunResult(
+        record_ns=record_ns, trials=trials, alive_counts=alive_counts,
+        neg_counts=neg_counts, decided=int(decided.sum()),
+        negative_final=int((neg & decided).sum()), undecided=int(undecided.sum()),
+        capped_draws=counted, retries_used=retries,
+        engine="exact-excursion" if tables is None else "duration-table")
 
 
 def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
                   record_ns: tuple[int, ...], trial_offset: int,
                   cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP) -> XiRunResult:
-    p, q = _exact_ratio(x)
-    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
-                                      dtype=np.uint64))
-    rec = _XiRecorder(record_ns, trials)
-    neg, undecided, capped_draws = _srw_xi_pairs(keys, n_pairs, p, q, cap_exp, rec)
-    # Retry r reruns the pair loop on the undecided trials at cap_exp + 2r;
-    # their streams give them the same uniforms as in the full batch.
-    retries = 0
-    while undecided.any() and retries < _XI_RETRIES:
-        retries += 1
-        rows = np.flatnonzero(undecided)
-        neg[rows], undecided[rows], _ = _srw_xi_pairs(keys[rows], n_pairs, p, q,
-                                                      cap_exp + 2 * retries)
-    return rec.result(neg, undecided, capped_draws, retries, "exact-excursion")
+    return _xi_chunk(_SIMPLE, None, x, n_pairs, trials, seed, record_ns,
+                     trial_offset, cap_exp)
 
 
 def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
                     trials: int, seed: int, record_ns: tuple[int, ...],
                     trial_offset: int) -> XiRunResult:
-    tables = dur.excursion_tables(dist)
-    wp, wm = float(1 - x), float(1 + x)
-    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
-                                      dtype=np.uint64))
-    ctr = np.zeros(trials, dtype=np.uint64)
-
-    first = steps_from_uniforms(dist, uniform_at(keys, ctr))
-    ctr += 1
-    pos_idx = tables.first_entries(first)
-    up, down = np.ones(trials, dtype=bool), np.zeros(trials, dtype=bool)
-    # leading negative stretch: draw its duration and exit, discard tau
-    dn = np.flatnonzero(first < 0)
-    pos_idx[dn] = tables.sample_stretches(down[dn], pos_idx[dn], uniform_at(
-        keys[dn], ctr[dn]), uniform_at(keys[dn], ctr[dn] + 1))[2]
-    ctr[dn] += 2
-
-    # W stays a float summed pair by pair: a √-tail τ can pass 2^63, and
-    # any other summation order would change its rounding
-    w = np.zeros(trials, dtype=np.float64)
-    rec = _XiRecorder(record_ns, trials)
-    tail_draws = 0
-    for m in range(1, n_pairs + 1):
-        tau_p, tp_tail, neg_idx = tables.sample_stretches(
-            up, pos_idx, uniform_at(keys, ctr), uniform_at(keys, ctr + 1))
-        tau_m, tm_tail, pos_idx = tables.sample_stretches(
-            down, neg_idx, uniform_at(keys, ctr + 2), uniform_at(keys, ctr + 3))
-        ctr += 4
-        tail_draws += int(tp_tail.sum()) + int(tm_tail.sum())
-        w += wp * tau_p - wm * tau_m
-        rec(m, w < 0.0)
-    return rec.result(w < 0.0, np.zeros(trials, dtype=bool), tail_draws, 0,
-                      "duration-table")
+    return _xi_chunk(dist, dur.excursion_tables(dist), x, n_pairs, trials, seed,
+                     record_ns, trial_offset)
 
 
 def pick_engine(dist: IncrementDistribution, engine_kind: str = "auto") -> str:
     if engine_kind == "auto":
         return "exact-excursion" if dist.is_simple else "duration-table"
-    if engine_kind in ("exact-excursion", "exact"):
+    if engine_kind == "exact":
         if not dist.is_simple:
             raise ValueError("exact excursion engine requires the simple walk")
         return "exact-excursion"
-    if engine_kind in ("duration-table", "table"):
+    if engine_kind == "table":
         return "duration-table"
     if engine_kind == "stepped":
         return "stepped"
@@ -537,6 +525,7 @@ def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
     if kind == "stepped":
         raise ValueError("the ξ pair runs have no stepped engine; "
                          "stepped is for the barrier events only")
+    _exact_ratio(x, _XI_REFUSAL)  # refused before any table build or fork
     if kind != "exact-excursion":
         dur.excursion_tables(dist)  # build once before any fork
     args = (dist, x, n, seed, record_ns, kind)

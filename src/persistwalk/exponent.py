@@ -114,6 +114,12 @@ class AsymmetryEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
+_TAIL_WINDOW = (0.90, 0.999)  # fit window of the tail estimator, as quantiles
+_TAIL_GRID_POINTS = 12         # log-spaced grid points over the window
+_TAIL_BOOTSTRAP = 200          # pair-bootstrap resamples for the stderr
+_MIN_TAIL = 100                # stretches of each sign the window must hold
+
+
 def _fixed_slope_constant(durations: np.ndarray, grid: np.ndarray) -> float:
     """LS fit of C in P(τ > n) = C·n^(-1/2) over the grid (log scale)."""
     n = len(durations)
@@ -122,17 +128,16 @@ def _fixed_slope_constant(durations: np.ndarray, grid: np.ndarray) -> float:
     return float(np.exp(np.mean(np.log(p) + 0.5 * np.log(grid))))
 
 
-def _tail_grid(durations: np.ndarray, window: tuple[float, float],
-               cap: int, points: int) -> np.ndarray:
-    lo = float(np.quantile(durations, window[0]))
-    hi = float(np.quantile(durations, window[1]))
+def _tail_grid(durations: np.ndarray, cap: int) -> np.ndarray:
+    lo = float(np.quantile(durations, _TAIL_WINDOW[0]))
+    hi = float(np.quantile(durations, _TAIL_WINDOW[1]))
     hi = min(hi, cap / 2.0)  # keep the window inside the uncensored range
     if hi <= lo + 1:
         raise InsufficientTail(
             f"degenerate tail window [{lo:.0f}, {hi:.0f}] — need longer runs "
             "or a larger step cap")
-    grid = np.unique(np.round(np.exp(np.linspace(np.log(lo), np.log(hi),
-                                                 points))).astype(np.int64))
+    points = np.exp(np.linspace(np.log(lo), np.log(hi), _TAIL_GRID_POINTS))
+    grid = np.unique(np.round(points).astype(np.int64))
     if len(grid) < 8:
         raise InsufficientTail(f"only {len(grid)} distinct grid points in "
                                f"[{lo:.0f}, {hi:.0f}]")
@@ -140,22 +145,20 @@ def _tail_grid(durations: np.ndarray, window: tuple[float, float],
 
 
 def estimate_b_tail(dist: IncrementDistribution, n_excursions: int, seed: int, *,
-                    step_cap: int = 2 ** 22, window: tuple[float, float] = (0.90, 0.999),
-                    grid_points: int = 12, bootstrap: int = 200,
-                    min_tail: int = 100) -> AsymmetryEstimate:
+                    step_cap: int = 2 ** 22) -> AsymmetryEstimate:
     """Tail-ratio estimator of b from paired half-excursion durations.
 
     Simulates ``n_excursions`` complete excursions, fits the n^(-1/2) tail
     constants of the positive and negative stretch durations over the
-    (90th, 99.9th)-percentile window (≥ 8 log-spaced grid points) and
-    returns b̂ = C⁺/C⁻.  The stderr is a pair-resampling bootstrap, which
-    keeps the within-excursion correlation of (τ⁺, τ⁻).
+    (90th, 99.9th)-percentile window (≥ 8 of 12 log-spaced grid points) and
+    returns b̂ = C⁺/C⁻.  The stderr is a pair-resampling bootstrap (200
+    resamples), which keeps the within-excursion correlation of (τ⁺, τ⁻).
 
     Durations exceeding ``step_cap`` are right-censored: they still count as
     "> n" for every grid point (the window is clipped below the cap, so the
     fit itself never sees a censored value as finite).  Raises
-    :class:`InsufficientTail` when fewer than ``min_tail`` stretches of
-    either sign exceed the lower window edge.
+    :class:`InsufficientTail` when fewer than 100 stretches of either sign
+    exceed the lower window edge.
     """
     if n_excursions < 1:
         raise ValueError("n_excursions must be >= 1")
@@ -165,12 +168,12 @@ def estimate_b_tail(dist: IncrementDistribution, n_excursions: int, seed: int, *
     grids = {}
     consts = {}
     for label, tau in (("pos", tau_pos), ("neg", tau_neg)):
-        grid = _tail_grid(tau, window, step_cap, grid_points)
+        grid = _tail_grid(tau, step_cap)
         n_beyond = int((tau > grid[0]).sum())
-        if n_beyond < min_tail:
+        if n_beyond < _MIN_TAIL:
             raise InsufficientTail(
                 f"{n_beyond} {label} stretches beyond the fit window "
-                f"(need {min_tail}); increase n_excursions")
+                f"(need {_MIN_TAIL}); increase n_excursions")
         grids[label] = grid
         consts[label] = _fixed_slope_constant(tau, grid)
 
@@ -179,9 +182,9 @@ def estimate_b_tail(dist: IncrementDistribution, n_excursions: int, seed: int, *
     # pair bootstrap over excursions, windows held fixed
     boot_stream = RandomStream(seed, stream_id=2 ** 62 + 1)
     n = len(tau_pos)
-    bvals = np.empty(bootstrap, dtype=np.float64)
+    bvals = np.empty(_TAIL_BOOTSTRAP, dtype=np.float64)
     keys = np.full(n, np.uint64(boot_stream.key), dtype=np.uint64)
-    for bi in range(bootstrap):
+    for bi in range(_TAIL_BOOTSTRAP):
         counters = np.arange(bi * n, (bi + 1) * n, dtype=np.uint64)
         idx = (uniform_at(keys, counters) * n).astype(np.int64)
         cp = _fixed_slope_constant(tau_pos[idx], grids["pos"])
@@ -195,7 +198,7 @@ def estimate_b_tail(dist: IncrementDistribution, n_excursions: int, seed: int, *
         "window_pos": (int(grids["pos"][0]), int(grids["pos"][-1])),
         "window_neg": (int(grids["neg"][0]), int(grids["neg"][-1])),
         "n_excursions": n,
-        "bootstrap": bootstrap,
+        "bootstrap": _TAIL_BOOTSTRAP,
     }
     diag.update(info)
     return AsymmetryEstimate(b_hat=b_hat, method="tail-ratio", stderr=stderr,
@@ -227,13 +230,13 @@ def estimate_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int, *
     carries an O(n^(-1/2))-flavored bias; callers wanting a drift diagnostic
     run two horizons (see :func:`estimate_b_q`).
 
-    For the simple walk, durations come from the exact passage-time law and
-    W is accumulated in integers; draws hitting the duration cap make a
-    trial *undecided* unless the sign of W is already forced, and undecided
-    trials are retried at geometrically growing caps, then excluded (and
-    reported) if still open.  Other walks use excursion-level duration
-    tables (exact to the table horizon, √-law beyond), where every trial is
-    decided.
+    Durations come from the exact passage-time law for the simple walk and
+    from the excursion-level duration tables (exact to the table horizon,
+    √-law beyond) for any other walk; on both, W is accumulated in integers
+    and a table duration is clamped at the passage cap.  A draw hitting the
+    cap makes a trial *undecided* unless the sign of W is already forced,
+    and undecided trials are retried at geometrically growing caps, then
+    excluded (and reported) if still open.
     """
     x = Fraction(x)
     if not (0 <= x < 1):

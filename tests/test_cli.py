@@ -221,6 +221,13 @@ def test_diagnose_skew_command(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "diagnose-skew", "--dist", "simple",
                          "--n-grid", "4", "--trials", "100", "--engine", "stepped")
     assert rc == 1 and "ValueError" in err and "no stepped engine" in err
+    # an x beyond exact int64 W is refused on both walks, with no pointer to
+    # the stepped engine; the tables used to run it with W in floats
+    for dist in ("simple", "unit-up:-2"):
+        rc, _, err = run_cli(capsys, "diagnose-skew", "--dist", dist,
+                             "--x", f"{2 ** 40 - 1}/{2 ** 41}", "--n-grid", "4",
+                             "--trials", "100")
+        assert rc == 1 and "OutOfDomain" in err and "--engine stepped" not in err
 
 
 def test_error_exit_codes(tmp_path, capsys):

@@ -31,6 +31,10 @@ def test_pick_engine():
         engine.pick_engine(UNIT_UP, "exact")
     with pytest.raises(ValueError):
         engine.pick_engine(SIMPLE, "warp")
+    # the reported engine names are not input spellings
+    for name in ("exact-excursion", "duration-table"):
+        with pytest.raises(ValueError):
+            engine.pick_engine(SIMPLE, name)
 
 
 def test_chunk_bounds():
@@ -313,37 +317,101 @@ def test_exact_excursion_int64_range(monkeypatch):
         engine._srw_xi_chunk(X_REFUSED, 10, 10, 5, (10,), 0)
 
 
-def int_xi_counts(x, n_pairs, trials, seed, record_ns):
-    """alive/neg counts of _srw_xi_chunk with W summed in Python integers."""
+CAP_EXP = durations.DEFAULT_PASSAGE_CAP_EXP
+
+
+def int_xi_replay(dist, tables, x, n_pairs, keys, cap_exp, record_ns=()):
+    """One pass of the ξ pair loop with W summed in Python integers, from the
+    draws at the stream positions the engine uses, at one cap: the alive and
+    negative counts at record_ns, the final sign and the undecided mask.
+    τ is two unit passages (``tables`` None) or comes with the exit from
+    sample_tau and sample_exit, clamped at (4 << cap_exp) + 2."""
     p, q = x.numerator, x.denominator
-    keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
-    ctr = np.zeros(trials, dtype=np.uint64)
-    ctr += np.where(uniform_at(keys, ctr) < 0.5, 3, 1).astype(np.uint64)
-    w = np.zeros(trials, dtype=object)
-    alive = np.ones(trials, dtype=bool)
+    cap = (4 << cap_exp) + 2
+
+    def draw(side, k, entry, ctr):
+        u_tau, u_exit = uniform_at(k, ctr), uniform_at(k, ctr + 1)
+        if tables is None:
+            tau, capped = durations.srw_tau_from_uniform_pairs(u_tau, u_exit,
+                                                               cap_exp=cap_exp)
+            return tau.astype(object), capped, entry
+        tau, tail = tables.sample_tau(side, entry, u_tau)
+        nxt = tables.sample_exit(side, entry, tau, tail, u_exit)
+        return np.array([min(int(t), cap) for t in tau], dtype=object), tau > cap, nxt
+
+    ctr = np.zeros(keys.size, dtype=np.uint64)
+    first = steps_from_uniforms(dist, uniform_at(keys, ctr))
+    ctr += 1
+    entry = (np.zeros(keys.size, dtype=np.int64) if tables is None
+             else tables.first_entries(first))
+    dn = first < 0  # the leading negative stretch only sets the next entry
+    entry[dn] = draw("neg", keys[dn], entry[dn], ctr[dn])[2]
+    ctr[dn] += 2
+    w = np.zeros(keys.size, dtype=object)
+    alive = np.ones(keys.size, dtype=bool)
+    cap_pos = np.zeros(keys.size, dtype=bool)
+    cap_neg = np.zeros(keys.size, dtype=bool)
     alive_counts, neg_counts = [], []
     for m in range(1, n_pairs + 1):
-        tp, _ = durations.srw_tau_from_uniform_pairs(uniform_at(keys, ctr),
-                                                     uniform_at(keys, ctr + 1))
-        tm, _ = durations.srw_tau_from_uniform_pairs(uniform_at(keys, ctr + 2),
-                                                     uniform_at(keys, ctr + 3))
+        tp, cp, entry = draw("pos", keys, entry, ctr)
+        tm, cm, entry = draw("neg", keys, entry, ctr + 2)
         ctr += 4
-        w = w + (q - p) * tp.astype(object) - (q + p) * tm.astype(object)
+        w = w + (q - p) * tp - (q + p) * tm  # q·W
+        cap_pos |= cp
+        cap_neg |= cm
         neg = np.asarray(w < 0, dtype=bool)
         alive &= ~neg
         if m in record_ns:
             alive_counts.append(int(alive.sum()))
             neg_counts.append(int(neg.sum()))
-    return alive_counts, neg_counts
+    return alive_counts, neg_counts, neg, (neg & cap_pos) | (~neg & cap_neg)
+
+
+def int_xi_result(dist, tables, x, n_pairs, keys, cap_exp, record_ns):
+    """(alive_counts, neg_counts, negative_final, undecided, retries) of the
+    ξ pair loop with its cap retries, from :func:`int_xi_replay`: retry r
+    settles a trial left undecided by the rounds before it from its whole
+    replay at cap_exp + 2r.  Every trial is replayed at every cap, and only
+    the undecided ones take it."""
+    alive_counts, neg_counts, neg, undecided = int_xi_replay(
+        dist, tables, x, n_pairs, keys, cap_exp, record_ns)
+    retries = 0
+    while undecided.any() and retries < 3:
+        retries += 1
+        _, _, neg_r, undecided_r = int_xi_replay(dist, tables, x, n_pairs, keys,
+                                                 cap_exp + 2 * retries)
+        neg = np.where(undecided, neg_r, neg)
+        undecided &= undecided_r
+    return (alive_counts, neg_counts, int((neg & ~undecided).sum()),
+            int(undecided.sum()), retries)
+
+
+def _xi_fields(res):
+    return (res.alive_counts.tolist(), res.neg_counts.tolist(), res.negative_final,
+            res.undecided, res.retries_used)
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2)] + X_WIDE)
 def test_srw_xi_w_is_exact(x):
     # (q ± p)·τ passed 2^63 for x = 1/3037000000 at seed 1 and flipped signs
     res = engine._srw_xi_chunk(x, 50, 2000, 1, (10, 50), 0)
-    alive_counts, neg_counts = int_xi_counts(x, 50, 2000, 1, (10, 50))
-    assert res.alive_counts.tolist() == alive_counts
-    assert res.neg_counts.tolist() == neg_counts
+    keys = trial_keys(1, np.arange(2000, dtype=np.uint64))
+    want = int_xi_result(SIMPLE, None, x, 50, keys, CAP_EXP, (10, 50))
+    assert _xi_fields(res) == want
+
+
+@pytest.mark.parametrize("name,dist", [("unit-up", UNIT_UP), ("tg", TG),
+                                       ("lazy", LAZY)])
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 5), Fraction(1, 3)], ids=str)
+def test_table_xi_matches_integer_replay(name, dist, x):
+    # W summed in floats misread exact ties W = 0 at x = 1/3, where 1 - x
+    # and 1 + x are not binary fractions, and moved the counts
+    trials, n_pairs, seed, offset, record_ns = 2000, 30, 596, 321, (10, 30)
+    keys = trial_keys(seed, np.arange(offset, offset + trials, dtype=np.uint64))
+    res = engine._table_xi_chunk(dist, x, n_pairs, trials, seed, record_ns, offset)
+    want = int_xi_result(dist, durations.excursion_tables(dist), x, n_pairs, keys,
+                         CAP_EXP, record_ns)
+    assert _xi_fields(res) == want
 
 
 def _proportions_close(c1, c2, z=3.0):
@@ -498,43 +566,23 @@ def test_srw_xi_cap_retry_resolution():
     assert abs(p1 - p2) <= 4 * math.sqrt(p2 * (1 - p2) * 2 / 4000)
 
 
-def int_xi_final(x, n_pairs, keys, cap_exp):
-    """Final sign of W (summed in Python integers) and the undecided mask
-    per trial, at one passage cap."""
-    p, q = x.numerator, x.denominator
-    ctr = np.zeros(keys.size, dtype=np.uint64)
-    ctr += np.where(uniform_at(keys, ctr) < 0.5, 3, 1).astype(np.uint64)
-    w = np.zeros(keys.size, dtype=object)
-    cap_pos = np.zeros(keys.size, dtype=bool)
-    cap_neg = np.zeros(keys.size, dtype=bool)
-    for _ in range(n_pairs):
-        tp, cp = durations.srw_tau_from_uniform_pairs(
-            uniform_at(keys, ctr), uniform_at(keys, ctr + 1), cap_exp=cap_exp)
-        tm, cm = durations.srw_tau_from_uniform_pairs(
-            uniform_at(keys, ctr + 2), uniform_at(keys, ctr + 3), cap_exp=cap_exp)
-        ctr += 4
-        w = w + (q - p) * tp.astype(object) - (q + p) * tm.astype(object)
-        cap_pos |= cp
-        cap_neg |= cm
-    neg = np.asarray(w < 0, dtype=bool)
-    return neg, (neg & cap_pos) | (~neg & cap_neg)
-
-
 def test_srw_xi_retry_matches_integer_replay():
-    # retry r settles a trial left undecided by the rounds before it from
-    # its whole replay at cap_exp + 2r; here every trial is replayed at
-    # every cap, in Python integers, and only the undecided ones take it
-    x, n_pairs, trials, seed = Fraction(1, 2), 10, 4000, 571
-    keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
-    neg, undecided = int_xi_final(x, n_pairs, keys, 12)
-    for r in (1, 2, 3):
-        neg_r, undecided_r = int_xi_final(x, n_pairs, keys, 12 + 2 * r)
-        neg = np.where(undecided, neg_r, neg)
-        undecided &= undecided_r
-    res = engine._srw_xi_chunk(x, n_pairs, trials, seed, (10,), 0, cap_exp=12)
-    assert res.undecided == int(undecided.sum()) > 0
-    assert res.decided == trials - res.undecided
-    assert res.negative_final == int((neg & ~undecided).sum())
+    # a small cap leaves trials undecided, and retries at cap_exp + 2r settle
+    # most of them: on the passage law at cap_exp = 12, on the tables at
+    # cap_exp = 6, where every τ past 258 steps is clamped
+    x, n_pairs, seed = Fraction(1, 2), 10, 571
+    for dist, tables, trials, cap_exp in (
+            (SIMPLE, None, 4000, 12),
+            (UNIT_UP, durations.excursion_tables(UNIT_UP), 2000, 6),
+            (LAZY, durations.excursion_tables(LAZY), 2000, 6)):
+        keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
+        want = int_xi_result(dist, tables, x, n_pairs, keys, cap_exp, (10,))
+        first_pass = int_xi_replay(dist, tables, x, n_pairs, keys, cap_exp)[3]
+        res = engine._xi_chunk(dist, tables, x, n_pairs, trials, seed, (10,), 0,
+                               cap_exp)
+        assert _xi_fields(res) == want
+        assert first_pass.sum() > res.undecided > 0 and res.retries_used == 3
+        assert res.decided == trials - res.undecided
 
 
 def _pairs_digest(tau_p, tau_m, info):
@@ -684,11 +732,14 @@ XI_DIGESTS = {
     "retry": "7fd8f93695a747a73e7622c55cd889907c39df370f0e2d49ef2ff4255a8e3928",
 }
 
+# the ξ pair loop on the tables at x = 1/3; the loop that summed W in floats
+# gave unit-up 16aa2b4e…, tg 38c6df5a… and lazy 7f565ec3…, where float
+# noise misread exact ties W = 0 (the simple walk has none at this seed)
 TABLE_XI_DIGESTS = {
     "simple": "bee7ff52c3f0478912b9abb20c8dd3fbb55c5e2464f363a84f16634a616e841c",
-    "unit-up": "16aa2b4e4ffde2bfaf810d56b14c2a557223677de475af725845b9ee81e71c4b",
-    "tg": "38c6df5a78fa578033429d4557e455f08ebb77fbad354ddcd9ea6a4e65dd6d3d",
-    "lazy": "7f565ec33bfd1caeb3fde4a242e8354170b65ccda9d819c0a0c4d3d0a003d326",
+    "unit-up": "eb2bd2b9d494d596b1d90dd4f6f3c867eb131ed70929e840777f5ce4870ee532",
+    "tg": "fc7a719f3fd53875a32a7d026795bd5fca7627f1c95ccf2af81c8256f589eeb2",
+    "lazy": "35d8ef17c3d34768a97234fa8d0e2ad328ff94d8c580cd3285ff769db7204559",
 }
 
 
@@ -804,6 +855,18 @@ def test_table_tail_draws_counted_only_where_they_decide():
     assert near.tail_draws == 0 < far.tail_draws
     exc = engine.a_counts(UNIT_UP, Fraction(0), 200, 2000, 642, (200,))
     assert exc.tail_draws > 0
+
+
+def test_xi_runs_refuse_wrapping_inputs():
+    # the tables used to run this x with W in floats; the ξ runs have no
+    # stepped engine, so the refusal must not send the user to one
+    x = Fraction(2 ** 40 - 1, 2 ** 41)
+    for dist in (SIMPLE, UNIT_UP):
+        with pytest.raises(OutOfDomain, match="ξ pair runs") as err:
+            engine.run_xi_trials(dist, x, 10, 50, 1)
+        assert "--engine stepped" not in str(err.value)
+    with pytest.raises(OutOfDomain, match="ξ pair runs"):
+        engine._table_xi_chunk(UNIT_UP, x, 10, 50, 1, (10,), 0)
 
 
 def test_table_stretches_refuse_wrapping_inputs():
