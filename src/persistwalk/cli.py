@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, montecarlo, oracle, reproduce, stable, svg, walk
+from . import __version__, engine, montecarlo, oracle, reproduce, stable, svg, walk
 from .errors import PersistWalkError
 from .exponent import estimate_b, model
 from .increments import parse_dist_spec, parse_rational
@@ -50,12 +50,12 @@ def _add_common(sp, *, trials_default=100_000):
                     help=f"run seed (default ${_SEED_ENV} or 0)")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--engine", default="auto",
-                    choices=("auto", "exact", "table", "stepped"),
+                    choices=engine.ENGINE_KINDS,
                     help="simulation engine: auto runs exact stretches, on the "
                     "passage law for the simple walk and on the duration "
-                    "tables for any other walk; stepped is the step-by-step "
-                    "reference for the barrier events only (estimate-atilde, "
-                    "estimate-a), for any x")
+                    "tables (table, on any walk) for any other walk; stepped "
+                    "is the step-by-step reference for the barrier events "
+                    "only (estimate-atilde, estimate-a)")
 
 
 def _add_curve_out(sp):
@@ -200,13 +200,16 @@ def _cmd_diagnose_skew(args) -> int:
 
 
 def _cmd_oracle_dp(args) -> int:
-    value = oracle.oracle_dp_value(args.dist, parse_rational(args.x), args.t,
-                                   k=args.k, t_cap=args.t_cap,
-                                   mode=args.mode, cap=args.cap)
+    dist = parse_dist_spec(args.dist)
+    x = parse_rational(args.x)
     if args.k is None:
+        value = oracle.exact_atilde(dist, x, args.t, mode=args.mode or "strict",
+                                    cap=args.cap)
         print(f"{value} = {float(value):.10g}")
     else:
-        lo, hi = value
+        t_cap = args.t if args.t_cap is None else args.t_cap
+        lo, hi = oracle.exact_a(dist, x, args.k, t_cap, mode=args.mode or "weak",
+                                cap=args.cap)
         print(f"lower {lo} = {float(lo):.10g}")
         print(f"upper {hi} = {float(hi):.10g}")
     return 0

@@ -11,6 +11,19 @@ may generate positions past the point where a trial's outcome is settled
 (the stepped reference draws whole blocks); those values are never used, so
 no result depends on them.
 
+Front door
+----------
+Both run kinds, the barrier-event survival counts (:func:`atilde_counts`,
+:func:`a_counts`) and the ξ pair runs (:func:`run_xi_trials`), go through
+``_run``.  In order, it converts x, refuses x outside [0, 1) on every
+engine kind (``walk._ratio``, the check the oracle shares), resolves the
+engine kind (``ENGINE_KINDS``, the CLI's choices), refuses q·(p + q) ≥ 2^63
+for the exact loops, builds the duration tables once before any fork, and
+runs the chunks.  The chunk entry points ``srw_excursion_first_violation``,
+``_srw_xi_chunk`` and ``_table_xi_chunk`` stay on that path, and
+``stepped_first_violation`` stays beside it: the benchmark times each as a
+span.
+
 Engines
 -------
 Both barrier events run on one contract: a trial stops at its first
@@ -34,41 +47,41 @@ violation time (t_max + 1 if none) and the crossings before it
 
     Consumption: one uniform for the first step (``steps_from_uniforms``;
     v ≥ 0 opens a positive stretch, at height 0 for v = 0), then two per
-    stretch: two unit passages of the exact passage law on the simple walk
-    (``srw_excursion_*``), or τ and the exit entry from the duration tables
-    on any other walk.  A table τ is a float whose √-tail can pass 2^63;
+    stretch (``_draw``): two unit passages of the exact passage law on the
+    simple walk, or τ and the exit entry from the duration tables on any
+    other walk.  A table τ is a float whose √-tail can pass 2^63;
     every τ is clamped one step past what can matter (t_max - t + 1, or
     step_cap + 1), and a table stretch longer than step_cap ends its trial
     as a censored survivor unless the barrier fell first.  Products with p
     or q are formed only of remainders, below q·(p + q), or stay below the
-    sums they split, so the loop is exact in int64 for every x with
-    q·(p + q) < 2^63 and horizon below 2^62 steps, and refuses any other
+    sums they split, so the loop is exact in int64 for every x in [0, 1)
+    with q·(p + q) < 2^63 and horizon below 2^62 steps, and refuses any other
     input with :class:`~.errors.OutOfDomain`.
 
 ``_stepped``
     The stepped reference the tests compare the stretch loop against,
     selected only by ``engine_kind="stepped"`` (``stepped_first_violation``
-    and ``stepped_a_progress`` wrap it).  One vector pass advances every
+    wraps it for the time event).  One vector pass advances every
     live trial by a block of min(64, max(1, trials // live)) steps, never
     past t_max, so a pass holds at most ``trials`` elements; the uniform at
     stream position s - 1 is the step to time s.  Within a step the
     n_stretches-th crossing ends the trial first, then the barrier, then
     the cap.  The barrier q·G_s vs p·s is tested as G_s against ⌊p·s/q⌋
     (strict) or ⌊(p·s − 1)/q⌋ (weak) in Python integers, so it is exact
-    for every x.
+    for every x in [0, 1).
 
 ``run_xi_trials``
     Excursion-pair runs for W_n = Σ (1-x)τ⁺ - (1+x)τ⁻ in one exact
     vectorised pair loop, ``_xi_pairs``, on either duration source.  W is
     carried as integers D = Σ τ⁺ - τ⁻ and S = Σ τ⁺ + τ⁻ with q·W = q·D - p·S,
     and its sign is exact for x in [0, 1) with q·(p + q) < 2^63; a larger
-    q·(p + q) is refused.  A stretch is one draw from two uniforms: two unit
-    passages of the passage law, or τ and the exit entry from the duration
-    tables, where τ is clamped at the passage cap (4 << cap_exp) + 2 and a
-    clamp hit is flagged as capped.  A capped τ is a lower bound, so it
-    leaves a trial undecided where it opposes the final sign; a cap retry
-    reruns the loop on the undecided trials at cap_exp + 2r, on either
-    source, and they get the uniforms they had in the full batch.
+    q·(p + q) is refused.  A stretch is one draw from two uniforms, as in the
+    stretch loop (``_draw``), with a table τ clamped at the passage cap
+    (4 << cap_exp) + 2 and a clamp hit flagged as capped.  A capped τ is a
+    lower bound, so it leaves a trial undecided where it opposes the final
+    sign; a cap retry reruns the loop on the undecided trials at
+    cap_exp + 2r, on either source, and they get the uniforms they had in
+    the full batch.
     Consumption: one uniform for the first step, two for a leading negative
     stretch (drawn for its exit only, never paired), then two per stretch;
     retries alike.
@@ -85,7 +98,7 @@ from . import durations as dur
 from .errors import OutOfDomain
 from .increments import IncrementDistribution, preset, steps_from_uniforms
 from .rng import trial_keys, uniform_at
-from .walk import _is_strict
+from .walk import _is_strict, _ratio
 
 _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
 _NO_LIMIT = 1 << 62  # no horizon, stretch count or step cap; t stays below it
@@ -138,7 +151,7 @@ def _stepped(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
              step_cap: int = _NO_LIMIT) -> tuple[np.ndarray, np.ndarray, int]:
     """Both events step by step: (tstar, kstar, censored), as the first
     three outputs of :func:`_stretches`."""
-    p, q = x.numerator, x.denominator
+    p, q = _ratio(x)
     strict = _is_strict(mode)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
@@ -195,27 +208,20 @@ def stepped_first_violation(dist: IncrementDistribution, x: Fraction, t_max: int
     return _stepped(dist, x, trials, seed, mode, trial_offset, t_max, _NO_LIMIT)[0]
 
 
-def stepped_a_progress(dist: IncrementDistribution, x: Fraction, k_max: int,
-                       trials: int, seed: int, *, mode: str = "weak",
-                       step_cap: int = 10 ** 9, trial_offset: int = 0
-                       ) -> tuple[np.ndarray, int]:
-    """Complete excursions survived per trial (capped at k_max), plus the
-    number of trials that hit the per-stretch step cap (these are counted
-    as surviving to k_max — the documented upward-bias convention)."""
-    _, kstar, capped = _stepped(dist, x, trials, seed, mode, trial_offset, _NO_LIMIT,
-                                2 * k_max, step_cap)
-    return kstar // 2, capped
-
-
 # ---------------------------------------------------------------------------
 # the exact stretch loop (any walk)
 # ---------------------------------------------------------------------------
 
+_STRETCH_REFUSAL = ("the stretch engines; the stepped reference "
+                    "(--engine stepped) accepts it")
+_XI_REFUSAL = "the ξ pair runs, which have no stepped engine"
+
+
 def _exact_ratio(x: Fraction, where: str) -> tuple[int, int]:
-    """(p, q) of x = p/q, refused where the exact engines' int64 products
-    could wrap: they form p·b₀ with b₀ < q and q·a₀ with a₀ < p + q, both
-    below q·(p + q).  ``where`` names the engine in the refusal."""
-    p, q = x.numerator, x.denominator
+    """(p, q) of x, refused as by ``_ratio`` and where the exact engines'
+    int64 products could wrap: they form p·b₀ with b₀ < q and q·a₀ with
+    a₀ < p + q, both below q·(p + q).  ``where`` names the engine."""
+    p, q = _ratio(x)
     if q * (p + q) >= 1 << 63:
         raise OutOfDomain(f"x={x}: q·(p+q) ≥ 2^63 is beyond exact int64 "
                           f"arithmetic in {where}")
@@ -256,6 +262,20 @@ def _passage(keys, ctr, cap_exp=dur.DEFAULT_PASSAGE_CAP_EXP):
                                           cap_exp=cap_exp)
 
 
+def _draw(tables, keys, ctr, up, entry, cap_exp, cap):
+    """One stretch per trial from the uniforms at ctr, ctr + 1: τ (int64), its
+    capped and counted flags and the next entry.  On the passage law
+    (``tables`` None) both flags are the passage cap hits; on the tables τ
+    is clamped at ``cap``, a clamp hit is capped and a √-tail draw counted."""
+    if tables is None:
+        tau, capped = _passage(keys, ctr, cap_exp)
+        return tau, capped, capped, entry
+    tau, tail, entry = tables.sample_stretches(up, entry, uniform_at(keys, ctr),
+                                               uniform_at(keys, ctr + 1))
+    capped = tau > cap
+    return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, entry
+
+
 def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
                mode: str, trial_offset: int, t_max: int, n_stretches: int, *,
                tables: dur.ExcursionTables | None = None,
@@ -265,8 +285,7 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     (tstar, kstar, censored) as in the module docstring, and the flagged
     draws: capped passage draws, or tail draws that could end before t_max.
     """
-    p, q = _exact_ratio(x, "the stretch engines; the stepped reference "
-                        "(--engine stepped) accepts it")
+    p, q = _exact_ratio(x, _STRETCH_REFUSAL)
     strict = _is_strict(mode)
     longest = min(step_cap, (4 << cap_exp) + 2 if tables is None else _NO_LIMIT)
     if min(t_max + 1, n_stretches * (longest + 1)) >= _NO_LIMIT:  # bounds every t
@@ -288,12 +307,8 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     censored = flagged = 0
     stretch = 0
     while idx.size and stretch < n_stretches:
-        if tables is None:
-            tau, flag = _passage(keys, ctr, cap_exp)
-        else:
-            tau, flag, entry = tables.sample_stretches(up, entry, uniform_at(keys, ctr),
-                                                       uniform_at(keys, ctr + 1))
-            tau = np.minimum(tau, _NO_LIMIT).astype(np.int64)  # √-tail τ: float
+        tau, _, flag, entry = _draw(tables, keys, ctr, up, entry, cap_exp, _NO_LIMIT)
+        if tables is not None:
             flag &= t < t_max - tables.n_table - 1  # else τ > N decides nothing
         ctr += 2
         flagged += int(flag.sum())
@@ -327,20 +342,6 @@ def srw_excursion_first_violation(x: Fraction, t_max: int, trials: int, seed: in
     tstar, _, _, capped_draws = _stretches(_SIMPLE, x, trials, seed, mode, trial_offset,
                                            t_max, _NO_LIMIT, cap_exp=cap_exp)
     return tstar, capped_draws
-
-
-def srw_excursion_a_progress(x: Fraction, k_max: int, trials: int, seed: int, *,
-                             mode: str = "weak", trial_offset: int = 0,
-                             cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP
-                             ) -> tuple[np.ndarray, int]:
-    """Exact excursion-event progress for the simple walk.
-
-    mstar[i] = number of complete excursions through which trial i kept
-    q·G_s vs p·s on the right side (weak mode by default), capped at k_max.
-    """
-    _, kstar, _, capped_draws = _stretches(_SIMPLE, x, trials, seed, mode, trial_offset,
-                                           _NO_LIMIT, 2 * k_max, cap_exp=cap_exp)
-    return kstar // 2, capped_draws
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +395,6 @@ def _w_negative(d, s, p, q):
     return d < p * s1 - (-(p * s0) // q)
 
 
-def _xi_stretch(tables, keys, ctr, up, entry, cap_exp):
-    """τ (int64), capped and counted flags and next entry of one stretch per
-    trial, from the uniforms at ctr, ctr + 1 (see the module docstring)."""
-    if tables is None:
-        tau, capped = _passage(keys, ctr, cap_exp)
-        return tau, capped, capped, entry
-    tau, tail, entry = tables.sample_stretches(up, entry, uniform_at(keys, ctr),
-                                               uniform_at(keys, ctr + 1))
-    cap = (4 << cap_exp) + 2
-    capped = tau > cap
-    return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, entry
-
-
 def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
               keys: np.ndarray, n_pairs: int, p: int, q: int, cap_exp: int,
               record_ns: tuple[int, ...] = ()
@@ -421,8 +409,9 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     entry = (np.zeros(keys.size, dtype=np.int64) if tables is None
              else tables.first_entries(first))
     dn = np.flatnonzero(first < 0)  # a leading negative stretch: its exit only
-    entry[dn] = _xi_stretch(tables, keys[dn], ctr[dn], np.zeros(dn.size, dtype=bool),
-                            entry[dn], cap_exp)[3]
+    cap = (4 << cap_exp) + 2
+    entry[dn] = _draw(tables, keys[dn], ctr[dn], np.zeros(dn.size, dtype=bool),
+                      entry[dn], cap_exp, cap)[3]
     ctr[dn] += 2
     up = np.ones(keys.size, dtype=bool)
     d, s = np.zeros((2, keys.size), dtype=np.int64)  # Σ τ⁺ - τ⁻ and Σ τ⁺ + τ⁻
@@ -431,8 +420,8 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     counts = np.zeros((2, len(record_ns)), dtype=np.int64)
     counted = 0
     for m in range(1, n_pairs + 1):
-        tp, cp, fp, entry = _xi_stretch(tables, keys, ctr, up, entry, cap_exp)
-        tm, cm, fm, entry = _xi_stretch(tables, keys, ctr + 2, ~up, entry, cap_exp)
+        tp, cp, fp, entry = _draw(tables, keys, ctr, up, entry, cap_exp, cap)
+        tm, cm, fm, entry = _draw(tables, keys, ctr + 2, ~up, entry, cap_exp, cap)
         ctr += 4
         d += tp - tm
         s += tp + tm
@@ -445,9 +434,6 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
             counts[:, record_ns.index(m)] = alive.sum(), neg.sum()
     # a capped τ is a lower bound, so a final sign it opposes is undecided
     return neg, (neg & cap_pos) | (~neg & cap_neg), counted, counts
-
-
-_XI_REFUSAL = "the ξ pair runs, which have no stepped engine"
 
 
 def _xi_chunk(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
@@ -492,20 +478,6 @@ def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
                      record_ns, trial_offset)
 
 
-def pick_engine(dist: IncrementDistribution, engine_kind: str = "auto") -> str:
-    if engine_kind == "auto":
-        return "exact-excursion" if dist.is_simple else "duration-table"
-    if engine_kind == "exact":
-        if not dist.is_simple:
-            raise ValueError("exact excursion engine requires the simple walk")
-        return "exact-excursion"
-    if engine_kind == "table":
-        return "duration-table"
-    if engine_kind == "stepped":
-        return "stepped"
-    raise ValueError(f"unknown engine kind: {engine_kind!r}")
-
-
 def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
                   seed: int, *, record_ns: tuple[int, ...] | None = None,
                   engine_kind: str = "auto", workers: int = 1) -> XiRunResult:
@@ -521,15 +493,8 @@ def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
     record_ns = tuple(sorted(set(int(r) for r in record_ns)))
     if record_ns and (record_ns[0] < 1 or record_ns[-1] > n):
         raise ValueError(f"record_ns must lie in 1..{n}")
-    kind = pick_engine(dist, engine_kind)
-    if kind == "stepped":
-        raise ValueError("the ξ pair runs have no stepped engine; "
-                         "stepped is for the barrier events only")
-    _exact_ratio(x, _XI_REFUSAL)  # refused before any table build or fork
-    if kind != "exact-excursion":
-        dur.excursion_tables(dist)  # build once before any fork
-    args = (dist, x, n, seed, record_ns, kind)
-    return XiRunResult.merge(_run_in_chunks(_xi_worker, args, trials, workers))
+    return XiRunResult.merge(_run(_xi_worker, dist, x, engine_kind, trials, workers,
+                                  n, seed, record_ns))
 
 
 def _xi_worker(args, trials, offset):
@@ -741,34 +706,40 @@ def _survival_worker(args, trials, offset):
                           capped=capped, engine=kind, tail_draws=tail)
 
 
-def _survival_counts(dist, engine_kind, trials, workers, *args) -> SurvivalCounts:
-    """_survival_worker over every chunk, merged; ``args`` follow dist."""
-    kind = pick_engine(dist, engine_kind)
-    if kind == "duration-table":
-        dur.excursion_tables(dist)  # build once before any fork
-    return SurvivalCounts.merge(_run_in_chunks(_survival_worker, (dist, *args, kind),
-                                               trials, workers))
-
-
 def atilde_counts(dist: IncrementDistribution, x: Fraction, t_max: int,
                   trials: int, seed: int, grid: tuple[int, ...], *,
                   mode: str = "strict", engine_kind: str = "auto",
                   workers: int = 1) -> SurvivalCounts:
-    return _survival_counts(dist, engine_kind, trials, workers, x, t_max, _NO_LIMIT,
-                            seed, tuple(grid), mode, _NO_LIMIT)
+    return SurvivalCounts.merge(_run(_survival_worker, dist, x, engine_kind, trials,
+                                     workers, t_max, _NO_LIMIT, seed, tuple(grid),
+                                     mode, _NO_LIMIT))
 
 
 def a_counts(dist: IncrementDistribution, x: Fraction, k_max: int,
              trials: int, seed: int, grid: tuple[int, ...], *,
              mode: str = "weak", engine_kind: str = "auto",
              step_cap: int = 10 ** 9, workers: int = 1) -> SurvivalCounts:
-    return _survival_counts(dist, engine_kind, trials, workers, x, _NO_LIMIT,
-                            2 * k_max, seed, tuple(grid), mode, step_cap)
+    return SurvivalCounts.merge(_run(_survival_worker, dist, x, engine_kind, trials,
+                                     workers, _NO_LIMIT, 2 * k_max, seed, tuple(grid),
+                                     mode, step_cap))
 
 
 # ---------------------------------------------------------------------------
-# chunked execution
+# the front door: every run of either kind, on every engine
 # ---------------------------------------------------------------------------
+
+ENGINE_KINDS = ("auto", "table", "stepped")
+
+
+def pick_engine(dist: IncrementDistribution, engine_kind: str = "auto") -> str:
+    """The engine that ``engine_kind``, one of :data:`ENGINE_KINDS`, runs on
+    ``dist``: auto is the passage law on the simple walk, else the tables."""
+    if engine_kind not in ENGINE_KINDS:
+        raise ValueError(f"unknown engine kind: {engine_kind!r}")
+    if engine_kind == "auto":
+        return "exact-excursion" if dist.is_simple else "duration-table"
+    return "duration-table" if engine_kind == "table" else "stepped"
+
 
 def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous (offset, count) chunks covering range(trials)."""
@@ -784,18 +755,31 @@ def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
     return bounds or [(0, 0)]
 
 
-def _run_in_chunks(fn, args, trials: int, workers: int) -> list:
-    """Run fn(args, count, offset) over contiguous chunks, serial or pooled.
+def _run(worker, dist: IncrementDistribution, x, engine_kind: str, trials: int,
+         workers: int, *args) -> list:
+    """worker((dist, x, *args, kind), count, offset) over contiguous chunks,
+    serial or pooled, once x and the engine kind pass the checks in the
+    module docstring.
 
     Stream keys depend only on the global trial index, so the merged
     result is independent of the chunking.
     """
+    x = Fraction(x)
+    _ratio(x)
+    kind = pick_engine(dist, engine_kind)
+    if kind != "stepped":
+        _exact_ratio(x, _XI_REFUSAL if worker is _xi_worker else _STRETCH_REFUSAL)
+    elif worker is _xi_worker:
+        raise ValueError("the ξ pair runs have no stepped engine; "
+                         "stepped is for the barrier events only")
+    if kind == "duration-table":
+        dur.excursion_tables(dist)  # build once before any fork
+    args = (dist, x, *args, kind)
     bounds = chunk_bounds(trials, workers)
     if len(bounds) == 1 or workers <= 1:
-        return [fn(args, cnt, off) for off, cnt in bounds]
+        return [worker(args, cnt, off) for off, cnt in bounds]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        futs = [ex.submit(fn, args, cnt, off)
+        futs = [ex.submit(worker, args, cnt, off)
                 for off, cnt in bounds]
         return [f.result() for f in futs]
-

@@ -238,9 +238,6 @@ def estimate_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int, *
     and undecided trials are retried at geometrically growing caps, then
     excluded (and reported) if still open.
     """
-    x = Fraction(x)
-    if not (0 <= x < 1):
-        raise OutOfDomain(f"x={x} outside [0, 1)")
     res = engine.run_xi_trials(dist, x, n, trials, seed,
                                record_ns=(n,), engine_kind=engine_kind,
                                workers=workers)

@@ -310,7 +310,6 @@ def skew_diagnostic(dist: IncrementDistribution, x, n_grid, trials: int,
     of the event).  Raises :class:`InsufficientData` when fewer than 30
     trials keep all prefix sums nonnegative at the largest n.
     """
-    x = Fraction(x)
     n_grid = sorted(int(v) for v in n_grid)
     if not n_grid or n_grid[0] < 2:
         raise OutOfRange("n_grid entries must be >= 2")

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import CapExceeded, OutOfDomain
 from .increments import IncrementDistribution
-from .walk import _is_strict, decompose, sign_sum
+from .walk import _is_strict, _ratio, decompose, sign_sum
 
 DEFAULT_CAP = 2000
 
@@ -89,7 +89,7 @@ def _slot_sum(packed: int, width: int) -> int:
     return packed
 
 
-def _forward(dist: IncrementDistribution, x: Fraction, t: int, mode: str,
+def _forward(dist: IncrementDistribution, p: int, q: int, t: int, mode: str,
              target: int | None) -> tuple[int, int, int]:
     """The forward pass of both events: (alive, success, total) numerators.
 
@@ -98,7 +98,6 @@ def _forward(dist: IncrementDistribution, x: Fraction, t: int, mode: str,
     mass to success.  The packed row layout and the no-carry bound are in
     the module docstring.
     """
-    p, q = x.numerator, x.denominator
     r = 0 if _is_strict(mode) else 1
     atoms, denom = _weights(dist)
     width = (denom ** t).bit_length() + 1
@@ -161,13 +160,11 @@ def exact_atilde(dist: IncrementDistribution, x, t: int, *,
     barrier is dropped into a dead-mass accumulator so conservation can be
     checked at every layer.
     """
-    x = Fraction(x)
-    if not (0 <= x < 1):
-        raise OutOfDomain(f"x={x} outside [0, 1)")
+    p, q = _ratio(x)
     t = _horizon("t", t, 1)
     if t > cap:
         raise CapExceeded(f"t={t} exceeds the DP cap {cap}")
-    alive, _, total = _forward(dist, x, t, mode, None)
+    alive, _, total = _forward(dist, p, q, t, mode, None)
     return Fraction(alive, total)
 
 
@@ -183,9 +180,7 @@ def exact_a(dist: IncrementDistribution, x, k: int, t_cap: int, *,
     still alive and still counting at the horizon could go either way and
     widens the upper bound.  k=0 returns (1, 1): an empty condition.
     """
-    x = Fraction(x)
-    if not (0 <= x < 1):
-        raise OutOfDomain(f"x={x} outside [0, 1)")
+    p, q = _ratio(x)
     k = _horizon("k", k, 0)
     t_cap = _horizon("t_cap", t_cap, 1)
     if t_cap > cap:
@@ -193,7 +188,7 @@ def exact_a(dist: IncrementDistribution, x, k: int, t_cap: int, *,
     _is_strict(mode)  # an unknown mode is refused for k = 0 too
     if k == 0:
         return Fraction(1), Fraction(1)
-    alive, success, total = _forward(dist, x, t_cap, mode, 2 * k)
+    alive, success, total = _forward(dist, p, q, t_cap, mode, 2 * k)
     return Fraction(success, total), Fraction(success + alive, total)
 
 
@@ -268,17 +263,3 @@ def equivalence_check(max_len: int = 14,
                          "barrier_ok": barrier_ok, "sums_ok": sums_ok})
     return report
 
-
-def oracle_dp_value(dist_spec: str, x, t: int, *, k: int | None = None,
-                    t_cap: int | None = None, mode: str | None = None,
-                    cap: int = DEFAULT_CAP):
-    """Convenience wrapper used by the command line: returns either an exact
-    probability (time event) or a (lower, upper) bracket (excursion event,
-    when k is given)."""
-    from .increments import parse_dist_spec
-
-    dist = parse_dist_spec(dist_spec)
-    if k is None:
-        return exact_atilde(dist, x, t, mode=mode or "strict", cap=cap)
-    return exact_a(dist, x, k, t_cap if t_cap is not None else t,
-                   mode=mode or "weak", cap=cap)

@@ -27,6 +27,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .errors import OutOfDomain
 from .increments import IncrementDistribution, sample_block
 from .rng import RandomStream
 
@@ -127,6 +128,15 @@ def _is_strict(mode: str) -> bool:
     return mode == "strict"
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) of a barrier slope x = p/q; φ is built from √(1 - x), so any x
+    outside [0, 1) is refused with :class:`~.errors.OutOfDomain`."""
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise OutOfDomain(f"x={x} outside [0, 1)")
+    return x.numerator, x.denominator
+
+
 def first_violation_time(path: Sequence[int] | Path, x: Fraction,
                          mode: str = "strict") -> int | float:
     """Smallest s ≥ 1 with G_s ≤ x·s (strict mode) or G_s < x·s (weak mode).
@@ -134,13 +144,11 @@ def first_violation_time(path: Sequence[int] | Path, x: Fraction,
     Returns ``math.inf`` when the barrier holds along the whole path.  The
     comparison is exact: q·G_s vs p·s for x = p/q.
     """
-    x = Fraction(x)
-    if not (0 <= x < 1):
-        raise ValueError(f"x={x} outside [0, 1)")
+    p, q = _ratio(x)
     g = sign_sum(path)[1:]
     s = np.arange(1, len(g) + 1, dtype=np.int64)
-    lhs = x.denominator * g
-    rhs = x.numerator * s
+    lhs = q * g
+    rhs = p * s
     bad = lhs <= rhs if _is_strict(mode) else lhs < rhs
     hits = np.flatnonzero(bad)
     return int(hits[0]) + 1 if hits.size else math.inf

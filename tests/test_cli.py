@@ -43,6 +43,13 @@ def test_oracle_dp_output(capsys):
     assert rc == 0
     assert out.splitlines()[0].startswith("lower 33/512 = ")
     assert out.splitlines()[1].startswith("upper 47/128 = ")
+    # --t-cap truncates the bracket's horizon in place of --t
+    rc, out2, _ = run_cli(capsys, "oracle-dp", "--dist", "simple", "--x", "0",
+                          "--t", "12", "--k", "1", "--t-cap", "9")
+    assert rc == 0 and out2 == out
+    rc, out, _ = run_cli(capsys, "oracle-dp", "--dist", "tg:1/2,3",
+                         "--x", "1/2", "--t", "6")
+    assert rc == 0 and out.startswith("2894435/11337408 = ")
 
 
 def test_oracle_dp_refuses_empty_horizon(capsys):
@@ -242,6 +249,21 @@ def test_error_exit_codes(tmp_path, capsys):
     assert rc == 1 and "persistwalk fit" in err
     with pytest.raises(SystemExit) as ei:
         cli.main(["definitely-not-a-command"])
+    assert ei.value.code == 2
+    # x outside [0, 1) is refused by every Monte Carlo command, on every engine
+    for x in ("-1/2", "1", "1099511627776"):
+        for argv in (("estimate-atilde", "--dist", "simple", "--t-max", "10"),
+                     ("estimate-atilde", "--dist", "unit-up:-2", "--t-max", "10",
+                      "--engine", "stepped"),
+                     ("estimate-a", "--dist", "simple", "--k-max", "2"),
+                     ("diagnose-skew", "--dist", "unit-up:-2", "--n-grid", "4"),
+                     ("estimate-b", "--dist", "simple", "--method", "q")):
+            rc, _, err = run_cli(capsys, *argv, f"--x={x}", "--trials", "10")
+            assert rc == 1 and f"persistwalk {argv[0]}: OutOfDomain" in err, argv
+    # "exact" is no engine kind: auto runs the passage law on the simple walk
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["estimate-atilde", "--dist", "simple", "--t-max", "10",
+                  "--engine", "exact"])
     assert ei.value.code == 2
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistwalk import durations, engine, oracle, walk
+from persistwalk import durations, engine, exponent, montecarlo, oracle, walk
 from persistwalk.errors import OutOfDomain
 from persistwalk.increments import preset, steps_from_uniforms, validate
 from persistwalk.rng import trial_keys, uniform_at
@@ -24,11 +24,13 @@ LAZY = validate([(-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4))]
 def test_pick_engine():
     assert engine.pick_engine(SIMPLE) == "exact-excursion"
     assert engine.pick_engine(UNIT_UP) == "duration-table"
-    assert engine.pick_engine(SIMPLE, "exact") == "exact-excursion"
     assert engine.pick_engine(UNIT_UP, "table") == "duration-table"
     assert engine.pick_engine(UNIT_UP, "stepped") == "stepped"
-    with pytest.raises(ValueError):
-        engine.pick_engine(UNIT_UP, "exact")
+    assert engine.ENGINE_KINDS == ("auto", "table", "stepped")
+    # "exact" did what auto does on the only walk it accepted
+    for dist in (SIMPLE, UNIT_UP):
+        with pytest.raises(ValueError):
+            engine.pick_engine(dist, "exact")
     with pytest.raises(ValueError):
         engine.pick_engine(SIMPLE, "warp")
     # the reported engine names are not input spellings
@@ -93,8 +95,9 @@ def _carry_signs(pos, prev_sign):
 
 def reference_stepped_a_progress(dist, x, k_max, trials, seed, *, mode="weak",
                                  step_cap=10 ** 9, trial_offset=0):
-    """stepped_a_progress one step per pass, as the engine ran before it
-    advanced trials in blocks, with the barrier in Python integers.
+    """The stepped loop's excursion progress (complete excursions survived,
+    capped at k_max) one step per pass, as the engine ran before it advanced
+    trials in blocks, with the barrier in Python integers.
 
     Also returns the set of (s, flags) with s a step that ended a trial
     and flags the triple (2k-th crossing, barrier, step cap) raised there.
@@ -195,10 +198,11 @@ def test_stepped_barrier_exact_for_wide_x():
         want = brute_first_violation_times(SIMPLE, x, 20, 2000, 7, mode)
         np.testing.assert_array_equal(got, want)
         assert np.mean(got > 20) > 0.2
-    got, capped = engine.stepped_a_progress(SIMPLE, x, 2, 300, 7, step_cap=64)
+    _, kstar, capped = engine._stepped(SIMPLE, x, 300, 7, "weak", 0,
+                                       engine._NO_LIMIT, 4, 64)
     want, want_capped, _ = reference_stepped_a_progress(SIMPLE, x, 2, 300, 7,
                                                         step_cap=64)
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(kstar // 2, want)
     assert capped == want_capped
 
 
@@ -211,13 +215,13 @@ def test_stepped_a_progress_matches_step_loop(dist):
         for x in (Fraction(0), Fraction(1, 2), Fraction(2, 3)):
             for mode in ("strict", "weak"):
                 for k_max in (1, 3):
-                    got, capped = engine.stepped_a_progress(
-                        dist, x, k_max, trials, 8883, mode=mode,
-                        step_cap=step_cap, trial_offset=17)
+                    _, kstar, capped = engine._stepped(
+                        dist, x, trials, 8883, mode, 17, engine._NO_LIMIT,
+                        2 * k_max, step_cap)
                     want, want_capped, seen = reference_stepped_a_progress(
                         dist, x, k_max, trials, 8883, mode=mode,
                         step_cap=step_cap, trial_offset=17)
-                    np.testing.assert_array_equal(got, want)
+                    np.testing.assert_array_equal(kstar // 2, want)
                     assert capped == want_capped
                     flags |= {f for _, f in seen}
                     mixed |= len(seen) > len({s for s, _ in seen})
@@ -302,15 +306,16 @@ def test_exact_excursion_int64_range(monkeypatch):
     # at x = 1/3037000000, q·(G + t) passed 2^63 on long paths and wrapped:
     # P(m >= 200) read 0.019 instead of 0.01915 on these paths
     x = X_WIDE[0]
-    got, _ = engine.srw_excursion_a_progress(x, 200, 20_000, seed=5)
+    args = (20_000, 5, "weak", 0, engine._NO_LIMIT, 400)
+    got = engine._stretches(SIMPLE, x, *args)[1] // 2
     monkeypatch.setattr(engine, "_up_entry_violation", int_up_entry_violation)
     monkeypatch.setattr(engine, "_down_first_violation",
                         int_down_first_violation)
-    want, _ = engine.srw_excursion_a_progress(x, 200, 20_000, seed=5)
+    want = engine._stretches(SIMPLE, x, *args)[1] // 2
     np.testing.assert_array_equal(got, want)
     monkeypatch.undo()
     with pytest.raises(OutOfDomain):
-        engine.srw_excursion_a_progress(X_REFUSED, 200, 20_000, seed=5)
+        engine._stretches(SIMPLE, X_REFUSED, *args)
     with pytest.raises(OutOfDomain):
         engine.srw_excursion_first_violation(X_REFUSED, 100, 10, seed=5)
     with pytest.raises(OutOfDomain):
@@ -429,7 +434,7 @@ def _proportions_close(c1, c2, z=3.0):
 def test_exact_excursion_agrees_with_stepped(x, mode):
     grid = (8, 64, 512)
     fast = engine.atilde_counts(SIMPLE, x, 512, 30_000, 515, grid,
-                                mode=mode, engine_kind="exact")
+                                mode=mode, engine_kind="auto")
     slow = engine.atilde_counts(SIMPLE, x, 512, 30_000, 516, grid,
                                 mode=mode, engine_kind="stepped")
     assert fast.engine == "exact-excursion" and slow.engine == "stepped"
@@ -443,7 +448,7 @@ def test_a_counts_exact_vs_stepped():
     # bias), so caps must stay rare next to the comparison tolerance.
     grid = (1, 2)
     fast = engine.a_counts(SIMPLE, Fraction(1, 2), 2, 6000, 525, grid,
-                           engine_kind="exact")
+                           engine_kind="auto")
     slow = engine.a_counts(SIMPLE, Fraction(1, 2), 2, 6000, 526, grid,
                            engine_kind="stepped", step_cap=100_000)
     assert fast.engine == "exact-excursion" and slow.engine == "stepped"
@@ -454,7 +459,7 @@ def test_a_counts_exact_vs_stepped():
 
 
 def test_worker_splits_are_bit_identical():
-    for kind in ("exact", "stepped"):
+    for kind in ("auto", "stepped"):
         one = engine.atilde_counts(SIMPLE, Fraction(1, 2), 200, 5000, 531,
                                    (10, 200), engine_kind=kind, workers=1)
         many = engine.atilde_counts(SIMPLE, Fraction(1, 2), 200, 5000, 531,
@@ -498,7 +503,7 @@ def test_xi_exact_vs_table_on_simple_walk():
     # the two engines implement the same event with independent machinery
     ns = (10, 100)
     ex = engine.run_xi_trials(SIMPLE, Fraction(1, 2), 100, 20_000, 551,
-                              record_ns=ns, engine_kind="exact")
+                              record_ns=ns, engine_kind="auto")
     tb = engine.run_xi_trials(SIMPLE, Fraction(1, 2), 100, 20_000, 552,
                               record_ns=ns, engine_kind="table")
     assert ex.engine == "exact-excursion" and tb.engine == "duration-table"
@@ -542,14 +547,18 @@ def test_xi_runs_refuse_stepped():
 
 def test_engines_refuse_unknown_mode():
     # a misspelt mode used to run the weak barrier silently
-    runs = ((engine.stepped_first_violation, (SIMPLE, Fraction(0), 10, 5, 1)),
-            (engine.stepped_a_progress, (SIMPLE, Fraction(0), 2, 5, 1)),
-            (engine.srw_excursion_first_violation, (Fraction(0), 10, 5, 1)),
-            (engine.srw_excursion_a_progress, (Fraction(0), 2, 5, 1)))
-    for fn, args in runs:
+    runs = (lambda mode: engine.stepped_first_violation(SIMPLE, Fraction(0), 10, 5,
+                                                        1, mode=mode),
+            lambda mode: engine._stepped(SIMPLE, Fraction(0), 5, 1, mode, 0,
+                                         engine._NO_LIMIT, 4, 10 ** 9),
+            lambda mode: engine.srw_excursion_first_violation(Fraction(0), 10, 5, 1,
+                                                              mode=mode),
+            lambda mode: engine._stretches(SIMPLE, Fraction(0), 5, 1, mode, 0,
+                                           engine._NO_LIMIT, 4))
+    for run in runs:
         for mode in ("Strict", "weak ", ""):
             with pytest.raises(ValueError, match="mode"):
-                fn(*args, mode=mode)
+                run(mode)
 
 
 def test_srw_xi_cap_retry_resolution():
@@ -749,9 +758,9 @@ def test_exact_stretch_engines_pinned(x, mode):
     tstar, capped = engine.srw_excursion_first_violation(
         x, 3000, 2000, 591, mode=mode, trial_offset=1234)
     assert _digest(tstar, capped) == STRETCH_DIGESTS["time", str(x), mode]
-    mstar, capped = engine.srw_excursion_a_progress(
-        x, 60, 2000, 592, mode=mode, trial_offset=1234)
-    assert _digest(mstar, capped) == STRETCH_DIGESTS["excursion", str(x), mode]
+    _, kstar, _, capped = engine._stretches(SIMPLE, x, 2000, 592, mode, 1234,
+                                            engine._NO_LIMIT, 120)
+    assert _digest(kstar // 2, capped) == STRETCH_DIGESTS["excursion", str(x), mode]
 
 
 def test_exact_stretch_engines_pinned_with_caps():
@@ -760,10 +769,10 @@ def test_exact_stretch_engines_pinned_with_caps():
         Fraction(1, 2), 3000, 2000, 593, trial_offset=77, cap_exp=6)
     assert capped > 0
     assert _digest(tstar, capped) == STRETCH_DIGESTS["time", "cap", "strict"]
-    mstar, capped = engine.srw_excursion_a_progress(
-        Fraction(1, 2), 60, 2000, 594, trial_offset=77, cap_exp=6)
+    _, kstar, _, capped = engine._stretches(SIMPLE, Fraction(1, 2), 2000, 594, "weak",
+                                            77, engine._NO_LIMIT, 120, cap_exp=6)
     assert capped > 0
-    assert _digest(mstar, capped) == STRETCH_DIGESTS["excursion", "cap", "weak"]
+    assert _digest(kstar // 2, capped) == STRETCH_DIGESTS["excursion", "cap", "weak"]
 
 
 @pytest.mark.parametrize("x", X_PINNED, ids=str)
@@ -786,6 +795,23 @@ def test_table_xi_chunk_pinned(name, dist):
     res = engine._table_xi_chunk(dist, Fraction(1, 3), 30, 2000, 596,
                                  (10, 30), 321)
     assert _xi_digest(res) == TABLE_XI_DIGESTS[name]
+
+
+def test_runs_reach_the_benchmark_spans(monkeypatch):
+    # the benchmark times these entry points as its engine.stretch and
+    # engine.xi spans; a run routed round them would leave the spans empty
+    calls = []
+    for name in ("srw_excursion_first_violation", "_srw_xi_chunk", "_table_xi_chunk"):
+        def counted(*args, _fn=getattr(engine, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    montecarlo.survival_atilde(SIMPLE, 0, 100, 50, 1)
+    assert calls == ["srw_excursion_first_violation"]
+    engine.run_xi_trials(SIMPLE, 0, 10, 50, 1)
+    assert calls[1:] == ["_srw_xi_chunk"]
+    exponent.estimate_q(UNIT_UP, 0, 10, 50, 1)
+    assert calls[2:] == ["_table_xi_chunk"]
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +883,11 @@ def test_table_tail_draws_counted_only_where_they_decide():
     assert exc.tail_draws > 0
 
 
+# outside the domain x ∈ [0, 1) of φ; at x = 2^40 the ξ runs wrapped p·s₁
+# in int64 and counted 1 trial alive where every W_m < 0
+X_OUTSIDE = [Fraction(-1, 2), Fraction(1), Fraction(2 ** 40)]
+
+
 def test_xi_runs_refuse_wrapping_inputs():
     # the tables used to run this x with W in floats; the ξ runs have no
     # stepped engine, so the refusal must not send the user to one
@@ -867,6 +898,14 @@ def test_xi_runs_refuse_wrapping_inputs():
         assert "--engine stepped" not in str(err.value)
     with pytest.raises(OutOfDomain, match="ξ pair runs"):
         engine._table_xi_chunk(UNIT_UP, x, 10, 50, 1, (10,), 0)
+    runs = (lambda x: engine.run_xi_trials(SIMPLE, x, 50, 500, 3, record_ns=(1, 50)),
+            lambda x: engine.run_xi_trials(UNIT_UP, x, 10, 50, 1),
+            lambda x: montecarlo.skew_diagnostic(SIMPLE, x, (2, 10), 50, 1),
+            lambda x: exponent.estimate_q(UNIT_UP, x, 10, 50, 1))
+    for x in X_OUTSIDE:
+        for run in runs:
+            with pytest.raises(OutOfDomain, match="outside"):
+                run(x)
 
 
 def test_table_stretches_refuse_wrapping_inputs():
@@ -879,6 +918,16 @@ def test_table_stretches_refuse_wrapping_inputs():
         engine.a_counts(UNIT_UP, x, 2, 50, 651, (2,))
     c = engine.atilde_counts(UNIT_UP, x, 100, 50, 651, (100,), engine_kind="stepped")
     assert c.engine == "stepped"
+    # outside [0, 1) every engine refuses, the stepped reference too
+    for x in X_OUTSIDE:
+        for kind in ("auto", "table", "stepped"):
+            for dist in (SIMPLE, UNIT_UP):
+                with pytest.raises(OutOfDomain, match="outside"):
+                    montecarlo.survival_atilde(dist, x, 100, 50, 651, engine_kind=kind)
+                with pytest.raises(OutOfDomain, match="outside"):
+                    montecarlo.survival_a(dist, x, 2, 50, 651, engine_kind=kind)
+        with pytest.raises(OutOfDomain, match="outside"):
+            walk.first_violation_time([0, 1, 2], x)
     # t could pass 2^62 steps: a horizon that long, or 2·k_max stretches of
     # up to step_cap steps each
     with pytest.raises(OutOfDomain, match="2\\^62"):

@@ -341,13 +341,3 @@ def test_equivalence_check_exhaustive():
     assert len(rep.mode_sensitive) == 216
     with pytest.raises(CapExceeded):
         oracle.equivalence_check(17)
-
-
-def test_oracle_dp_value_dispatch():
-    assert oracle.oracle_dp_value("simple", 0, 4) == F(3, 8)
-    assert oracle.oracle_dp_value("tg:1/2,3", F(1, 2), 6) == \
-        F(2894435, 11337408)
-    lo, hi = oracle.oracle_dp_value("simple", 0, 9, k=1)
-    assert (lo, hi) == (F(33, 512), F(47, 128))
-    lo2, hi2 = oracle.oracle_dp_value("simple", 0, 12, k=1, t_cap=9)
-    assert (lo2, hi2) == (lo, hi)

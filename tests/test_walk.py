@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistwalk import durations, walk
+from persistwalk.errors import OutOfDomain
 from persistwalk.increments import preset, sample_block
 from persistwalk.rng import RandomStream
 
@@ -105,7 +106,7 @@ def test_first_violation_matches_brute_force(steps, x, mode):
 
 
 def test_first_violation_rejects_bad_x():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         walk.first_violation_time([0, 1], Fraction(1))
 
 
