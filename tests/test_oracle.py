@@ -341,3 +341,15 @@ def test_equivalence_check_exhaustive():
     assert len(rep.mode_sensitive) == 216
     with pytest.raises(CapExceeded):
         oracle.equivalence_check(17)
+
+
+def test_oracle_dp_value_dispatch():
+    # the two events the oracle-dp command dispatches to, at its defaults:
+    # strict mode for the time event, weak mode and t_cap = t for the bracket
+    simple = increments.parse_dist_spec("simple")
+    tg = increments.parse_dist_spec("tg:1/2,3")
+    assert oracle.exact_atilde(simple, 0, 4, mode="strict") == F(3, 8)
+    assert oracle.exact_atilde(tg, F(1, 2), 6, mode="strict") == \
+        F(2894435, 11337408)
+    lo, hi = oracle.exact_a(simple, 0, 1, 9, mode="weak")
+    assert (lo, hi) == (F(33, 512), F(47, 128))
