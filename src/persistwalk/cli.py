@@ -153,7 +153,7 @@ def _cmd_estimate_a(args) -> int:
 def _cmd_estimate_b(args) -> int:
     dist = parse_dist_spec(args.dist)
     kwargs = {}
-    if args.method in ("tail", "tail-ratio"):
+    if args.method == "tail":
         kwargs.update(n_excursions=args.excursions, step_cap=args.step_cap)
     else:
         kwargs.update(x=parse_rational(args.x), n_pairs=args.n_pairs,
@@ -185,9 +185,8 @@ def _cmd_diagnose_skew(args) -> int:
     print(f"D_{diag.n_grid[-1]}={diag.d[-1]:.4f} ({trend}"
           + (", degenerate" if diag.degenerate else "") + ")")
     if args.out:
-        cfg = {"command": "diagnose-skew", "dist": dist.to_config(),
-               "x": f"{x.numerator}/{x.denominator}", "trials": diag.trials,
-               "seed": args.seed, "printed_sign": args.printed_sign}
+        cfg = montecarlo._curve_config("diagnose-skew", dist, x, trials=diag.trials,
+                                       seed=args.seed, printed_sign=args.printed_sign)
         curve = montecarlo.SurvivalCurve(
             kind="time", horizons=np.asarray(diag.n_grid, dtype=np.int64),
             survivors=diag.alive_counts, trials=diag.trials, config=cfg)
@@ -358,6 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a token such as "-1/2" for an option, not for the value
+    # of --x; glued to it, a negative slope reaches the OutOfDomain refusal
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--x" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"--x={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

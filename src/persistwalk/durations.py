@@ -122,18 +122,11 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
         move = move[j[move] < _TABLE_LEN]
         move = move[q[j[move] + 1] >= u[move]]
 
-    if jmax <= _TABLE_LEN:
-        # cap inside the exact table: clamp directly, no asymptotics needed
-        capped = j >= jmax
-        return 2 * np.minimum(j, jmax) + 1, capped
-
-    capped = np.zeros(u.shape, dtype=bool)
     tail = np.flatnonzero(j >= _TABLE_LEN)
     if tail.size:
         log_ut = np.log(u[tail])
-        deep = _log_q(jmax) >= log_ut
-        # largest j in [2^19, jmax) with ln q_j ≥ ln u; j = 2^19 needs no
-        # test, the table already put q_j ≥ u there
+        # largest j in [2^19, jmax] with ln q_j ≥ ln u (jmax for a cap below
+        # 2^19); j = 2^19 needs no test, the table already put q_j ≥ u there
         jt = np.clip(guess[tail], _TABLE_LEN, jmax).astype(np.int64)
         move = np.flatnonzero((jt > _TABLE_LEN) & (_log_q(jt) < log_ut))
         while move.size:
@@ -143,9 +136,8 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
         while move.size:
             jt[move] += 1
             move = move[(jt[move] < jmax) & (_log_q(jt[move] + 1) >= log_ut[move])]
-        j[tail] = np.where(deep, jmax, jt)
-        capped[tail] = deep
-    return 2 * j + 1, capped
+        j[tail] = jt
+    return 2 * np.minimum(j, jmax) + 1, j >= jmax
 
 
 def srw_tau_from_uniform_pairs(u1: np.ndarray, u2: np.ndarray, *,

@@ -63,7 +63,9 @@ violation time (t_max + 1 if none) and the crossings before it
     selected only by ``engine_kind="stepped"`` (``stepped_first_violation``
     wraps it for the time event).  One vector pass advances every
     live trial by a block of min(64, max(1, trials // live)) steps, never
-    past t_max, so a pass holds at most ``trials`` elements; the uniform at
+    past t_max, so a pass holds at most ``trials`` elements.  The block
+    comes from ``_step_block``, the one block stepper, as positions, carried
+    signs and crossings; the lane collector steps with it too.  The uniform at
     stream position s - 1 is the step to time s.  Within a step the
     n_stretches-th crossing ends the trial first, then the barrier, then
     the cap.  The barrier q·G_s vs p·s is tested as G_s against ⌊p·s/q⌋
@@ -114,11 +116,13 @@ _BLOCK = 64  # most steps one vector pass advances a trial
 
 
 def _step_block(dist: IncrementDistribution, keys: np.ndarray, s0: int, b: int,
-                pos: np.ndarray, sgn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and carried signs at times s0 + 1 .. s0 + b, shape (k, b).
-
-    Every row continues a live trial from its state (``pos``, ``sgn``) at
-    time s0; the step to time s0 + j + 1 uses stream position s0 + j.
+                pos: np.ndarray, sgn: np.ndarray, t: int | np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's next b steps from its state (``pos``, ``sgn``) at its time
+    ``t`` (a scalar or one per row), step j + 1 from stream position s0 + j:
+    the position after them, and the carried signs and the crossing mask,
+    shape (k, b).  Column c of the mask marks a sign change from time t + c
+    to t + c + 1, a crossing at time t + c; time 0 is never one.
     """
     u = uniform_at(keys[:, None], np.arange(s0, s0 + b, dtype=np.uint64))
     pos_blk = pos[:, None] + np.cumsum(steps_from_uniforms(dist, u), axis=1)
@@ -131,7 +135,10 @@ def _step_block(dist: IncrementDistribution, keys: np.ndarray, s0: int, b: int,
         prev = np.where(zero % b > 0, flat[zero - 1], sgn[zero // b])
         flat[zero] = prev
         zero = zero[prev == 0]
-    return pos_blk, sgn_blk
+    crossed = np.empty(sgn_blk.shape, dtype=bool)
+    np.not_equal(sgn_blk[:, 1:], sgn_blk[:, :-1], out=crossed[:, 1:])
+    crossed[:, 0] = (sgn_blk[:, 0] != sgn) & (t != 0)
+    return pos_blk[:, -1], sgn_blk, crossed
 
 
 def _violating_g(p: int, q: int, s0: int, b: int, strict: bool) -> np.ndarray:
@@ -169,10 +176,7 @@ def _stepped(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     while idx.size and s < t_max:
         b = min(_BLOCK, t_max - s, max(1, trials // idx.size))
         cols = np.arange(b)
-        pos_blk, sgn_blk = _step_block(dist, keys, s, b, pos, sgn)
-        crossed = sgn_blk != np.concatenate([sgn[:, None], sgn_blk[:, :-1]], axis=1)
-        if s == 0:
-            crossed[:, 0] = False  # time 0 is not an eligible crossing
+        pos, sgn_blk, crossed = _step_block(dist, keys, s, b, pos, sgn, s)
         m_blk = m[:, None] + np.cumsum(crossed, axis=1)
         last = np.maximum.accumulate(np.where(crossed, cols, -1), axis=1)
         len_blk = np.where(last >= 0, cols - last, stretch_len[:, None] + cols) + 1
@@ -182,8 +186,7 @@ def _stepped(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
         done = m_blk >= n_stretches
         viol = g_blk <= _violating_g(p, q, s, b, strict)
         ended = done | viol | (len_blk > step_cap)
-        pos, sgn, g, m, stretch_len = (a[:, -1] for a in (pos_blk, sgn_blk, g_blk,
-                                                          m_blk, len_blk))
+        sgn, g, m, stretch_len = (a[:, -1] for a in (sgn_blk, g_blk, m_blk, len_blk))
         stop = ended.any(axis=1)
         if stop.any():
             rows = np.flatnonzero(stop)
@@ -508,6 +511,20 @@ def _xi_worker(args, trials, offset):
 # stretch-duration collection (tail-fitting inputs)
 # ---------------------------------------------------------------------------
 
+def _fill(out, got, lane, neg, dur):
+    """Write stretches to their lanes' next free slots while the quota has
+    room: out[k, lane] holds a lane's positive (k = 0) or negative (k = 1)
+    durations, got[k, lane] counts them.  ``lane`` ascends and a lane's
+    stretches come in time order, so their signs alternate and half a
+    stretch's rank among its lane's is its rank among those of its sign."""
+    k = neg.astype(np.intp)
+    slot = got[k, lane] + (np.arange(lane.size) - np.searchsorted(lane, lane)) // 2
+    room = slot < out.shape[2]
+    out[k[room], lane[room], slot[room]] = dur[room]
+    got += np.bincount(k * got.shape[1] + lane, minlength=got.size).reshape(got.shape)
+    np.minimum(got, out.shape[2], out=got)
+
+
 def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
                            seed: int, *, step_cap: int = 1 << 22,
                            lanes: int = 2048
@@ -524,6 +541,10 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
     restarts fresh.  A fresh
     walk's leading negative stretch is discarded so that stretch slot i
     is always a positive-stretch / negative-stretch pair.
+
+    A lane keeps its position, its carried sign, its time since its
+    (re)start and the time of its last crossing; crossings are never at
+    time 0, so ``last_cross == 0`` marks a lane that has not crossed yet.
 
     Each pass steps the live lanes by a block of 64·m steps, m growing as
     lanes fill their quotas (m ≤ lanes // live) but only so far that no
@@ -555,23 +576,10 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
     sgn = np.ones(lanes, dtype=np.int64)
     t = np.zeros(lanes, dtype=np.int64)
     last_cross = np.zeros(lanes, dtype=np.int64)
-    fresh = np.ones(lanes, dtype=bool)
-    first_step = np.ones(lanes, dtype=bool)
-    got_p = np.zeros(lanes, dtype=np.int64)
-    got_m = np.zeros(lanes, dtype=np.int64)
-    out_p = np.zeros((lanes, quota), dtype=np.int64)
-    out_m = np.zeros((lanes, quota), dtype=np.int64)
+    out = np.zeros((2, lanes, quota), dtype=np.int64)  # positive, negative
+    got = np.zeros((2, lanes), dtype=np.int64)
     restarts = 0
-    censored = [0, 0]
-
-    def _record(lanes_sel, durs, signs):
-        for arr, got, mask in ((out_p, got_p, signs > 0),
-                               (out_m, got_m, signs < 0)):
-            sel, d = lanes_sel[mask], durs[mask]
-            room = got[sel] < quota
-            sel, d = sel[room], d[room]
-            arr[sel, got[sel]] = d
-            got[sel] += 1
+    censored = np.zeros(2, dtype=np.int64)
 
     while lane.size:
         # a pass holds at most 64·lanes elements, like the first one; it
@@ -580,79 +588,51 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
         age = int((t - last_cross).max())
         block = _BLOCK * max(1, min(lanes // lane.size,
                                     1 + (step_cap - 1 - age) // _BLOCK))
-        pos_blk, sign_blk = _step_block(dist, keys, drawn, block, pos, sgn)
+        pos, sign_blk, crossed = _step_block(dist, keys, drawn, block, pos, sgn, t)
         drawn += block
-        flips = sign_blk != np.concatenate([sgn[:, None], sign_blk[:, :-1]],
-                                           axis=1)
-        flips[first_step, 0] = False  # time 0 is not an eligible crossing
-        first_step[:] = False
-        # crossings by lane, then by time; the flip in column c is between
-        # times t + c and t + c + 1 and ends the stretch begun at the
-        # lane's previous crossing
-        row, col = np.nonzero(flips)
+        # crossings by lane, then by time; the one in column c is at time
+        # t + c and ends the stretch begun at the lane's previous crossing,
+        # of the sign opposite to column c's
+        row, col = np.nonzero(crossed)
         cross_t = t[row] + col
         first = np.ones(row.size, dtype=bool)
         first[1:] = row[1:] != row[:-1]
         prev = np.empty_like(cross_t)
         prev[1:] = cross_t[:-1]
         prev[first] = last_cross[row[first]]
-        sign_done = np.where(col > 0, sign_blk[row, col - 1], sgn[row])
-        keep = ~(first & fresh[row] & (sign_done < 0))
+        dur = cross_t - prev
+        neg = sign_blk[row, col] > 0
+        keep = ~(neg & (prev == 0))  # not a lane's leading negative stretch
         # a lane whose quotas both fill before the block's last 64-step
         # boundary would have left the run there, so it skips the cap check
-        early = np.ones(lane.size, dtype=bool)
-        for arr, got, sign in ((out_p, got_p, 1), (out_m, got_m, -1)):
-            sel = np.flatnonzero(keep & (sign_done == sign))
-            r = row[sel]
-            # slot = the lane's count so far + rank among its block events
-            rank = np.arange(r.size)
-            rank -= np.maximum.accumulate(
-                np.where(np.r_[True, r[1:] != r[:-1]], rank, 0))
-            have = got[lane]
-            slot = have[r] + rank
-            room = slot < quota
-            arr[lane[r[room]], slot[room]] = cross_t[sel[room]] - prev[sel[room]]
-            got[lane] = np.minimum(have + np.bincount(r, minlength=lane.size), quota)
-            inner = r[col[sel] < block - _BLOCK]
-            early &= have + np.bincount(inner, minlength=lane.size) >= quota
-        fresh[row] = False
-        last = np.ones(row.size, dtype=bool)
-        last[:-1] = first[1:]
-        last_cross[row[last]] = cross_t[last]
+        inner = keep & (col < block - _BLOCK)
+        _fill(out, got, lane[row[inner]], neg[inner], dur[inner])
+        early = (got[:, lane] >= quota).all(axis=0)
+        outer = keep & ~inner
+        _fill(out, got, lane[row[outer]], neg[outer], dur[outer])
+        np.maximum.at(last_cross, row, cross_t)
         t += block
-        pos = pos_blk[:, -1]
         sgn = sign_blk[:, -1]
         # censor stretches that outgrew the cap (a censored stretch is
-        # cap..cap+63 long; recorded as cap + 1)
+        # cap..cap+63 long; recorded as cap + 1) and restart their lanes
         over = ((t - last_cross) >= step_cap) & ~early
-        if over.any():
-            sign_over = sgn[over]
-            drop = fresh[over] & (sign_over < 0)
-            rec = ~drop
-            if rec.any():
-                censored[0] += int((sign_over[rec] > 0).sum())
-                censored[1] += int((sign_over[rec] < 0).sum())
-                _record(lane[over][rec],
-                        np.full(int(rec.sum()), step_cap + 1, dtype=np.int64),
-                        sign_over[rec])
-            restarts += int(over.sum())
-            pos[over] = 0
-            sgn[over] = 1
-            t[over] = 0
-            last_cross[over] = 0
-            fresh[over] = True
-            first_step[over] = True
-        done = (got_p[lane] >= quota) & (got_m[lane] >= quota)
-        if done.any():
-            live = ~done
-            (lane, keys, pos, sgn, t, last_cross, fresh, first_step) = (
-                a[live] for a in (lane, keys, pos, sgn, t, last_cross, fresh,
-                                  first_step))
+        rec = np.flatnonzero(over & ~((last_cross == 0) & (sgn < 0)))
+        censored += np.bincount(sgn[rec] < 0, minlength=2)
+        _fill(out, got, lane[rec], sgn[rec] < 0,
+              np.full(rec.size, step_cap + 1, dtype=np.int64))
+        restarts += int(over.sum())
+        pos[over] = 0
+        sgn[over] = 1
+        t[over] = 0
+        last_cross[over] = 0
+        live = (got[:, lane] < quota).any(axis=0)
+        lane, keys, pos, sgn, t, last_cross = (
+            a[live] for a in (lane, keys, pos, sgn, t, last_cross))
 
-    info = {"engine": "stepped-lanes", "censored_pos": censored[0],
-            "censored_neg": censored[1], "cap": step_cap + 1,
-            "lanes": int(out_p.shape[0]), "restarts": restarts}
-    return out_p.ravel(), out_m.ravel(), info
+    info = {"engine": "stepped-lanes", "censored_pos": int(censored[0]),
+            "censored_neg": int(censored[1]), "cap": step_cap + 1,
+            "lanes": lanes, "restarts": restarts}
+    return out[0].ravel(), out[1].ravel(), info
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,9 @@ def test_diagnose_skew_command(tmp_path, capsys):
     assert re.search(r"D_16=\d", out)
     text = out_csv.read_text()
     assert "# skew: n=4 " in text
+    assert ('# config: {"command": "diagnose-skew", "dist": {"atoms": [[-1, "1/2"], '
+            '[1, "1/2"]], "name": "simple"}, "printed_sign": false, "seed": 11, '
+            '"trials": 3000, "x": "1/2"}\n') in text
     back = mc.read_survival_csv(out_csv)
     assert back.trials == 3000
     assert len(back.horizons) == 2
@@ -258,7 +261,10 @@ def test_error_exit_codes(tmp_path, capsys):
                      ("estimate-a", "--dist", "simple", "--k-max", "2"),
                      ("diagnose-skew", "--dist", "unit-up:-2", "--n-grid", "4"),
                      ("estimate-b", "--dist", "simple", "--method", "q")):
-            rc, _, err = run_cli(capsys, *argv, f"--x={x}", "--trials", "10")
+            rc, _, err = run_cli(capsys, *argv, "--x", x, "--trials", "10")
+            assert rc == 1 and f"persistwalk {argv[0]}: OutOfDomain" in err, argv
+        for argv in (("phi",), ("oracle-dp", "--dist", "simple")):
+            rc, _, err = run_cli(capsys, *argv, "--x", x)
             assert rc == 1 and f"persistwalk {argv[0]}: OutOfDomain" in err, argv
     # "exact" is no engine kind: auto runs the passage law on the simple walk
     with pytest.raises(SystemExit) as ei:

@@ -103,9 +103,15 @@ def test_unit_passage_matches_full_search():
                   * RandomStream(406, 0).uniforms(1_000_000))
     u = np.concatenate([edge, np.nextafter(edge, 0), np.nextafter(edge, 2),
                         [lo, 1 - lo], deep])
-    for cap_exp in (10, 19, 20, 39, 41):
-        t, capped = durations.unit_passage_from_uniforms(u, cap_exp=cap_exp)
-        t_ref, capped_ref = reference_unit_passage(u, cap_exp)
+    # 43 and 45 are the caps the ξ pair loop's retries reach
+    for cap_exp in (10, 19, 20, 39, 41, 43, 45):
+        # with the uniforms exp(ln q_j) at j = jmax - 1, jmax, jmax + 1 and
+        # their neighbours, jmax = 2^cap_exp
+        at_cap = np.exp(durations._log_q((1 << cap_exp) + np.arange(-1, 2)))
+        v = np.concatenate([u, at_cap, np.nextafter(at_cap, 0),
+                            np.nextafter(at_cap, 2)])
+        t, capped = durations.unit_passage_from_uniforms(v, cap_exp=cap_exp)
+        t_ref, capped_ref = reference_unit_passage(v, cap_exp)
         np.testing.assert_array_equal(t, t_ref)
         np.testing.assert_array_equal(capped, capped_ref)
 

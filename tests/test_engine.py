@@ -681,6 +681,32 @@ def test_collect_duration_pairs_lanes_finish_apart():
         assert info["restarts"] > 0
 
 
+def test_collect_duration_pairs_replays_each_lane():
+    # with no restart, lane i's harvest is the crossing decomposition of the
+    # walk on its own stream: its leading negative stretch dropped, then its
+    # first quota stretches of each sign, in order
+    lanes, n = 4, 48
+    quota = n // lanes
+    for dist, seed, cap in ((UNIT_UP, 596, 1 << 16), (LAZY, 600, 1 << 18)):
+        tau_p, tau_m, info = engine.collect_duration_pairs(dist, n, seed,
+                                                           lanes=lanes, step_cap=cap)
+        assert info["restarts"] == 0
+        tau_p, tau_m = tau_p.reshape(lanes, quota), tau_m.reshape(lanes, quota)
+        # a lane ends within its harvest, a leading stretch below the cap
+        # and the step after its last crossing
+        t_max = int((tau_p + tau_m).sum(axis=1).max()) + cap + 64
+        paths = brute_paths(dist, t_max, lanes, seed,
+                            trial_offset=engine._SENTINEL_STREAM)
+        for i, path in enumerate(paths):
+            dec = walk.decompose(path)
+            stretches = list(zip(dec.stretch_signs, dec.durations))
+            if stretches[0][0] < 0:
+                stretches = stretches[1:]
+            for want, got in ((1, tau_p[i]), (-1, tau_m[i])):
+                durs = [d for sign, d in stretches if sign == want][:quota]
+                assert durs == got.tolist(), (dist, i, want)
+
+
 def _digest(*parts):
     """SHA-256 over int64 arrays and JSON-able values, in order."""
     h = hashlib.sha256()
