@@ -197,6 +197,8 @@ TABLE_DIGESTS = {
     "unit-up:-2,-3": "87850318d4fa99b9ee3976385476fcbde57654dfed4cc9f5e2138f1733730d84",
     "lazy": "7983bb78ea2b8492bd755fb12b65d3c154869fc7e069afefa95de91c44f0c07a",
     "unit-up:-17,-2": "fe4d6776c24bb83da016c0355b36571d35c7ac8daceadcff5b9889960618f9bb",
+    "+6,-1": "84542ad832774b60150daa0cf808ecbba3c7541707dd4e9c160c20cce3d51efe",
+    "+3,-1": "9127298bfe30b14ef8d1d1c8bf227c1986d25dc1bc0f3e66671b3ed0c51ea2b3",
 }
 
 
@@ -207,6 +209,9 @@ TABLE_DIGESTS = {
                        (1, Fraction(1, 4))])),
     # 17 landing depths: row sums over more than 8 columns
     ("unit-up:-17,-2", preset("unit-up", negatives=[-17, -2])),
+    # steps on lattices of span 7 and 4, where most positions stay empty
+    ("+6,-1", validate([(6, Fraction(1, 7)), (-1, Fraction(6, 7))])),
+    ("+3,-1", validate([(3, Fraction(1, 4)), (-1, Fraction(3, 4))])),
 ])
 def test_tables_and_draws_pinned(name, dist):
     t = durations.excursion_tables(dist, 2048)
@@ -266,6 +271,96 @@ SAMPLER_WALKS = {
                       (1, Fraction(1, 4))]),
     "unit-up:-17,-2": preset("unit-up", negatives=[-17, -2]),
 }
+
+
+def reference_one_sided_tables(dist, entries, n_table):
+    """The tables by dynamic programming over positions 0..p_max, one entry
+    at a time: each step scatters the mass into a zeroed buffer, value by
+    value, and copies the low positions out before it."""
+    values = [int(v) for v in dist.values()]
+    probs = [float(p) for p in dist.probabilities()]
+    max_down = -min(values)
+    exit_values = [-d for d in range(1, max_down + 1)]  # signed landings -1..-max
+    p_max = int(np.ceil(durations._SIGMA_PAD * float(dist.variance()) ** 0.5
+                        * n_table ** 0.5))
+    p_max = max(p_max, max(entries) + 1, dist.max_step + 1)
+
+    n_entries = len(entries)
+    neg_surv = np.empty((n_entries, n_table + 1), dtype=np.float64)
+    exit_cum = np.zeros((n_entries, n_table + 1, max_down), dtype=np.float64)
+    tail_cum = np.empty((n_entries, max_down), dtype=np.float64)
+    tail_p = np.empty(n_entries, dtype=np.float64)
+    for e, entry in enumerate(entries):
+        alive = np.zeros(p_max + 1, dtype=np.float64)
+        alive[entry] = 1.0
+        buf = np.zeros(p_max + 1, dtype=np.float64)
+        # low[n] = the mass at 0 .. max_down - 1 before step n, the only
+        # positions a step down can take below zero
+        low = np.zeros((n_table + 1, max_down), dtype=np.float64)
+        for n in range(1, n_table + 1):
+            low[n] = alive[:max_down]
+            buf[:] = 0.0
+            for v, p in zip(values, probs):
+                if v == 0:
+                    buf += p * alive
+                elif v > 0:
+                    buf[v:] += p * alive[:p_max + 1 - v]
+                else:
+                    buf[:p_max + 1 + v] += p * alive[-v:]
+            alive, buf = buf, alive
+        absorb = exit_cum[e]  # mass absorbed per (n, depth - 1), split below
+        for v, p in zip(values, probs):
+            if v < 0:
+                # position j < d = -v lands at j - d, depth d - j
+                absorb[:, :-v] += p * low[:, -v - 1::-1]
+        row_tot = absorb.sum(axis=1, keepdims=True)
+        surv = neg_surv[e]
+        surv[0] = 1.0
+        surv[1:] = row_tot[1:, 0]
+        np.subtract.accumulate(surv, out=surv)  # P(τ > n), summed in step order
+        tail_p[e] = surv[n_table]
+        np.negative(surv, out=surv)
+        # tail split: absorptions over the second half of the table
+        tail_counts = absorb[n_table // 2:].sum(axis=0)
+        tot = tail_counts.sum()
+        tail_cum[e] = (np.cumsum(tail_counts / tot) if tot > 0
+                       else np.linspace(1.0 / max_down, 1.0, max_down))
+        # exit split given τ = n (rows with no mass are never sampled)
+        safe = np.where(row_tot > 0, row_tot, 1.0)
+        np.cumsum(absorb / safe, axis=1, out=absorb)
+        absorb[row_tot[:, 0] == 0] = 1.0
+    return durations.SideTables(entries=entries, exit_values=exit_values,
+                                neg_surv=neg_surv, exit_cum=exit_cum,
+                                tail_cum=tail_cum, tail_p=tail_p, n_table=n_table)
+
+
+# the sampler walks (steps on lattices of span d = 2, 3, 1, 1, 3) and walks
+# of span 1, 7, 4, 4 and 3; {+2, -2} and the lazy {+3, 0, -3} hold entries
+# they cannot reach (1; 1 and 2), and the lazy walks hold the entry 0
+TABLE_WALKS = {
+    **SAMPLER_WALKS,
+    "tg:1/2,3": preset("truncated-geometric", p="1/2", cutoff=3),
+    "+6,-1": validate([(6, Fraction(1, 7)), (-1, Fraction(6, 7))]),
+    "+3,-1": validate([(3, Fraction(1, 4)), (-1, Fraction(3, 4))]),
+    "+2,-2": validate([(2, Fraction(1, 2)), (-2, Fraction(1, 2))]),
+    "lazy:+3,0,-3": validate([(3, Fraction(1, 4)), (0, Fraction(1, 2)),
+                              (-3, Fraction(1, 4))]),
+}
+
+
+@pytest.mark.parametrize("n_table", [1, 2, 3, 64, 2048])
+@pytest.mark.parametrize("name", list(TABLE_WALKS))
+def test_tables_match_position_dp(name, n_table):
+    # every table array, the guide included, bit for bit on both sides
+    dist = TABLE_WALKS[name]
+    pos_entries, neg_entries = durations._entry_closure(dist)
+    for side, entries in ((dist, pos_entries),
+                          (dist.mirrored(), [-e for e in neg_entries])):
+        got = durations._one_sided_tables(side, entries, n_table)
+        ref = reference_one_sided_tables(side, entries, n_table)
+        assert got.entries == ref.entries and got.exit_values == ref.exit_values
+        for a in ("neg_surv", "exit_cum", "tail_cum", "tail_p", "guide"):
+            assert np.array_equal(getattr(got, a), getattr(ref, a)), a
 
 
 @pytest.mark.parametrize("n_table", [2048, durations.DEFAULT_TABLE_SIZE])
