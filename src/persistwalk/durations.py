@@ -28,8 +28,13 @@ For other step laws the duration of a stretch depends on its entry position
 (the first value past zero), and E[τ] = ∞ makes per-step simulation of long
 excursion sequences infeasible.  :class:`ExcursionTables` builds, for every
 reachable entry state on each side, the exact (float, deterministic) law of
-(τ, exit value) up to a table horizon N by dynamic programming over
-positions, then extends the tail by the exact √-law shape:
+(τ, exit value) up to a table horizon N by dynamic programming on the
+walk's own lattice: every step is the lowest step plus a multiple of the
+span d (the gcd of the gaps between step values), so each entry steps one
+array of cells d apart.  The window of positions 0..p_max slides up that
+array in place, and the cells it leaves behind, each holding the mass it
+had just before it dropped below zero, are the absorption table.  The tail
+is extended by the exact √-law shape:
 u = P(τ > n) ≈ P(τ > N)·(N/n)^(1/2) inverts to n = N·(P(τ > N)/u)².  The
 exit-value split in the tail uses the empirical split over the second half
 of the table, which has converged to the tail limit at the table's accuracy.
@@ -54,11 +59,14 @@ index is also built once with the tables.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import OutOfRange
 from .increments import IncrementDistribution
 
 _TABLE_BITS = 19
@@ -231,6 +239,22 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
     next stretch's entry on the other side.  Mass pushed past the padded
     range p_max is dropped: it cannot come back below zero within the
     horizon at any relevant rate.
+
+    Every step is the lowest value v0 = -s plus a multiple of the span d,
+    the gcd of the gaps between values, so after m steps from entry e the
+    walk is only ever at positions e - m·s + d·i.  Each entry steps one
+    array of such lattice cells: cell i holds position r - m·s + d·i,
+    r = e mod d, so a step of v0 leaves mass in its cell and a step of v
+    moves it up k_v = (v - v0)/d cells.  The window of cells on positions
+    0..p_max slides up the array as m grows.  A step multiplies the window
+    by p_{v0} in place, then adds p_v·(the previous window, k_v cells down)
+    for the other values in value order: every cell sums the same products
+    in the same order as a DP over all positions would, and an absent term
+    adds +0.0 or is skipped, so the tables are that DP's bit for bit.  A
+    cell that falls below the window is never read or written again: it
+    keeps the mass it held at a position 0..s - 1 before the step that took
+    it below zero, and these frozen cells, read once after the loop, are the
+    mass each step down can absorb.
     """
     values = [int(v) for v in dist.values()]
     probs = [float(p) for p in dist.probabilities()]
@@ -238,6 +262,10 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
     exit_values = [-d for d in range(1, max_down + 1)]  # signed landings -1..-max
     p_max = int(np.ceil(_SIGMA_PAD * float(dist.variance()) ** 0.5 * n_table ** 0.5))
     p_max = max(p_max, max(entries) + 1, dist.max_step + 1)
+    span = math.gcd(*(v + max_down for v in values))
+    p_low = probs[0]
+    # (p_v, k_v) for the values above the lowest, in value order
+    ups = [(p, (v + max_down) // span) for v, p in zip(values[1:], probs[1:])]
 
     n_entries = len(entries)
     neg_surv = np.empty((n_entries, n_table + 1), dtype=np.float64)
@@ -245,23 +273,32 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
     tail_cum = np.empty((n_entries, max_down), dtype=np.float64)
     tail_p = np.empty(n_entries, dtype=np.float64)
     for e, entry in enumerate(entries):
-        alive = np.zeros(p_max + 1, dtype=np.float64)
-        alive[entry] = 1.0
-        buf = np.zeros(p_max + 1, dtype=np.float64)
+        r = entry % span
+        cells = np.zeros((p_max - r + n_table * max_down) // span + 1, dtype=np.float64)
+        cells[entry // span] = 1.0
+        lo = 0  # the window's first cell
+        for shift in range(max_down - r, n_table * max_down - r + 1, max_down):
+            # after step m, shift = m·max_down - r, cell i is at position
+            # span·i - shift and the window, positions 0..p_max, is cells
+            # ⌈shift/span⌉ .. top - 1
+            new_lo = -(-shift // span)
+            top = (p_max + shift) // span + 1
+            # cells above the previous window hold 0.0, cells below it
+            # frozen mass: no source starts below lo
+            moved = [(p * cells[max(new_lo - k, lo):top - k], max(new_lo, lo + k))
+                     for p, k in ups]
+            window = cells[new_lo:top]
+            window *= p_low
+            for add, at in moved:
+                window = cells[at:top]
+                window += add
+            lo = new_lo
         # low[n] = the mass at 0 .. max_down - 1 before step n, the only
-        # positions a step down can take below zero
+        # positions a step down can take below zero: frozen cell i was at
+        # j = span·i - (n - 1)·max_down + r before its step n, flat index
+        # n·max_down + j = max_down + r + span·i
         low = np.zeros((n_table + 1, max_down), dtype=np.float64)
-        for n in range(1, n_table + 1):
-            low[n] = alive[:max_down]
-            buf[:] = 0.0
-            for v, p in zip(values, probs):
-                if v == 0:
-                    buf += p * alive
-                elif v > 0:
-                    buf[v:] += p * alive[:p_max + 1 - v]
-                else:
-                    buf[:p_max + 1 + v] += p * alive[-v:]
-            alive, buf = buf, alive
+        low.reshape(-1)[max_down + r::span] = cells[:lo]
         absorb = exit_cum[e]  # mass absorbed per (n, depth - 1), split below
         for v, p in zip(values, probs):
             if v < 0:
@@ -412,7 +449,17 @@ _TABLE_CACHE: dict = {}
 
 def excursion_tables(dist: IncrementDistribution, n_table: int = DEFAULT_TABLE_SIZE
                      ) -> ExcursionTables:
-    """Build (or fetch cached) duration tables for a general walk."""
+    """Build (or fetch cached) duration tables for a general walk.
+
+    ``n_table``, the table horizon N, is an integer ≥ 1; anything else is
+    :class:`OutOfRange`.
+    """
+    try:
+        n_table = operator.index(n_table)
+    except TypeError:
+        raise OutOfRange(f"n_table={n_table!r} must be an integer") from None
+    if n_table < 1:
+        raise OutOfRange(f"n_table={n_table} must be >= 1")
     key = (dist.atoms, n_table)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:

@@ -35,7 +35,7 @@ class InfeasibleBalance(DistributionError):
 # --- stable laws / closed forms ----------------------------------------------
 
 class OutOfRange(PersistWalkError):
-    """A skewness or probability parameter is outside its legal interval."""
+    """A skewness, probability or size parameter is outside its legal interval."""
 
 
 class OutOfDomain(PersistWalkError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from persistwalk import durations, walk
+from persistwalk.errors import OutOfRange
 from persistwalk.increments import preset, validate
 from persistwalk.rng import RandomStream
 
@@ -186,6 +187,17 @@ def test_tables_cache_and_shape():
     assert t.pos.neg_surv.shape == (1, 4097)
     assert t.pos.exit_cum.shape == (1, 4097, 1)
     assert t.pos.tail_cum.shape == (1, 1) and t.pos.tail_p.shape == (1,)
+
+
+def test_table_size_refused():
+    # tables of horizon 0 drew every τ as 0 with the tail flag set
+    d = preset("unit-up", negatives=[-2])
+    for n_table in (0, -1, 2048.0, "2048", None):
+        with pytest.raises(OutOfRange):
+            durations.excursion_tables(d, n_table)
+    t = durations.excursion_tables(d, np.int64(1))
+    assert type(t.n_table) is int and t.n_table == 1
+    assert durations.excursion_tables(d, 1) is t
 
 
 # SHA-256 of every table array and of sample_tau/sample_exit on fixed
