@@ -287,11 +287,12 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
             # frozen mass: no source starts below lo
             moved = [(p * cells[max(new_lo - k, lo):top - k], max(new_lo, lo + k))
                      for p, k in ups]
+            # in place through views: a slice assignment would copy back
             window = cells[new_lo:top]
             window *= p_low
             for add, at in moved:
-                window = cells[at:top]
-                window += add
+                into = cells[at:top]
+                into += add
             lo = new_lo
         # low[n] = the mass at 0 .. max_down - 1 before step n, the only
         # positions a step down can take below zero: frozen cell i was at
