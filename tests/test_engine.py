@@ -982,3 +982,41 @@ def test_table_stretches_pinned(name):
                             engine._NO_LIMIT, 120, tables=tables, step_cap=1000)
     assert exc[2] > 0 and exc[3] > 0
     assert _digest(*time_, *exc) == TABLE_STRETCH_DIGESTS[name]
+
+
+# walks whose steps share a factor g = 2 and 3, so every position they visit
+# is a multiple of g; digests of both stretch-loop events and of the ξ pair
+# loop (at the default cap and at cap_exp = 6, with retries) from the tables
+# that also held the entries such walks never reach
+LATTICE_WALKS = {
+    "+2,-2": validate([(2, Fraction(1, 2)), (-2, Fraction(1, 2))]),
+    "lazy:+3,0,-3": validate([(3, Fraction(1, 4)), (0, Fraction(1, 2)),
+                              (-3, Fraction(1, 4))]),
+}
+LATTICE_DIGESTS = {
+    "+2,-2": (
+        "3f4dc00b230c3850c58aa427f3330020483cde4fb8f2f9428d4cdbdf593724bd",
+        "826bb85b7e05f223737a9541192ef8b520a51a4a47bb862112060b951c5cacc7",
+        "4f9aa3f482d710a7dffcb155c4301aa496be5ed133409dd2b4ad6c8e4923b4da"),
+    "lazy:+3,0,-3": (
+        "e2cc1cf2716aec5ca29dd3b71fcb5f98d575261e59cdf74b886e858011320186",
+        "480df887215e81349b3b12634f08b6ba2e02208f2a5e4f291890d07ed8557430",
+        "30bf71477eead16c2a31d43ee592742e32e34041909f086578afdfcb94866437"),
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_WALKS))
+def test_lattice_walk_runs_pinned(name):
+    dist = LATTICE_WALKS[name]
+    tables = durations.excursion_tables(dist)
+    x = Fraction(1, 3)
+    time_ = engine._stretches(dist, x, 2000, 663, "strict", 1234, 3000,
+                              engine._NO_LIMIT, tables=tables)
+    exc = engine._stretches(dist, x, 2000, 664, "weak", 1234, engine._NO_LIMIT,
+                            120, tables=tables, step_cap=1000)
+    assert exc[2] > 0 and exc[3] > 0
+    xi = engine._xi_chunk(dist, tables, x, 30, 2000, 665, (10, 30), 321)
+    retried = engine._xi_chunk(dist, tables, x, 30, 2000, 665, (10, 30), 321, 6)
+    assert retried.retries_used == 3 and retried.undecided > 0
+    assert (_digest(*time_, *exc), _xi_digest(xi), _xi_digest(retried)) == \
+        LATTICE_DIGESTS[name]
