@@ -27,14 +27,15 @@ General walks (tables)
 For other step laws the duration of a stretch depends on its entry position
 (the first value past zero), and E[τ] = ∞ makes per-step simulation of long
 excursion sequences infeasible.  :class:`ExcursionTables` builds, for every
-reachable entry state on each side, the exact (float, deterministic) law of
-(τ, exit value) up to a table horizon N by dynamic programming on the
-walk's own lattice: every step is the lowest step plus a multiple of the
-span d (the gcd of the gaps between step values), so each entry steps one
-array of cells d apart.  The window of positions 0..p_max slides up that
-array in place, and the cells it leaves behind, each holding the mass it
-had just before it dropped below zero, are the absorption table.  The tail
-is extended by the exact √-law shape:
+reachable entry state on each side (a multiple of the gcd g of the step
+values: the walk visits no other position), the exact (float,
+deterministic) law of (τ, exit value) up to a table horizon N by dynamic
+programming on the walk's own lattice: every step is the lowest step plus
+a multiple of the span d (the gcd of the gaps between step values), so
+each entry steps one array of cells d apart.  The window of positions
+0..p_max slides up that array in place, and the cells it leaves behind,
+each holding the mass it had just before it dropped below zero, are the
+absorption table.  The tail is extended by the exact √-law shape:
 u = P(τ > n) ≈ P(τ > N)·(N/n)^(1/2) inverts to n = N·(P(τ > N)/u)².  The
 exit-value split in the tail uses the empirical split over the second half
 of the table, which has converged to the tail limit at the table's accuracy.
@@ -95,7 +96,8 @@ def _log_q(j) -> np.ndarray:
 
 def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_CAP_EXP
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Invert uniforms u in (0, 1] to unit passage times T (odd ints), vectorized.
+    """Invert uniforms u in (0, 1], of any shape, to unit passage times T
+    (odd ints), vectorized over a flat view.
 
     T = 2j + 1 with j the largest index such that q_j ≥ u.  Each draw
     starts from the guess j₀ = ⌊1/(πu²) − 1/4⌋ and steps to the exact
@@ -109,10 +111,12 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
     but the loops run until nothing moves, so the result never depends on
     how good it is.
 
-    Returns ``(T, capped)``; where ``capped`` is True the true T exceeds
-    2^(cap_exp + 1) and the reported value is that cap + 1.
+    Returns ``(T, capped)`` in the shape of ``u``; where ``capped`` is True
+    the true T exceeds 2^(cap_exp + 1) and the reported value is that cap + 1.
     """
     u = np.asarray(u, dtype=np.float64)
+    shape = u.shape
+    u = u.reshape(-1)
     q = _q_table()
     jmax = 1 << cap_exp
     # q_j² ≈ 1/(π(j + 1/4)) puts the crossing at j ≈ 1/(πu²) − 1/4
@@ -145,13 +149,14 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
             jt[move] += 1
             move = move[(jt[move] < jmax) & (_log_q(jt[move] + 1) >= log_ut[move])]
         j[tail] = jt
-    return 2 * np.minimum(j, jmax) + 1, j >= jmax
+    return (2 * np.minimum(j, jmax) + 1).reshape(shape), (j >= jmax).reshape(shape)
 
 
 def srw_tau_from_uniform_pairs(u1: np.ndarray, u2: np.ndarray, *,
                                cap_exp: int = DEFAULT_PASSAGE_CAP_EXP
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Half-excursion durations τ = T + T' from two uniform banks."""
+    """Half-excursion durations τ = T + T' from two uniform banks of one
+    shape, returned in that shape."""
     t1, c1 = unit_passage_from_uniforms(u1, cap_exp=cap_exp)
     t2, c2 = unit_passage_from_uniforms(u2, cap_exp=cap_exp)
     return t1 + t2, c1 | c2
@@ -266,6 +271,11 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
     p_low = probs[0]
     # (p_v, k_v) for the values above the lowest, in value order
     ups = [(p, (v + max_down) // span) for v, p in zip(values[1:], probs[1:])]
+    # with no absorption to split, the tail split is even over the depths
+    # the walk can land at, the multiples of the steps' gcd g
+    g = math.gcd(*values)
+    even = np.linspace(1.0 / (max_down // g), 1.0, max_down // g)
+    even = np.r_[0.0, even][np.arange(1, max_down + 1) // g]
 
     n_entries = len(entries)
     neg_surv = np.empty((n_entries, n_table + 1), dtype=np.float64)
@@ -315,8 +325,7 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
         # tail split: absorptions over the second half of the table
         tail_counts = absorb[n_table // 2:].sum(axis=0)
         tot = tail_counts.sum()
-        tail_cum[e] = (np.cumsum(tail_counts / tot) if tot > 0
-                       else np.linspace(1.0 / max_down, 1.0, max_down))
+        tail_cum[e] = np.cumsum(tail_counts / tot) if tot > 0 else even
         # exit split given τ = n (rows with no mass are never sampled)
         safe = np.where(row_tot > 0, row_tot, 1.0)
         np.cumsum(absorb / safe, axis=1, out=absorb)
@@ -340,9 +349,11 @@ class ExcursionTables:
 
     def __post_init__(self):
         # exit column k of a side (landing depth k + 1) -> entry index on
-        # the other side
+        # the other side; a depth that is not a multiple of the steps' gcd
+        # has no mass, is never drawn and maps one past the other side's
+        # entries, so a draw of it would fail on its first table read
         self.exit_entry = {
-            side: np.array([other[sign * d] for d in
+            side: np.array([other.get(sign * d, len(other)) for d in
                             range(1, len(tables.exit_values) + 1)], dtype=np.int64)
             for side, tables, other, sign in (("pos", self.pos, self.neg_index, -1),
                                               ("neg", self.neg, self.pos_index, 1))}
@@ -433,13 +444,16 @@ class ExcursionTables:
 
 
 def _entry_closure(dist: IncrementDistribution) -> tuple[list[int], list[int]]:
-    """All reachable entry positions: initial steps plus cross-side landings."""
+    """All reachable entry positions: initial steps plus cross-side landings.
+    Every position the walk visits is a multiple of g, the gcd of its step
+    values, so a landing is one of g, 2g, .. up to the largest step."""
+    g = math.gcd(*(int(v) for v in dist.values()))
     pos = {int(v) for v in dist.values() if v > 0}
     neg = {int(v) for v in dist.values() if v < 0}
     max_up = max(pos)
     max_down = -min(neg)
-    pos |= set(range(1, max_up + 1))
-    neg |= {-d for d in range(1, max_down + 1)}
+    pos |= set(range(g, max_up + 1, g))
+    neg |= {-d for d in range(g, max_down + 1, g)}
     if 0 in (int(v) for v in dist.values()):
         pos.add(0)  # a first step of 0 starts a positive stretch at height 0
     return sorted(pos), sorted(neg)

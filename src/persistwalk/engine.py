@@ -9,7 +9,9 @@ index), never on batching, compaction, or how trials are split across
 workers — per-horizon counters merge by integer addition.  An engine
 may generate positions past the point where a trial's outcome is settled
 (the stepped reference draws whole blocks); those values are never used, so
-no result depends on them.
+no result depends on them.  An engine may also draw a trial's positions
+ahead of use (the ξ pair loop draws a block of pairs at once); the
+positions each trial consumes stay the ones documented below.
 
 Front door
 ----------
@@ -86,7 +88,13 @@ violation time (t_max + 1 if none) and the crossings before it
     the full batch.
     Consumption: one uniform for the first step, two for a leading negative
     stretch (drawn for its exit only, never paired), then two per stretch;
-    retries alike.
+    retries alike.  A pass of the loop draws the 4·b stream positions of a
+    block of b = max(1, ``_XI_DRAWS`` // (4·trials)) pairs per trial in one
+    call and, on the passage law, inverts them in one call; the tables
+    still draw pair by pair, since a stretch's entry is the exit before it.
+    A chunk's trials, and each retry's, run in tiles of at most
+    ``_XI_DRAWS`` // 4, so a pass draws at most ``_XI_DRAWS`` = 2^15
+    uniforms.  Neither the block nor the tile moves a trial's positions.
 """
 
 from __future__ import annotations
@@ -106,6 +114,7 @@ _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
 _NO_LIMIT = 1 << 62  # no horizon, stretch count or step cap; t stays below it
 _SIMPLE = preset("simple")
 _XI_RETRIES = 3  # cap retries of the ξ pair loop
+_XI_DRAWS = 1 << 15  # most uniforms one pass of the ξ pair loop draws
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +274,17 @@ def _passage(keys, ctr, cap_exp=dur.DEFAULT_PASSAGE_CAP_EXP):
                                           cap_exp=cap_exp)
 
 
-def _draw(tables, keys, ctr, up, entry, cap_exp, cap):
-    """One stretch per trial from the uniforms at ctr, ctr + 1: τ (int64), its
-    capped and counted flags and the next entry.  On the passage law
-    (``tables`` None) both flags are the passage cap hits; on the tables τ
-    is clamped at ``cap``, a clamp hit is capped and a √-tail draw counted."""
+def _draw(tables, u, v, up, entry, cap_exp, cap):
+    """One stretch per trial from its two uniforms, rows ``u`` and ``v``: τ
+    (int64), its capped and counted flags and the next entry.  On the
+    passage law (``tables`` None) u and v are two unit passages and both
+    flags are the passage cap hits; on the tables u draws τ and v the exit,
+    τ is clamped at ``cap``, a clamp hit is capped and a √-tail draw
+    counted."""
     if tables is None:
-        tau, capped = _passage(keys, ctr, cap_exp)
+        tau, capped = dur.srw_tau_from_uniform_pairs(u, v, cap_exp=cap_exp)
         return tau, capped, capped, entry
-    tau, tail, entry = tables.sample_stretches(up, entry, uniform_at(keys, ctr),
-                                               uniform_at(keys, ctr + 1))
+    tau, tail, entry = tables.sample_stretches(up, entry, u, v)
     capped = tau > cap
     return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, entry
 
@@ -310,7 +320,9 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     censored = flagged = 0
     stretch = 0
     while idx.size and stretch < n_stretches:
-        tau, _, flag, entry = _draw(tables, keys, ctr, up, entry, cap_exp, _NO_LIMIT)
+        tau, _, flag, entry = _draw(tables, uniform_at(keys, ctr),
+                                    uniform_at(keys, ctr + 1), up, entry, cap_exp,
+                                    _NO_LIMIT)
         if tables is not None:
             flag &= t < t_max - tables.n_table - 1  # else τ > N decides nothing
         ctr += 2
@@ -405,7 +417,14 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     """Exact W_m for m = 1 .. n_pairs, one trial per key: the final sign
     mask, the mask of trials whose final sign a capped τ leaves undecided,
     the number of counted draws and, per n in ``record_ns``, the counts of
-    trials with W_m ≥ 0 for every m ≤ n and of those with W_n < 0."""
+    trials with W_m ≥ 0 for every m ≤ n and of those with W_n < 0.
+
+    A pass takes a block of b = max(1, _XI_DRAWS // (4·trials)) pairs: one
+    ``uniform_at`` call draws every trial's 4·b uniforms, shaped (pair,
+    sign, uniform, trial) so that each row over the trials is contiguous,
+    and on the passage law one inversion takes them all.  The tables draw
+    pair by pair on the block's rows, each stretch entered where the one
+    before it left."""
     ctr = np.zeros(keys.size, dtype=np.uint64)
     first = steps_from_uniforms(dist, uniform_at(keys, ctr))
     ctr += 1
@@ -413,8 +432,9 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
              else tables.first_entries(first))
     dn = np.flatnonzero(first < 0)  # a leading negative stretch: its exit only
     cap = (4 << cap_exp) + 2
-    entry[dn] = _draw(tables, keys[dn], ctr[dn], np.zeros(dn.size, dtype=bool),
-                      entry[dn], cap_exp, cap)[3]
+    entry[dn] = _draw(tables, uniform_at(keys[dn], ctr[dn]),
+                      uniform_at(keys[dn], ctr[dn] + 1),
+                      np.zeros(dn.size, dtype=bool), entry[dn], cap_exp, cap)[3]
     ctr[dn] += 2
     up = np.ones(keys.size, dtype=bool)
     d, s = np.zeros((2, keys.size), dtype=np.int64)  # Σ τ⁺ - τ⁻ and Σ τ⁺ + τ⁻
@@ -422,19 +442,31 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     alive = np.ones(keys.size, dtype=bool)
     counts = np.zeros((2, len(record_ns)), dtype=np.int64)
     counted = 0
-    for m in range(1, n_pairs + 1):
-        tp, cp, fp, entry = _draw(tables, keys, ctr, up, entry, cap_exp, cap)
-        tm, cm, fm, entry = _draw(tables, keys, ctr + 2, ~up, entry, cap_exp, cap)
-        ctr += 4
-        d += tp - tm
-        s += tp + tm
-        cap_pos |= cp
-        cap_neg |= cm
-        counted += int(np.count_nonzero(fp) + np.count_nonzero(fm))
-        neg = _w_negative(d, s, p, q)
-        alive &= ~neg
-        if m in record_ns:
-            counts[:, record_ns.index(m)] = alive.sum(), neg.sum()
+    block = max(1, _XI_DRAWS // (4 * max(1, keys.size)))
+    for m0 in range(0, n_pairs, block):
+        b = min(block, n_pairs - m0)
+        u = uniform_at(keys, ctr + np.arange(4 * b, dtype=np.uint64)[:, None]
+                       ).reshape(b, 2, 2, keys.size)
+        ctr += 4 * b
+        if tables is None:
+            tau, capped = dur.srw_tau_from_uniform_pairs(u[:, :, 0], u[:, :, 1],
+                                                         cap_exp=cap_exp)
+            counted += int(np.count_nonzero(capped))
+        for i in range(b):
+            if tables is None:
+                (tp, tm), (cp, cm) = tau[i], capped[i]
+            else:
+                tp, cp, fp, entry = _draw(tables, *u[i, 0], up, entry, cap_exp, cap)
+                tm, cm, fm, entry = _draw(tables, *u[i, 1], ~up, entry, cap_exp, cap)
+                counted += int(np.count_nonzero(fp) + np.count_nonzero(fm))
+            d += tp - tm
+            s += tp + tm
+            cap_pos |= cp
+            cap_neg |= cm
+            neg = _w_negative(d, s, p, q)
+            alive &= ~neg
+            if m0 + i + 1 in record_ns:
+                counts[:, record_ns.index(m0 + i + 1)] = alive.sum(), neg.sum()
     # a capped τ is a lower bound, so a final sign it opposes is undecided
     return neg, (neg & cap_pos) | (~neg & cap_neg), counted, counts
 
@@ -445,19 +477,27 @@ def _xi_chunk(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
               cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP) -> XiRunResult:
     """The pair loop on one chunk of trials on the passage law (``tables``
     None) or on ``tables``, then the cap retries: retry r reruns it on the
-    undecided trials at cap_exp + 2r, with the uniforms they had before."""
+    undecided trials at cap_exp + 2r, with the uniforms they had before.
+    Each run goes over tiles of at most _XI_DRAWS // 4 trials, so that no
+    pass draws more than _XI_DRAWS uniforms."""
     p, q = _exact_ratio(x, _XI_REFUSAL)
     record_ns = tuple(sorted(record_ns))
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
-    neg, undecided, counted, (alive_counts, neg_counts) = _xi_pairs(
-        dist, tables, keys, n_pairs, p, q, cap_exp, record_ns)
+    tile = _XI_DRAWS // 4
+
+    def tiled(keys, cap_exp, record_ns=()):
+        parts = [_xi_pairs(dist, tables, keys[i:i + tile], n_pairs, p, q, cap_exp,
+                           record_ns) for i in range(0, max(1, keys.size), tile)]
+        neg, undecided, counted, counts = zip(*parts)
+        return np.concatenate(neg), np.concatenate(undecided), sum(counted), sum(counts)
+
+    neg, undecided, counted, (alive_counts, neg_counts) = tiled(keys, cap_exp, record_ns)
     retries = 0
     while undecided.any() and retries < _XI_RETRIES:
         retries += 1
         rows = np.flatnonzero(undecided)
-        neg[rows], undecided[rows], _, _ = _xi_pairs(dist, tables, keys[rows], n_pairs,
-                                                     p, q, cap_exp + 2 * retries)
+        neg[rows], undecided[rows], _, _ = tiled(keys[rows], cap_exp + 2 * retries)
     decided = ~undecided
     return XiRunResult(
         record_ns=record_ns, trials=trials, alive_counts=alive_counts,

@@ -117,6 +117,31 @@ def test_unit_passage_matches_full_search():
         np.testing.assert_array_equal(capped, capped_ref)
 
 
+@pytest.mark.parametrize("cap_exp", [5, durations.DEFAULT_PASSAGE_CAP_EXP])
+def test_unit_passage_keeps_shape(cap_exp):
+    # a (4, 2) batch raised IndexError in the upward pass, after the
+    # downward pass had moved guesses by flat index along the rows
+    u = np.r_[RandomStream(612, 0).uniforms(22),
+              [1e-4, 1e-7, 3e-13, 1e-15, 2.0 ** -54, 0.5, 1 - 2.0 ** -53, 1.0]]
+    flat_t, flat_c = durations.unit_passage_from_uniforms(u, cap_exp=cap_exp)
+    assert flat_c.any() and not flat_c.all()
+    for shape in ((3, 5, 2), (30, 1), (2, 15)):
+        t, c = durations.unit_passage_from_uniforms(u.reshape(shape), cap_exp=cap_exp)
+        assert np.array_equal(t, flat_t.reshape(shape))
+        assert np.array_equal(c, flat_c.reshape(shape))
+        tau, capped = durations.srw_tau_from_uniform_pairs(
+            u.reshape(shape), u[::-1].reshape(shape), cap_exp=cap_exp)
+        assert np.array_equal(tau, (flat_t + flat_t[::-1]).reshape(shape))
+        assert np.array_equal(capped, (flat_c | flat_c[::-1]).reshape(shape))
+    # a strided view inverts as its copy does
+    t, c = durations.unit_passage_from_uniforms(u.reshape(3, 5, 2)[:, ::2, 1],
+                                                cap_exp=cap_exp)
+    assert np.array_equal(t, flat_t.reshape(3, 5, 2)[:, ::2, 1])
+    for shape in ((0,), (3, 0, 2)):
+        t, c = durations.unit_passage_from_uniforms(np.empty(shape), cap_exp=cap_exp)
+        assert t.shape == c.shape == shape and c.dtype == bool
+
+
 def test_unit_passage_cap():
     t, capped = durations.unit_passage_from_uniforms(np.array([1e-12, 0.3]))
     assert capped.tolist() == [True, False]
@@ -174,6 +199,54 @@ def test_entry_closure():
     lazy = validate([(-1, Fraction(1, 4)), (0, Fraction(1, 2)),
                      (1, Fraction(1, 4))])
     assert durations._entry_closure(lazy) == ([0, 1], [-1])
+    # steps sharing a factor g reach only its multiples: {+2, -2} and the
+    # lazy {+3, 0, -3} built tables for heights and depths 1 (and 2) too
+    for atoms, want in (([(2, 1, 2), (-2, 1, 2)], ([2], [-2])),
+                        ([(3, 1, 4), (0, 1, 2), (-3, 1, 4)], ([0, 3], [-3])),
+                        ([(4, 1, 3), (-2, 2, 3)], ([2, 4], [-2])),
+                        ([(6, 1, 4), (-2, 3, 4)], ([2, 4, 6], [-2]))):
+        dist = validate([(v, Fraction(a, b)) for v, a, b in atoms])
+        assert durations._entry_closure(dist) == want
+
+
+# walks whose steps share a factor g > 1
+GCD_WALKS = {
+    "+2,-2": validate([(2, Fraction(1, 2)), (-2, Fraction(1, 2))]),
+    "lazy:+3,0,-3": validate([(3, Fraction(1, 4)), (0, Fraction(1, 2)),
+                              (-3, Fraction(1, 4))]),
+    "+4,-2": validate([(4, Fraction(1, 3)), (-2, Fraction(2, 3))]),
+}
+
+
+@pytest.mark.parametrize("n_table", [1, 2, 64, 2048])
+@pytest.mark.parametrize("name", list(GCD_WALKS))
+def test_unreachable_landings_are_never_drawn(name, n_table):
+    # a landing depth that is not a multiple of g maps to a placeholder
+    # one past the other side's entries; it has no mass in any exit row
+    # that τ can take or in the tail split, so no draw returns it
+    dist = GCD_WALKS[name]
+    t = durations.excursion_tables(dist, n_table)
+    g = math.gcd(*(int(v) for v in dist.values()))
+    uniforms = RandomStream(611, 0).uniforms(20_000)
+    edges = np.array([2.0 ** -54, 1e-300 + 2.0 ** -54, 0.5, 1 - 2.0 ** -53])
+    for side, tables, other in (("pos", t.pos, t.neg_index), ("neg", t.neg, t.pos_index)):
+        depth = np.arange(1, len(tables.exit_values) + 1)
+        dead = depth % g != 0
+        assert dead.any()
+        assert np.array_equal(t.exit_entry[side] == len(other), dead)
+        assert all(e % g == 0 for e in tables.entries)
+        # per-depth mass of the rows τ can take (P(τ = n) > 0), and of the tail
+        sampled = np.diff(-tables.neg_surv, axis=1) < 0
+        pmf = np.diff(tables.exit_cum[:, 1:], axis=2, prepend=0.0)
+        assert np.all(pmf[sampled][:, dead] == 0)
+        tail_pmf = np.diff(tables.tail_cum, axis=1, prepend=0.0)
+        assert np.all(tail_pmf[:, dead] == 0)
+        for e in range(len(tables.entries)):
+            entry = np.full(uniforms.size, e)
+            u_exit = np.r_[uniforms[edges.size:], edges]
+            tau, tail = t.sample_tau(side, entry, uniforms)
+            nxt = t.sample_exit(side, entry, tau, tail, u_exit)
+            assert nxt.max() < len(other)
 
 
 def test_tables_cache_and_shape():
@@ -297,6 +370,12 @@ def reference_one_sided_tables(dist, entries, n_table):
                         * n_table ** 0.5))
     p_max = max(p_max, max(entries) + 1, dist.max_step + 1)
 
+    # the tail split where nothing is absorbed: even over the reachable
+    # depths, the multiples of the steps' gcd g
+    g = math.gcd(*values)
+    k = max_down // g
+    even = np.r_[0.0, np.linspace(1.0 / k, 1.0, k)][np.arange(1, max_down + 1) // g]
+
     n_entries = len(entries)
     neg_surv = np.empty((n_entries, n_table + 1), dtype=np.float64)
     exit_cum = np.zeros((n_entries, n_table + 1, max_down), dtype=np.float64)
@@ -335,8 +414,7 @@ def reference_one_sided_tables(dist, entries, n_table):
         # tail split: absorptions over the second half of the table
         tail_counts = absorb[n_table // 2:].sum(axis=0)
         tot = tail_counts.sum()
-        tail_cum[e] = (np.cumsum(tail_counts / tot) if tot > 0
-                       else np.linspace(1.0 / max_down, 1.0, max_down))
+        tail_cum[e] = np.cumsum(tail_counts / tot) if tot > 0 else even
         # exit split given τ = n (rows with no mass are never sampled)
         safe = np.where(row_tot > 0, row_tot, 1.0)
         np.cumsum(absorb / safe, axis=1, out=absorb)
@@ -347,8 +425,10 @@ def reference_one_sided_tables(dist, entries, n_table):
 
 
 # the sampler walks (steps on lattices of span d = 2, 3, 1, 1, 3) and walks
-# of span 1, 7, 4, 4 and 3; {+2, -2} and the lazy {+3, 0, -3} hold entries
-# they cannot reach (1; 1 and 2), and the lazy walks hold the entry 0
+# of span 1, 7, 4, 4 and 3; {+2, -2} and the lazy {+3, 0, -3} step by a
+# common factor g = 2 and 3 and land only at its multiples (at N = 1 the
+# entry 2 of {+2, -2} absorbs nothing, so its tail split is the even one),
+# and the lazy walks hold the entry 0
 TABLE_WALKS = {
     **SAMPLER_WALKS,
     "tg:1/2,3": preset("truncated-geometric", p="1/2", cutoff=3),

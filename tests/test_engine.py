@@ -1020,3 +1020,27 @@ def test_lattice_walk_runs_pinned(name):
     assert retried.retries_used == 3 and retried.undecided > 0
     assert (_digest(*time_, *exc), _xi_digest(xi), _xi_digest(retried)) == \
         LATTICE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,dist", [("simple", SIMPLE), ("unit-up", UNIT_UP),
+                                       ("lazy", LAZY)])
+@pytest.mark.parametrize("cap_exp", [CAP_EXP, 6])
+def test_xi_blocks_and_tiles_keep_every_count(monkeypatch, name, dist, cap_exp):
+    # a pass of one pair per tile of one trial; blocks of 3 pairs, so the
+    # records 1, 3, 4, 10 fall at a block's start, on its edge and past it,
+    # and the last block holds 1 pair; tiles of 7 trials, which split 17 as
+    # 7, 7, 3 with blocks of 1, 1 and 2 pairs; the default, one block of all
+    # 10 pairs.  At cap_exp = 6 the cap retries run.
+    x, n_pairs, trials, seed, record_ns = Fraction(1, 3), 10, 17, 597, (1, 3, 4, 10)
+    tables = None if dist.is_simple else durations.excursion_tables(dist)
+    keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
+    want = int_xi_result(dist, tables, x, n_pairs, keys, cap_exp, record_ns)
+    got = set()
+    for draws in (4, 12 * trials, 28, engine._XI_DRAWS):
+        monkeypatch.setattr(engine, "_XI_DRAWS", draws)
+        res = engine._xi_chunk(dist, tables, x, n_pairs, trials, seed, record_ns, 0,
+                               cap_exp)
+        assert _xi_fields(res) == want
+        got.add(res.capped_draws)
+    assert len(got) == 1
+    assert (want[-1] > 0) == (cap_exp == 6)
