@@ -228,7 +228,8 @@ def test_unreachable_landings_are_never_drawn(name, n_table):
     t = durations.excursion_tables(dist, n_table)
     g = math.gcd(*(int(v) for v in dist.values()))
     uniforms = RandomStream(611, 0).uniforms(20_000)
-    edges = np.array([2.0 ** -54, 1e-300 + 2.0 ** -54, 0.5, 1 - 2.0 ** -53])
+    edges = np.array([2.0 ** -54, 0.5, 1 - 2.0 ** -53])  # the smallest and largest u
+    u_exit = np.r_[uniforms[edges.size:], edges]
     for side, tables, other in (("pos", t.pos, t.neg_index), ("neg", t.neg, t.pos_index)):
         depth = np.arange(1, len(tables.exit_values) + 1)
         dead = depth % g != 0
@@ -243,7 +244,6 @@ def test_unreachable_landings_are_never_drawn(name, n_table):
         assert np.all(tail_pmf[:, dead] == 0)
         for e in range(len(tables.entries)):
             entry = np.full(uniforms.size, e)
-            u_exit = np.r_[uniforms[edges.size:], edges]
             tau, tail = t.sample_tau(side, entry, uniforms)
             nxt = t.sample_exit(side, entry, tau, tail, u_exit)
             assert nxt.max() < len(other)
