@@ -1,5 +1,6 @@
 """End-to-end command line coverage: output formats, files, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -110,6 +111,47 @@ def test_estimate_atilde_svg_and_path_dump(tmp_path, capsys):
     np.testing.assert_array_equal(rows[1:, 3], np.cumsum(rows[1:, 2]))
     steps = np.diff(rows[:, 1])
     assert set(np.unique(steps)) <= {-1, 1}
+
+
+# sha256 of every artifact the CLI writes at the fixed arguments of
+# test_artifacts_are_pinned: the header, the rows and the chart, byte for byte
+ARTIFACT_DIGESTS = {
+    "atilde.csv": "09ebe308d0a437c207108ee114fd8b6a9bdcec4166b580fc03a60714f2c1a9f7",
+    "atilde.svg": "eff6d557b6e46ea82fb4e3ff68838001ea0bcea61c341292a9b623a6d9173d3f",
+    "path.csv": "7b0664ad5045aabdda6912c623df46853dd176a5d22b1155c4fe95fe22e8ac73",
+    "fit.csv": "52c5e46c2555ec7e62d030e202f7779426d09993238721aa489995829b7da8a8",
+    "fit.svg": "bcaaa2589704ea28183c670e5012f17a26633e6399d144a8e3511d9a137b7b0d",
+    "a.csv": "9bfbd826ee7d415187bf553839fe686bf2c79b1331fc0f16292232965b0ebb85",
+    "a.svg": "04a167907a74d3535ab49b37c7783484d03f0f5fb9a56b600eeddd0af5a44123",
+    "draws.txt": "e7f87ebfaa6adcf60621582654c9013b3b9e5fcb1c06e12127017c53d15bf0e9",
+    "skew.csv": "340f1843fb93ebaedb92350b9bea5c57fa7107a76562523eb6d76501d0883825",
+}
+
+
+def test_artifacts_are_pinned(tmp_path, capsys):
+    f = {name: str(tmp_path / name) for name in ARTIFACT_DIGESTS}
+    runs = [
+        ("estimate-atilde", "--dist", "simple", "--x", "0", "--t-max", "500",
+         "--trials", "3000", "--seed", "7", "--out", f["atilde.csv"],
+         "--svg", f["atilde.svg"], "--dump-path", f["path.csv"]),
+        ("fit", "--in", f["fit.csv"], "--append", "--svg", f["fit.svg"]),
+        # a general walk on the excursion event: the other x label
+        ("estimate-a", "--dist", "unit-up:-2", "--x", "1/4", "--k-max", "64",
+         "--trials", "2000", "--seed", "7", "--out", f["a.csv"],
+         "--svg", f["a.svg"]),
+        ("stable-sample", "--kappa", "0.5", "--n", "50", "--seed", "3",
+         "--out", f["draws.txt"]),
+        ("diagnose-skew", "--dist", "simple", "--x", "1/2", "--n-grid", "4,16",
+         "--trials", "3000", "--seed", "11", "--out", f["skew.csv"]),
+    ]
+    for argv in runs:
+        if argv[0] == "fit":
+            shutil.copy(f["atilde.csv"], f["fit.csv"])
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 0, err
+    got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+           for name, path in f.items()}
+    assert got == ARTIFACT_DIGESTS
 
 
 def test_stable_sample_determinism(tmp_path, capsys):
