@@ -8,13 +8,12 @@ grid is already fairly dense.
 """
 
 import argparse
-import json
 import os
 
 import numpy as np
 
-from persistwalk import __version__
 from persistwalk.exponent import invert_phi, model
+from persistwalk.montecarlo import provenance
 
 
 def main() -> int:
@@ -33,8 +32,8 @@ def main() -> int:
     out = os.path.join(args.outdir, "exponent_surface.csv")
     worst = 0.0
     with open(out, "w") as fh:
-        fh.write(f"# persistwalk {__version__}\n")
-        fh.write("# config: " + json.dumps(vars(args), sort_keys=True) + "\n")
+        for line in provenance(vars(args)):
+            fh.write(f"# {line}\n")
         fh.write("x,b,phi,kappa,psi_bar\n")
         for x in xs:
             for b in bs:

@@ -17,7 +17,6 @@ success, 1 on any toolkit error (reported with the subcommand as context),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -102,8 +101,8 @@ def _cmd_stable_sample(args) -> int:
         cfg = {"command": "stable-sample", "kappa": args.kappa,
                "scale": args.scale, "n": args.n, "seed": args.seed}
         with open(args.out, "w") as fh:
-            fh.write(f"# persistwalk {__version__}\n")
-            fh.write("# config: " + json.dumps(cfg, sort_keys=True) + "\n")
+            for line in montecarlo.provenance(cfg):
+                fh.write(f"# {line}\n")
             for v in z:
                 fh.write(f"{float(v)!r}\n")
         print(f"wrote {args.out}")
@@ -130,9 +129,8 @@ def _cmd_estimate_atilde(args) -> int:
     if args.dump_path:
         path = walk.simulate_path(dist, args.t_max, RandomStream(args.seed))
         with open(args.dump_path, "w") as fh:
-            walk.write_path_csv(path, fh, header_lines=(
-                f"persistwalk {__version__}",
-                "config: " + json.dumps(curve.config, sort_keys=True)))
+            walk.write_path_csv(path, fh,
+                                header_lines=montecarlo.provenance(curve.config))
         print(f"wrote {args.dump_path}")
     _emit_curve(args, curve, f"P(sign-sum stays above {x}*s)")
     return 0

@@ -24,11 +24,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import betaincinv, gammaln
 
-from . import engine
+from . import __version__, engine
 from .errors import HorizonOverflow, InsufficientData, OutOfRange
 from .increments import IncrementDistribution
-
-from . import __version__
 
 
 def geometric_grid(h_max: int, ratio: float = 2 ** 0.25, h_min: int = 1
@@ -347,13 +345,19 @@ CSV_COLUMNS = ("horizon", "survivors", "trials", "p_hat", "ci_low", "ci_high")
 FIT_COLUMNS = ("slope", "stderr", "r2", "fit_lo", "fit_hi")
 
 
+def provenance(config: dict) -> list[str]:
+    """The lines every artifact starts with, as comments in its own syntax:
+    the package version and the run's full configuration as sorted JSON,
+    which :func:`read_survival_csv` reads back."""
+    return [f"persistwalk {__version__}",
+            "config: " + json.dumps(config, sort_keys=True)]
+
+
 def write_survival_csv(curve: SurvivalCurve, path, *, extra_comments=()) -> None:
-    """Write the curve with version + full config as header comments."""
+    """Write the curve with its provenance as header comments."""
     lo, hi = curve.ci
     buf = io.StringIO()
-    buf.write(f"# persistwalk {__version__}\n")
-    buf.write("# config: " + json.dumps(curve.config, sort_keys=True) + "\n")
-    for line in extra_comments:
+    for line in [*provenance(curve.config), *extra_comments]:
         buf.write(f"# {line}\n")
     if curve.capped:
         buf.write(f"# capped_trials: {curve.capped}\n")

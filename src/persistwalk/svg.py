@@ -8,13 +8,12 @@ rendering library is involved, so the artifact opens anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from .montecarlo import provenance
 
 _SUP = str.maketrans("0123456789-", "⁰¹²³⁴⁵"
                                      "⁶⁷⁸⁹⁻")
@@ -60,42 +59,33 @@ def _decade_ticks(lo: float, hi: float) -> list[int]:
     return list(range(math.ceil(lo), math.floor(hi) + 1))
 
 
-def log_log_chart(xs, ys, out_path, *, ylo=None, yhi=None,
-                  fit_line=None, fit_label: str = "",
-                  title: str = "", xlabel: str = "horizon",
-                  ylabel: str = "survival probability",
-                  header_comments=()) -> None:
-    """Write a log-log chart of (xs, ys) with optional error bars.
+def survival_chart(curve, out_path, *, fit=None, title: str = "") -> None:
+    """Write a log-log chart of a :class:`~persistwalk.montecarlo.SurvivalCurve`.
 
-    ``ylo``/``yhi`` are absolute error-bar endpoints (same length as the
-    data).  ``fit_line`` is a pair (slope, intercept) in log10 space, drawn
-    dashed across the x range.  Points with nonpositive y are dropped —
-    they have no place on a log axis.  ``header_comments`` become XML
-    comments at the top of the file.
+    Each point carries its Clopper–Pearson error bar; points with a zero
+    estimate have no place on a log axis and are dropped.  When a fit is
+    given, its power law is drawn dashed through the weighted center of the
+    fit window and the slope is printed in the legend.  The curve's
+    provenance lines become XML comments at the top of the file.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    keep = (xs > 0) & (ys > 0)
-    xs, ys = xs[keep], ys[keep]
-    if ylo is not None:
-        ylo = np.maximum(np.asarray(ylo, dtype=np.float64)[keep], 1e-300)
-        yhi = np.asarray(yhi, dtype=np.float64)[keep]
-    if len(xs) == 0:
+    h = np.asarray(curve.horizons, dtype=np.float64)
+    p = curve.p_hat
+    lo, hi = curve.ci
+    keep = (h > 0) & (p > 0)
+    if not keep.any():
         raise ValueError("no positive data points to draw")
+    lx, ly = np.log10(h[keep]), np.log10(p[keep])
+    ylo, yhi = np.maximum(lo[keep], 1e-300), hi[keep]
 
-    lx, ly = np.log10(xs), np.log10(ys)
     f = _Frame()
     f.lx0, f.lx1 = _pad(float(lx.min()), float(lx.max()))
-    ymin = float(np.log10(ylo).min()) if ylo is not None else float(ly.min())
-    ymax = float(np.log10(yhi).max()) if yhi is not None else float(ly.max())
-    f.ly0, f.ly1 = _pad(ymin, ymax)
+    f.ly0, f.ly1 = _pad(float(np.log10(ylo).min()), float(np.log10(yhi).max()))
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{f.width}" height="{f.height}" '
              f'viewBox="0 0 {f.width} {f.height}">']
-    parts.append(f"<!-- persistwalk {__version__} -->")
-    for line in header_comments:
-        parts.append("<!-- " + str(line).replace("--", "- -") + " -->")
+    for line in provenance(curve.config):
+        parts.append("<!-- " + line.replace("--", "- -") + " -->")
     parts.append(f'<rect width="{f.width}" height="{f.height}" fill="white"/>')
 
     x0, x1 = f.left, f.width - f.right
@@ -119,19 +109,18 @@ def log_log_chart(xs, ys, out_path, *, ylo=None, yhi=None,
                  f'height="{y1 - y0}" fill="none" stroke="black" '
                  'stroke-width="1"/>')
 
-    if ylo is not None:
-        for i in range(len(xs)):
-            bx = f.px(lx[i])
-            top = f.py(math.log10(yhi[i]))
-            bot = f.py(math.log10(ylo[i]))
-            parts.append(f'<line x1="{bx:.1f}" y1="{top:.1f}" x2="{bx:.1f}" '
-                         f'y2="{bot:.1f}" stroke="#888888" stroke-width="1"/>')
-            for yy in (top, bot):
-                parts.append(f'<line x1="{bx - 3:.1f}" y1="{yy:.1f}" '
-                             f'x2="{bx + 3:.1f}" y2="{yy:.1f}" '
-                             'stroke="#888888" stroke-width="1"/>')
+    for i in range(len(lx)):
+        bx = f.px(lx[i])
+        top = f.py(math.log10(yhi[i]))
+        bot = f.py(math.log10(ylo[i]))
+        parts.append(f'<line x1="{bx:.1f}" y1="{top:.1f}" x2="{bx:.1f}" '
+                     f'y2="{bot:.1f}" stroke="#888888" stroke-width="1"/>')
+        for yy in (top, bot):
+            parts.append(f'<line x1="{bx - 3:.1f}" y1="{yy:.1f}" '
+                         f'x2="{bx + 3:.1f}" y2="{yy:.1f}" '
+                         'stroke="#888888" stroke-width="1"/>')
 
-    if len(xs) >= 2:
+    if len(lx) >= 2:
         pts = " ".join(f"{f.px(a):.1f},{f.py(b):.1f}" for a, b in zip(lx, ly))
         parts.append(f'<polyline points="{pts}" fill="none" '
                      'stroke="#1f77b4" stroke-width="1.5"/>')
@@ -139,55 +128,35 @@ def log_log_chart(xs, ys, out_path, *, ylo=None, yhi=None,
         parts.append(f'<circle cx="{f.px(a):.1f}" cy="{f.py(b):.1f}" r="2.5" '
                      'fill="#1f77b4"/>')
 
-    if fit_line is not None:
-        slope, intercept = fit_line
-        ya = slope * lx[0] + intercept
-        yb = slope * lx[-1] + intercept
+    if fit is not None:
+        inw = (h >= fit.fit_range[0]) & (h <= fit.fit_range[1]) & (p > 0)
+        # anchor the drawn line at the plain mean of the in-window points
+        intercept = float(np.mean(np.log10(p[inw]) -
+                                  fit.slope * np.log10(h[inw])))
+        ya = fit.slope * lx[0] + intercept
+        yb = fit.slope * lx[-1] + intercept
         parts.append(f'<line x1="{f.px(lx[0]):.1f}" y1="{f.py(ya):.1f}" '
                      f'x2="{f.px(lx[-1]):.1f}" y2="{f.py(yb):.1f}" '
                      'stroke="#d62728" stroke-width="1.5" '
                      'stroke-dasharray="6,4"/>')
-        if fit_label:
-            parts.append(f'<text x="{x1 - 8}" y="{y0 + 16}" font-size="12" '
-                         'text-anchor="end" font-family="sans-serif" '
-                         f'fill="#d62728">{fit_label}</text>')
+        parts.append(f'<text x="{x1 - 8}" y="{y0 + 16}" font-size="12" '
+                     'text-anchor="end" font-family="sans-serif" '
+                     f'fill="#d62728">slope {fit.slope:.4f} ± {fit.stderr:.4f}'
+                     '</text>')
 
     if title:
         parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{y0 - 12}" '
                      'font-size="14" text-anchor="middle" '
                      f'font-family="sans-serif">{title}</text>')
+    xlabel = ("excursion pairs k" if curve.kind == "excursion"
+              else "time horizon t")
     parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{f.height - 12}" '
                  'font-size="13" text-anchor="middle" '
                  f'font-family="sans-serif">{xlabel}</text>')
     parts.append(f'<text x="18" y="{(y0 + y1) / 2:.1f}" font-size="13" '
                  'text-anchor="middle" font-family="sans-serif" '
                  f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">'
-                 f'{ylabel}</text>')
+                 'survival probability</text>')
     parts.append("</svg>")
     with open(out_path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def survival_chart(curve, out_path, *, fit=None, title: str = "") -> None:
-    """Chart a :class:`~persistwalk.montecarlo.SurvivalCurve`.
-
-    When a fit is given, its power law is drawn through the weighted center
-    of the fit window and the slope is printed in the legend.
-    """
-    lo, hi = curve.ci
-    fit_line = fit_label = None
-    if fit is not None:
-        h = np.asarray(curve.horizons, dtype=np.float64)
-        p = curve.p_hat
-        inw = (h >= fit.fit_range[0]) & (h <= fit.fit_range[1]) & (p > 0)
-        # anchor the drawn line at the plain mean of the in-window points
-        intercept = float(np.mean(np.log10(p[inw]) -
-                                  fit.slope * np.log10(h[inw])))
-        fit_line = (fit.slope, intercept)
-        fit_label = f"slope {fit.slope:.4f} ± {fit.stderr:.4f}"
-    xlabel = ("excursion pairs k" if curve.kind == "excursion"
-              else "time horizon t")
-    header = ["config: " + json.dumps(curve.config, sort_keys=True)]
-    log_log_chart(curve.horizons, curve.p_hat, out_path,
-                  ylo=lo, yhi=hi, fit_line=fit_line, fit_label=fit_label,
-                  title=title, xlabel=xlabel, header_comments=header)

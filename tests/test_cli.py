@@ -370,6 +370,9 @@ def test_exponent_surface_script(tmp_path):
     worst = float(re.search(r"round-trip error: (\S+)", res.stdout).group(1))
     assert worst < 1e-8
     rows = (tmp_path / "exponent_surface.csv").read_text().splitlines()
+    args = {"x_points": 3, "b_points": 3, "b_lo": 0.1, "b_hi": 10.0,
+            "outdir": str(tmp_path)}
+    assert rows[:2] == [f"# {line}" for line in mc.provenance(args)]
     assert rows[0] == f"# persistwalk {persistwalk.__version__}"
     assert rows[2] == "x,b,phi,kappa,psi_bar"
     body = np.array([[float(v) for v in r.split(",")] for r in rows[3:]])
