@@ -32,10 +32,12 @@ from .increments import IncrementDistribution
 def geometric_grid(h_max: int, ratio: float = 2 ** 0.25, h_min: int = 1
                    ) -> np.ndarray:
     """Sorted unique integer horizons h_min..h_max, geometric with `ratio`."""
+    if h_min < 1:
+        raise OutOfRange(f"h_min={h_min} < 1")
     if h_max < h_min:
         raise OutOfRange(f"h_max={h_max} < h_min={h_min}")
-    if ratio <= 1.0:
-        raise OutOfRange(f"grid ratio {ratio} must exceed 1")
+    if not (math.isfinite(ratio) and ratio > 1.0):
+        raise OutOfRange(f"grid ratio {ratio} must be finite and exceed 1")
     vals = [h_min]
     h = float(h_min)
     while vals[-1] < h_max:
@@ -109,6 +111,17 @@ def _curve_config(command: str, dist: IncrementDistribution, x: Fraction,
     return cfg
 
 
+def _horizons(h_max: int, grid_ratio: float, grid) -> np.ndarray:
+    """The geometric grid up to h_max, or the given horizons sorted; a run
+    followed to h_max answers only horizons 1..h_max."""
+    if grid is None:
+        return geometric_grid(h_max, grid_ratio)
+    grid = np.unique(np.asarray(grid, dtype=np.int64))
+    if grid.size == 0 or grid[0] < 1 or grid[-1] > h_max:
+        raise OutOfRange(f"grid {grid.tolist()} is empty or leaves 1..{h_max}")
+    return grid
+
+
 def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
                     seed: int, *, grid_ratio: float = 2 ** 0.25,
                     grid=None, mode: str = "strict", engine_kind: str = "auto",
@@ -126,8 +139,7 @@ def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
         raise OutOfRange(f"t_max={t_max} < 2")
     if trials < 1:
         raise OutOfRange("trials must be >= 1")
-    grid = geometric_grid(t_max, grid_ratio) if grid is None \
-        else np.unique(np.asarray(grid, dtype=np.int64))
+    grid = _horizons(t_max, grid_ratio, grid)
     counts = engine.atilde_counts(dist, x, t_max, trials, seed,
                                   tuple(int(g) for g in grid),
                                   mode=mode, engine_kind=engine_kind,
@@ -165,8 +177,7 @@ def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
         raise OutOfRange(f"k_max={k_max} < 1")
     if trials < 1:
         raise OutOfRange("trials must be >= 1")
-    grid = geometric_grid(k_max, grid_ratio) if grid is None \
-        else np.unique(np.asarray(grid, dtype=np.int64))
+    grid = _horizons(k_max, grid_ratio, grid)
     counts = engine.a_counts(dist, x, k_max, trials, seed,
                              tuple(int(g) for g in grid), mode=mode,
                              engine_kind=engine_kind, step_cap=step_cap,
@@ -308,7 +319,7 @@ def skew_diagnostic(dist: IncrementDistribution, x, n_grid, trials: int,
     of the event).  Raises :class:`InsufficientData` when fewer than 30
     trials keep all prefix sums nonnegative at the largest n.
     """
-    n_grid = sorted(int(v) for v in n_grid)
+    n_grid = sorted({int(v) for v in n_grid})
     if not n_grid or n_grid[0] < 2:
         raise OutOfRange("n_grid entries must be >= 2")
     res = engine.run_xi_trials(dist, x, n_grid[-1], trials, seed,

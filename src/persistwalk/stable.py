@@ -88,6 +88,8 @@ def sample_standard_block(kappa: float, stream: RandomStream, n: int, *,
     """``n`` standard draws; same stream consumption as n scalar draws."""
     if not -1.0 <= kappa <= 1.0:
         raise OutOfRange(f"kappa={kappa} outside [-1, 1]")
+    if n < 1:
+        raise OutOfRange(f"n={n} < 1")
     u = stream.uniforms(2 * n)
     phi = math.pi * (u[0::2] - 0.5)
     w = -np.log(u[1::2])

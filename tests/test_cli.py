@@ -315,6 +315,27 @@ def test_error_exit_codes(tmp_path, capsys):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate-atilde", "--dist", "simple", "--t-max", "10", "--grid-ratio", "inf"),
+    ("estimate-atilde", "--dist", "simple", "--t-max", "10", "--grid-ratio", "nan"),
+    ("estimate-a", "--dist", "simple", "--k-max", "10", "--grid-ratio", "inf"),
+    ("stable-sample", "--kappa", "0", "--n", "0", "--summary"),
+    ("stable-sample", "--kappa", "0", "--n", "-1"),
+    ("diagnose-skew", "--dist", "simple", "--n-grid", "10,10,100"),
+])
+def test_bad_sizes_are_refused_or_merged(capsys, argv):
+    # each used to end in a traceback or an error from deep in numpy
+    trials = ("--trials", "2000") if argv[0] != "stable-sample" else ()
+    rc, out, err = run_cli(capsys, *argv, *trials)
+    if argv[0] == "diagnose-skew":  # a repeated n is one row
+        assert rc == 0, err
+        assert [ln.split(":")[0] for ln in out.splitlines()
+                if ln.startswith("n=")] == ["n=10", "n=100"]
+    else:
+        assert rc == 1 and f"persistwalk {argv[0]}: OutOfRange" in err
+        assert "Traceback" not in err
+
+
 def test_reproduce_list_and_unknown(capsys):
     rc, out, _ = run_cli(capsys, "reproduce", "--list")
     assert rc == 0

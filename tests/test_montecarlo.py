@@ -26,8 +26,12 @@ def test_geometric_grid():
     assert np.array_equal(mc.geometric_grid(5, h_min=5), [5])
     with pytest.raises(OutOfRange):
         mc.geometric_grid(4, h_min=10)
-    with pytest.raises(OutOfRange):
-        mc.geometric_grid(100, ratio=1.0)
+    # h_min = 0 used to loop forever; inf and nan used to escape as
+    # OverflowError and ValueError from int(round(h))
+    for kw in ({"ratio": 1.0}, {"ratio": math.inf}, {"ratio": math.nan},
+               {"ratio": 2.0, "h_min": 0}):
+        with pytest.raises(OutOfRange):
+            mc.geometric_grid(10, **kw)
 
 
 def test_clopper_pearson_boundaries_and_interior():
@@ -91,6 +95,18 @@ def test_survival_a_cap_handling():
     assert curve.capped > 0  # upward-bias convention, carried on the curve
     with pytest.raises(HorizonOverflow):
         mc.survival_a(UNIT_UP, 0, 2, 500, seed=704, on_cap="raise", **kw)
+
+
+def test_survival_refuses_horizons_the_run_cannot_answer():
+    # trials are followed to t_max (k_max) only; a horizon past it used to
+    # report 0 survivors, and one below 1 reported p = 1
+    for grid in ((50, 100, 200), (0, -3, 50), ()):
+        with pytest.raises(OutOfRange, match="grid"):
+            mc.survival_atilde(SIMPLE, 0, 100, 200, seed=1, grid=grid)
+    with pytest.raises(OutOfRange, match="grid"):
+        mc.survival_a(SIMPLE, 0, 10, 200, seed=1, grid=(5, 10, 20))
+    curve = mc.survival_a(SIMPLE, 0, 10, 200, seed=1, grid=(10, 1, 10))
+    assert curve.horizons.tolist() == [1, 10]
 
 
 def test_survival_refuses_unknown_mode_and_on_cap():
