@@ -267,13 +267,6 @@ def _down_first_violation(g, t, p, q, strict):
     return np.maximum(sstar, t + 1)
 
 
-def _passage(keys, ctr, cap_exp=dur.DEFAULT_PASSAGE_CAP_EXP):
-    """τ and cap flags from the uniforms at stream positions ctr, ctr + 1."""
-    return dur.srw_tau_from_uniform_pairs(uniform_at(keys, ctr),
-                                          uniform_at(keys, ctr + 1),
-                                          cap_exp=cap_exp)
-
-
 def _draw(tables, u, v, up, entry, cap_exp, cap):
     """One stretch per trial from its two uniforms, rows ``u`` and ``v``: τ
     (int64), its capped and counted flags and the next entry.  On the
@@ -551,7 +544,7 @@ def _xi_worker(args, trials, offset):
 # stretch-duration collection (tail-fitting inputs)
 # ---------------------------------------------------------------------------
 
-def _fill(out, got, lane, neg, dur):
+def _fill(out, got, lane, neg, length):
     """Write stretches to their lanes' next free slots while the quota has
     room: out[k, lane] holds a lane's positive (k = 0) or negative (k = 1)
     durations, got[k, lane] counts them.  ``lane`` ascends and a lane's
@@ -560,7 +553,7 @@ def _fill(out, got, lane, neg, dur):
     k = neg.astype(np.intp)
     slot = got[k, lane] + (np.arange(lane.size) - np.searchsorted(lane, lane)) // 2
     room = slot < out.shape[2]
-    out[k[room], lane[room], slot[room]] = dur[room]
+    out[k[room], lane[room], slot[room]] = length[room]
     got += np.bincount(k * got.shape[1] + lane, minlength=got.size).reshape(got.shape)
     np.minimum(got, out.shape[2], out=got)
 
@@ -599,8 +592,10 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
         ids = np.arange(n_excursions, dtype=np.uint64) + np.uint64(_SENTINEL_STREAM)
         keys = trial_keys(seed, ids)
         z = np.zeros(n_excursions, dtype=np.uint64)
-        tau_p, cp = _passage(keys, z)
-        tau_m, cm = _passage(keys, z + 2)
+        tau_p, cp = dur.srw_tau_from_uniform_pairs(uniform_at(keys, z),
+                                                   uniform_at(keys, z + 1))
+        tau_m, cm = dur.srw_tau_from_uniform_pairs(uniform_at(keys, z + 2),
+                                                   uniform_at(keys, z + 3))
         info = {"engine": "exact-excursion", "censored_pos": int(cp.sum()),
                 "censored_neg": int(cm.sum()), "cap": (1 << 41) + 2,
                 "lanes": 0, "restarts": 0}
@@ -640,16 +635,16 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
         prev = np.empty_like(cross_t)
         prev[1:] = cross_t[:-1]
         prev[first] = last_cross[row[first]]
-        dur = cross_t - prev
+        length = cross_t - prev
         neg = sign_blk[row, col] > 0
         keep = ~(neg & (prev == 0))  # not a lane's leading negative stretch
         # a lane whose quotas both fill before the block's last 64-step
         # boundary would have left the run there, so it skips the cap check
         inner = keep & (col < block - _BLOCK)
-        _fill(out, got, lane[row[inner]], neg[inner], dur[inner])
+        _fill(out, got, lane[row[inner]], neg[inner], length[inner])
         early = (got[:, lane] >= quota).all(axis=0)
         outer = keep & ~inner
-        _fill(out, got, lane[row[outer]], neg[outer], dur[outer])
+        _fill(out, got, lane[row[outer]], neg[outer], length[outer])
         np.maximum.at(last_cross, row, cross_t)
         t += block
         sgn = sign_blk[:, -1]

@@ -14,6 +14,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -136,36 +137,21 @@ def _oracle_agreement():
                 "worst_dev_sigma": worst}
 
 
-def _atilde_slope(x, x_float, tolerance=0.05):
+def _atilde_slope(x):
     srw = preset("simple")
     curve = montecarlo.survival_atilde(srw, x, 100_000, 1_000_000, 11)
     fit = montecarlo.fit_exponent(curve, (1000, 100_000))
-    target = phi(x_float, 1.0) / 2.0
+    target = phi(float(x), 1.0) / 2.0
     gap = abs(fit.slope + target)
-    return gap <= tolerance, {"slope": fit.slope, "target": -target,
-                              "gap": gap, "stderr": fit.stderr}
+    return gap <= 0.05, {"slope": fit.slope, "target": -target,
+                         "gap": gap, "stderr": fit.stderr}
 
 
-@_experiment("srw-atilde-slope-x0")
-def _atilde_x0():
-    return _atilde_slope(Fraction(0), 0.0)
-
-
-@_experiment("srw-atilde-slope-x025")
-def _atilde_x025():
-    return _atilde_slope(Fraction(1, 4), 0.25)
-
-
-@_experiment("srw-atilde-slope-x05")
-def _atilde_x05():
-    return _atilde_slope(Fraction(1, 2), 0.5)
-
-
-def _a_slope(x, x_float):
+def _a_slope(x):
     srw = preset("simple")
     curve = montecarlo.survival_a(srw, x, 1000, 300_000, 99)
     fit = montecarlo.fit_exponent(curve, (100, 1000))
-    target = phi(x_float, 1.0)
+    target = phi(float(x), 1.0)
     gap = abs(fit.slope + target)
     m = (curve.horizons >= 100) & (curve.horizons <= 1000) & \
         (curve.survivors >= 30)
@@ -176,14 +162,13 @@ def _a_slope(x, x_float):
                 "shape_spread": spread, "capped": int(curve.capped)}
 
 
-@_experiment("srw-a-slope-x0")
-def _a_x0():
-    return _a_slope(Fraction(0), 0.0)
-
-
-@_experiment("srw-a-slope-x05")
-def _a_x05():
-    return _a_slope(Fraction(1, 2), 0.5)
+EXPERIMENTS.update({
+    "srw-atilde-slope-x0": partial(_atilde_slope, Fraction(0)),
+    "srw-atilde-slope-x025": partial(_atilde_slope, Fraction(1, 4)),
+    "srw-atilde-slope-x05": partial(_atilde_slope, Fraction(1, 2)),
+    "srw-a-slope-x0": partial(_a_slope, Fraction(0)),
+    "srw-a-slope-x05": partial(_a_slope, Fraction(1, 2)),
+})
 
 
 @_experiment("asym-walk-consistency")
