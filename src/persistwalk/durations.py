@@ -16,9 +16,8 @@ j ≤ 2^19 and the Wallis expansion
 takes over beyond it (relative error ~ (1/j)³, far below float precision at
 the table edge).  Draws are inverse-CDF in O(1) per draw: the expansion's
 leading terms, q_j² ≈ 1/(π(j + 1/4)), give the guess j ≈ 1/(πu²) − 1/4,
-and exact steps against the table (against the expansion past it) move
-the guess to the crossing, the index a search of the whole table or a
-bisection on the expansion returns.  Draws are capped at j = 2^39
+which the search below moves to the crossing on the table, then on the
+expansion past it.  Draws are capped at j = 2^39
 (T = 2^40 + 1) with capped draws flagged — their probability per draw is
 about 7.6e-7, and callers account for them explicitly.
 
@@ -51,11 +50,18 @@ whose stretches lie on both sides at once.
 Sampling has no loop over entry states.  A duration draw indexes the
 survival rows stacked over entries as one flat array: the √-law guess picks
 a start row from a guide table (Chen & Asau 1974; Devroye 1986, §III.2)
-built once with the tables, at or a few rows before the crossing, and exact
-steps move it to the row a binary search of the entry's row returns.  An
+built once with the tables, at or a few rows before the crossing, and the
+search below moves it to the crossing.  An
 exit draw gathers the first K - 1 cumulatives of its row by flat index and
 counts those below u; the map from exit column to the other side's entry
 index is also built once with the tables.
+
+Search
+------
+A duration draw is set by the crossing of its uniform u with a
+non-increasing row (q_j, ln q_j or P(τ > n)), the last index whose value is
+at least u.  :func:`_step_to_crossing` steps a guess there, so every draw
+lands where a full search does, whatever its guess.
 """
 
 from __future__ import annotations
@@ -94,22 +100,31 @@ def _log_q(j) -> np.ndarray:
     return -0.5 * np.log(np.pi * j) + np.log1p(-1.0 / (8.0 * j) + 1.0 / (128.0 * j * j))
 
 
+def _step_to_crossing(at: np.ndarray, down, up) -> None:
+    """Step each start index in ``at`` to its row's crossing c, in place:
+    down by one while ``down(rows, at[rows])`` holds, then up while ``up``
+    does (``rows`` a slice or index array into ``at``; both return masks).
+    Where ``down`` holds exactly past c and ``up`` exactly before it, the
+    downward steps stop at min(start, c) and the upward ones at c, so every
+    start lands on c."""
+    for test, step in ((down, -1), (up, 1)):
+        move = np.flatnonzero(test(slice(None), at))
+        while move.size:
+            at[move] += step
+            move = move[test(move, at[move])]
+
+
 def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_CAP_EXP
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Invert uniforms u in (0, 1], of any shape, to unit passage times T
     (odd ints), vectorized over a flat view.
 
-    T = 2j + 1 with j the largest index such that q_j ≥ u.  Each draw
-    starts from the guess j₀ = ⌊1/(πu²) − 1/4⌋ and steps to the exact
-    crossing: down while q_j < u, then up while q_{j+1} ≥ u.  In the table
-    range q is non-increasing, so the crossing found is the one a binary
-    search of the table finds.  Past the table the same steps test
-    ln q_j ≥ ln u on the Wallis expansion, which is strictly decreasing in
-    floating point there (consecutive values differ by about 1/(2j), at
-    least hundreds of ulps up to j = 2^41), so they land where a bisection
-    on the expansion lands.  The guess is usually off by at most one step,
-    but the loops run until nothing moves, so the result never depends on
-    how good it is.
+    T = 2j + 1 with j the largest index such that q_j ≥ u, searched from
+    the guess j₀ = ⌊1/(πu²) − 1/4⌋ (the module's Search section): on the
+    table, which is non-increasing, then past it on ln q_j ≥ ln u by the
+    Wallis expansion, which is strictly decreasing in floating point there
+    (consecutive values differ by about 1/(2j), at least hundreds of ulps
+    up to j = 2^41).  The guess is usually off by at most one step.
 
     Returns ``(T, capped)`` in the shape of ``u``; where ``capped`` is True
     the true T exceeds 2^(cap_exp + 1) and the reported value is that cap + 1.
@@ -122,32 +137,22 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
     # q_j² ≈ 1/(π(j + 1/4)) puts the crossing at j ≈ 1/(πu²) − 1/4
     guess = np.floor(1.0 / (np.pi * u * u) - 0.25)
     j = np.clip(guess, 0, _TABLE_LEN).astype(np.int64)
-    # largest j ≤ 2^19 with q_j ≥ u; q_0 = 1 stops the downward steps
-    move = np.flatnonzero(q[j] < u)
-    while move.size:
-        j[move] -= 1
-        move = move[q[j[move]] < u[move]]
-    move = np.flatnonzero(q[np.minimum(j + 1, _TABLE_LEN)] >= u)
-    move = move[j[move] < _TABLE_LEN]
-    while move.size:
-        j[move] += 1
-        move = move[j[move] < _TABLE_LEN]
-        move = move[q[j[move] + 1] >= u[move]]
+    # largest j ≤ 2^19 with q_j ≥ u; q_0 = 1 stops the downward steps, and
+    # searching for u raised above q_{2^19} stops the upward ones before
+    # they read past the table, so each draw with u ≤ q_{2^19} goes on to
+    # the tail with its crossing at 2^19 or past it
+    above = np.maximum(u, math.nextafter(q[-1], 1.0))
+    _step_to_crossing(j, lambda r, i: q[i] < above[r],
+                      lambda r, i: q[i + 1] >= above[r])
 
-    tail = np.flatnonzero(j >= _TABLE_LEN)
+    tail = np.flatnonzero(u <= q[-1])
     if tail.size:
         log_ut = np.log(u[tail])
         # largest j in [2^19, jmax] with ln q_j ≥ ln u (jmax for a cap below
         # 2^19); j = 2^19 needs no test, the table already put q_j ≥ u there
         jt = np.clip(guess[tail], _TABLE_LEN, jmax).astype(np.int64)
-        move = np.flatnonzero((jt > _TABLE_LEN) & (_log_q(jt) < log_ut))
-        while move.size:
-            jt[move] -= 1
-            move = move[(jt[move] > _TABLE_LEN) & (_log_q(jt[move]) < log_ut[move])]
-        move = np.flatnonzero((jt < jmax) & (_log_q(jt + 1) >= log_ut))
-        while move.size:
-            jt[move] += 1
-            move = move[(jt[move] < jmax) & (_log_q(jt[move] + 1) >= log_ut[move])]
+        _step_to_crossing(jt, lambda r, i: (i > _TABLE_LEN) & (_log_q(i) < log_ut[r]),
+                          lambda r, i: (i < jmax) & (_log_q(i + 1) >= log_ut[r]))
         j[tail] = jt
     return (2 * np.minimum(j, jmax) + 1).reshape(shape), (j >= jmax).reshape(shape)
 
@@ -160,6 +165,12 @@ def srw_tau_from_uniform_pairs(u1: np.ndarray, u2: np.ndarray, *,
     t1, c1 = unit_passage_from_uniforms(u1, cap_exp=cap_exp)
     t2, c2 = unit_passage_from_uniforms(u2, cap_exp=cap_exp)
     return t1 + t2, c1 | c2
+
+
+def srw_tau_cap(cap_exp: int) -> int:
+    """The longest τ :func:`srw_tau_from_uniform_pairs` returns at
+    ``cap_exp``: two capped passages of 2^(cap_exp + 1) + 1 steps each."""
+    return (4 << cap_exp) + 2
 
 
 def srw_halfexcursion_survival(n) -> np.ndarray:
@@ -394,10 +405,9 @@ class ExcursionTables:
         ``searchsorted(neg_surv[e], -u, "right")`` returns.  The √-tail
         n = N·(P(τ > N)/u)² is the draw itself where u ≤ P(τ > N); elsewhere
         its ceiling g picks the start row ``guide[e, g]`` in the flat stacked
-        rows, and exact steps move it down while P(τ > n - 1) < u and up
-        while P(τ > n) ≥ u, until nothing moves.  Each row is non-increasing
-        from P(τ > 0) = 1 to P(τ > N) < u, so the steps stay in the row and
-        the result never depends on how good the start is.
+        rows, searched from there (the module's Search section).  Each row
+        is non-increasing from P(τ > 0) = 1 to P(τ > N) < u, so the steps
+        stay in the row.
         """
         tables = self.pos if side == "pos" else self.neg
         pt = tables.tail_p[entry_idx]
@@ -409,14 +419,8 @@ class ExcursionTables:
             neg_u = -u[rows]
             base = entry_idx[rows] * (self.n_table + 1)
             at = tables.guide[base + np.minimum(tau[rows], self.n_table).astype(np.int64)]
-            move = np.flatnonzero(flat[at - 1] > neg_u)
-            while move.size:
-                at[move] -= 1
-                move = move[flat[at[move] - 1] > neg_u[move]]
-            move = np.flatnonzero(flat[at] <= neg_u)
-            while move.size:
-                at[move] += 1
-                move = move[flat[at[move]] <= neg_u[move]]
+            _step_to_crossing(at, lambda r, i: flat[i - 1] > neg_u[r],
+                              lambda r, i: flat[i] <= neg_u[r])
             tau[rows] = at - base
         return tau, tail
 

@@ -81,11 +81,11 @@ violation time (t_max + 1 if none) and the crossings before it
     and its sign is exact for x in [0, 1) with q·(p + q) < 2^63; a larger
     q·(p + q) is refused.  A stretch is one draw from two uniforms, as in the
     stretch loop (``_draw``), with a table τ clamped at the passage cap
-    (4 << cap_exp) + 2 and a clamp hit flagged as capped.  A capped τ is a
-    lower bound, so it leaves a trial undecided where it opposes the final
-    sign; a cap retry reruns the loop on the undecided trials at
-    cap_exp + 2r, on either source, and they get the uniforms they had in
-    the full batch.
+    ``dur.srw_tau_cap(cap_exp)`` and a clamp hit flagged as capped.  A
+    capped τ is a lower bound, so it leaves a trial undecided where it
+    opposes the final sign; a cap retry reruns the loop on the undecided
+    trials at cap_exp + 2r, on either source, and they get the uniforms they
+    had in the full batch.
     Consumption: one uniform for the first step, two for a leading negative
     stretch (drawn for its exit only, never paired), then two per stretch;
     retries alike.  A pass of the loop draws the 4·b stream positions of a
@@ -115,6 +115,7 @@ _NO_LIMIT = 1 << 62  # no horizon, stretch count or step cap; t stays below it
 _SIMPLE = preset("simple")
 _XI_RETRIES = 3  # cap retries of the ξ pair loop
 _XI_DRAWS = 1 << 15  # most uniforms one pass of the ξ pair loop draws
+_LANES = 2048  # most walks the lane collector steps side by side
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     """
     p, q = _exact_ratio(x, _STRETCH_REFUSAL)
     strict = _is_strict(mode)
-    longest = min(step_cap, (4 << cap_exp) + 2 if tables is None else _NO_LIMIT)
+    longest = min(step_cap, dur.srw_tau_cap(cap_exp) if tables is None else _NO_LIMIT)
     if min(t_max + 1, n_stretches * (longest + 1)) >= _NO_LIMIT:  # bounds every t
         raise OutOfDomain("a horizon of 2^62 steps is beyond the stretch loop's "
                           "exact int64 arithmetic")
@@ -342,13 +343,12 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
 
 
 def srw_excursion_first_violation(x: Fraction, t_max: int, trials: int, seed: int, *,
-                                  mode: str = "strict", trial_offset: int = 0,
-                                  cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP
+                                  mode: str = "strict", trial_offset: int = 0
                                   ) -> tuple[np.ndarray, int]:
     """Exact first-violation times for the simple walk, one stretch at a
     time; t_max + 1 means the trial survived.  Also the capped draws."""
     tstar, _, _, capped_draws = _stretches(_SIMPLE, x, trials, seed, mode, trial_offset,
-                                           t_max, _NO_LIMIT, cap_exp=cap_exp)
+                                           t_max, _NO_LIMIT)
     return tstar, capped_draws
 
 
@@ -424,7 +424,7 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     entry = (np.zeros(keys.size, dtype=np.int64) if tables is None
              else tables.first_entries(first))
     dn = np.flatnonzero(first < 0)  # a leading negative stretch: its exit only
-    cap = (4 << cap_exp) + 2
+    cap = dur.srw_tau_cap(cap_exp)
     entry[dn] = _draw(tables, uniform_at(keys[dn], ctr[dn]),
                       uniform_at(keys[dn], ctr[dn] + 1),
                       np.zeros(dn.size, dtype=bool), entry[dn], cap_exp, cap)[3]
@@ -501,10 +501,9 @@ def _xi_chunk(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
 
 
 def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
-                  record_ns: tuple[int, ...], trial_offset: int,
-                  cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP) -> XiRunResult:
+                  record_ns: tuple[int, ...], trial_offset: int) -> XiRunResult:
     return _xi_chunk(_SIMPLE, None, x, n_pairs, trials, seed, record_ns,
-                     trial_offset, cap_exp)
+                     trial_offset)
 
 
 def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
@@ -559,14 +558,13 @@ def _fill(out, got, lane, neg, length):
 
 
 def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
-                           seed: int, *, step_cap: int = 1 << 22,
-                           lanes: int = 2048
+                           seed: int, *, step_cap: int = 1 << 22
                            ) -> tuple[np.ndarray, np.ndarray, dict]:
     """(tau_plus, tau_minus, info) for ~n_excursions excursions.
 
     For the simple walk the durations come from the exact passage law so
     the arrays are plain iid draws (cap ~2^40, flagged in info).  For other
-    walks, `lanes` independent walks are stepped and their alternating
+    walks, ``_LANES`` independent walks are stepped and their alternating
     stretch durations harvested; a stretch still running once `step_cap`
     steps have elapsed (checked every 64 steps, so completed durations can
     reach step_cap + 63) is right-censored at step_cap + 1 — it still
@@ -597,11 +595,12 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
         tau_m, cm = dur.srw_tau_from_uniform_pairs(uniform_at(keys, z + 2),
                                                    uniform_at(keys, z + 3))
         info = {"engine": "exact-excursion", "censored_pos": int(cp.sum()),
-                "censored_neg": int(cm.sum()), "cap": (1 << 41) + 2,
+                "censored_neg": int(cm.sum()),
+                "cap": dur.srw_tau_cap(dur.DEFAULT_PASSAGE_CAP_EXP),
                 "lanes": 0, "restarts": 0}
         return tau_p, tau_m, info
 
-    lanes = int(min(lanes, max(1, n_excursions)))
+    lanes = int(min(_LANES, max(1, n_excursions)))
     quota = -(-n_excursions // lanes)
     keys = trial_keys(seed, np.arange(lanes, dtype=np.uint64)
                       + np.uint64(_SENTINEL_STREAM))

@@ -33,6 +33,7 @@ import numpy as np
 from . import engine
 from .errors import InsufficientTail, OutOfDomain, Unattainable
 from .increments import IncrementDistribution
+# trial_keys is never called here: the benchmark's tracer wraps it by this name
 from .rng import RandomStream, trial_keys, uniform_at
 
 
@@ -221,7 +222,7 @@ class QEstimate:
 
 
 def estimate_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int, *,
-               engine_kind: str = "auto", workers: int = 1) -> QEstimate:
+               workers: int = 1) -> QEstimate:
     """Estimate q(n) = P(W_n < 0), W_n = Σ_{i≤n} [(1-x)τ⁺_i - (1+x)τ⁻_i].
 
     Each trial simulates n complete excursions (an initial negative stretch,
@@ -239,8 +240,7 @@ def estimate_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int, *
     excluded (and reported) if still open.
     """
     res = engine.run_xi_trials(dist, x, n, trials, seed,
-                               record_ns=(n,), engine_kind=engine_kind,
-                               workers=workers)
+                               record_ns=(n,), workers=workers)
     decided = res.decided
     negative = res.negative_final
     q_hat = negative / decided if decided else float("nan")
@@ -252,7 +252,7 @@ def estimate_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int, *
 
 
 def estimate_b_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int, *,
-                 engine_kind: str = "auto", workers: int = 1) -> AsymmetryEstimate:
+                 workers: int = 1) -> AsymmetryEstimate:
     """q-inversion estimator: b̂ = invert_phi(q̂, x) with q̂ taken at 4n.
 
     Runs q̂ at horizons n and 4n (independent trial banks); the larger
@@ -260,10 +260,8 @@ def estimate_b_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int,
     into the stderr) as the finite-n drift allowance.
     """
     x = Fraction(x)
-    q_short = estimate_q(dist, x, n, trials, seed,
-                         engine_kind=engine_kind, workers=workers)
-    q_long = estimate_q(dist, x, 4 * n, trials, seed + 1,
-                        engine_kind=engine_kind, workers=workers)
+    q_short = estimate_q(dist, x, n, trials, seed, workers=workers)
+    q_long = estimate_q(dist, x, 4 * n, trials, seed + 1, workers=workers)
     q_hat = q_long.q_hat
     drift = q_long.q_hat - q_short.q_hat
     b_hat = invert_phi(q_hat, float(x))
@@ -288,10 +286,12 @@ def estimate_b_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int,
 
 def estimate_b(dist: IncrementDistribution, method: str, seed: int, *,
                n_excursions: int = 50_000, x=Fraction(0), n_pairs: int = 250,
-               trials: int = 50_000, workers: int = 1, **kwargs) -> AsymmetryEstimate:
-    """Dispatch to one of the two b estimators by method name."""
-    if method in ("tail", "tail-ratio"):
-        return estimate_b_tail(dist, n_excursions, seed, **kwargs)
-    if method in ("q", "q-inversion"):
-        return estimate_b_q(dist, x, n_pairs, trials, seed, workers=workers, **kwargs)
+               trials: int = 50_000, workers: int = 1,
+               step_cap: int = 2 ** 22) -> AsymmetryEstimate:
+    """Run :func:`estimate_b_tail` for method ``"tail"`` (``n_excursions``,
+    ``step_cap``) or :func:`estimate_b_q` for ``"q"`` (the other options)."""
+    if method == "tail":
+        return estimate_b_tail(dist, n_excursions, seed, step_cap=step_cap)
+    if method == "q":
+        return estimate_b_q(dist, x, n_pairs, trials, seed, workers=workers)
     raise ValueError(f"unknown method {method!r} (expected 'tail' or 'q')")

@@ -46,14 +46,14 @@ def geometric_grid(h_max: int, ratio: float = 2 ** 0.25, h_min: int = 1
     return np.unique(np.asarray(vals, dtype=np.int64))
 
 
-def clopper_pearson(k, n: int, conf: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
+def clopper_pearson(k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """95% binomial interval; one-sided at the boundaries.
 
     k = 0 gives (0, 1 - α^(1/n)) — the rule-of-three bound ≈ 3/n — and
     k = n mirrors it, so a curve of all-survivors / no-survivors still
     carries an honest interval.
     """
-    alpha = 1.0 - conf
+    alpha = 1.0 - 0.95  # 95 %; not 0.05, which differs from it in the last bit
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))
     lo = np.zeros(k.shape)
     hi = np.ones(k.shape)
@@ -113,13 +113,15 @@ def _curve_config(command: str, dist: IncrementDistribution, x: Fraction,
 
 def _horizons(h_max: int, grid_ratio: float, grid) -> np.ndarray:
     """The geometric grid up to h_max, or the given horizons sorted; a run
-    followed to h_max answers only horizons 1..h_max."""
+    followed to h_max answers only the whole horizons 1..h_max."""
     if grid is None:
         return geometric_grid(h_max, grid_ratio)
-    grid = np.unique(np.asarray(grid, dtype=np.int64))
-    if grid.size == 0 or grid[0] < 1 or grid[-1] > h_max:
-        raise OutOfRange(f"grid {grid.tolist()} is empty or leaves 1..{h_max}")
-    return grid
+    hs = list(grid)
+    if not hs or not all(math.isfinite(h) and h == int(h) and 1 <= h <= h_max
+                         for h in hs):
+        raise OutOfRange(f"grid {', '.join(map(str, hs))} is empty or holds "
+                         f"a horizon that is not a whole number in 1..{h_max}")
+    return np.unique(np.asarray([int(h) for h in hs], dtype=np.int64))
 
 
 def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,

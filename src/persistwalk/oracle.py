@@ -210,11 +210,12 @@ class EquivalenceReport:
         return not self.counterexamples
 
 
-def equivalence_check(max_len: int = 14,
-                      x_values=(Fraction(0), Fraction(1, 4), Fraction(1, 2),
-                                Fraction(3, 4))) -> EquivalenceReport:
+_EQUIVALENCE_X = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
+
+def equivalence_check(max_len: int = 14) -> EquivalenceReport:
     """Exhaustively verify, over every ±1 path of length `max_len` and every
-    x in `x_values`, that the weak barrier condition through t_2k is
+    x in 0, 1/4, 1/2, 3/4, that the weak barrier condition through t_2k is
     equivalent to: the path starts with a positive stretch and the pair
     sums W_m = (1-x)τ_{2m-1} - (1+x)τ_{2m} have all prefixes ≥ 0 for m ≤ k.
 
@@ -225,8 +226,7 @@ def equivalence_check(max_len: int = 14,
     """
     if max_len > 16:
         raise CapExceeded(f"max_len={max_len} enumerates 2^{max_len} paths")
-    report = EquivalenceReport(max_len=max_len,
-                               x_values=tuple(Fraction(v) for v in x_values))
+    report = EquivalenceReport(max_len=max_len, x_values=_EQUIVALENCE_X)
     for bits in product((-1, 1), repeat=max_len):
         path = np.concatenate([[0], np.cumsum(bits)])
         g = sign_sum(path)[1:]

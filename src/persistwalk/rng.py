@@ -119,10 +119,6 @@ class RandomStream:
         self.key = stream_key(seed, stream_id)
         self.position = position
 
-    def spawn(self, stream_id: int) -> "RandomStream":
-        """Independent stream under the same seed (for sub-tasks)."""
-        return RandomStream(self.seed, stream_id=stream_id)
-
     def next_u64(self) -> int:
         h = fmix64(self.key + self.position * GOLDEN)
         self.position += 1

@@ -15,7 +15,8 @@ standard exponential W, pivot Φ₀ = -2·arctan κ)::
     Z = (1 + κ²) · sin(½(Φ - Φ₀)) · cos(Φ - ½(Φ - Φ₀)) / (cos²Φ · W)
 
 The variant *without* the (1 + κ²) prefactor is available as
-``printed_form=True``.  It produces the correct signs — P(Z < 0) =
+``printed_form=True`` on :func:`cms_transform` and
+:func:`sample_standard_block`.  It produces the correct signs — P(Z < 0) =
 1/2 - (2/π)·arctan κ either way — but at κ = 1 its CDF is
 erfc(1/(2√z)) rather than the one-sided law's erfc(1/√(2z)); the empirical
 one-sided CDF check in the acceptance suite distinguishes the two, and only
@@ -47,8 +48,8 @@ class StableParams:
     def __post_init__(self):
         if not -1.0 <= self.kappa <= 1.0:
             raise OutOfRange(f"kappa={self.kappa} outside [-1, 1]")
-        if not self.scale > 0:
-            raise OutOfRange(f"scale={self.scale} must be > 0")
+        if not 0 < self.scale < math.inf:
+            raise OutOfRange(f"scale={self.scale} must be finite and > 0")
 
 
 def cms_transform(phi, w, kappa: float, *, printed_form: bool = False):
@@ -70,8 +71,7 @@ def cms_transform(phi, w, kappa: float, *, printed_form: bool = False):
     return z
 
 
-def sample_standard(kappa: float, stream: RandomStream, *,
-                    printed_form: bool = False) -> float:
+def sample_standard(kappa: float, stream: RandomStream) -> float:
     """One draw of Z_[κ, 1]; consumes two stream positions."""
     if not -1.0 <= kappa <= 1.0:
         raise OutOfRange(f"kappa={kappa} outside [-1, 1]")
@@ -80,7 +80,7 @@ def sample_standard(kappa: float, stream: RandomStream, *,
     # u ∈ (0,1) strictly, so Φ stays inside (-π/2, π/2) and cos Φ > 0:
     # the degenerate-endpoint resample case cannot occur with this mapping.
     phi = math.pi * (u - 0.5)
-    return cms_transform(phi, w, kappa, printed_form=printed_form)
+    return cms_transform(phi, w, kappa)
 
 
 def sample_standard_block(kappa: float, stream: RandomStream, n: int, *,
@@ -96,17 +96,13 @@ def sample_standard_block(kappa: float, stream: RandomStream, n: int, *,
     return cms_transform(phi, w, kappa, printed_form=printed_form)
 
 
-def sample(params: StableParams, stream: RandomStream, *,
-           printed_form: bool = False) -> float:
+def sample(params: StableParams, stream: RandomStream) -> float:
     """One draw of Z_[κ, c] = c² · Z_[κ, 1]."""
-    return params.scale ** 2 * sample_standard(params.kappa, stream,
-                                               printed_form=printed_form)
+    return params.scale ** 2 * sample_standard(params.kappa, stream)
 
 
-def sample_block(params: StableParams, stream: RandomStream, n: int, *,
-                 printed_form: bool = False) -> np.ndarray:
-    return params.scale ** 2 * sample_standard_block(
-        params.kappa, stream, n, printed_form=printed_form)
+def sample_block(params: StableParams, stream: RandomStream, n: int) -> np.ndarray:
+    return params.scale ** 2 * sample_standard_block(params.kappa, stream, n)
 
 
 def negativity_probability(kappa: float) -> float:

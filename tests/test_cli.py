@@ -321,6 +321,7 @@ def test_error_exit_codes(tmp_path, capsys):
     ("estimate-a", "--dist", "simple", "--k-max", "10", "--grid-ratio", "inf"),
     ("stable-sample", "--kappa", "0", "--n", "0", "--summary"),
     ("stable-sample", "--kappa", "0", "--n", "-1"),
+    ("stable-sample", "--kappa", "0", "--scale", "inf", "--n", "3"),
     ("diagnose-skew", "--dist", "simple", "--n-grid", "10,10,100"),
 ])
 def test_bad_sizes_are_refused_or_merged(capsys, argv):

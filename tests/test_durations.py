@@ -499,6 +499,47 @@ def test_samplers_match_full_search(name, n_table):
             assert np.all(ex[~ok] == t.exit_entry[side][-1])
 
 
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+def test_searches_land_from_the_worst_start(monkeypatch, last):
+    # every duration search must land where a full search does when each
+    # draw starts at its row's first or last index, not at its guess; a
+    # 256-entry q-table, a cap at 2^10 and a 64-step table keep rows short
+    search, rows = durations._step_to_crossing, []
+
+    def from_worst(at, down, up):
+        at[:] = rows.pop(0)[last]  # (first, last) of the next search's rows
+        search(at, down, up)
+
+    monkeypatch.setattr(durations, "_step_to_crossing", from_worst)
+    q = durations._q_table()[:257]
+    monkeypatch.setattr(durations, "_TABLE_LEN", 256)
+    monkeypatch.setattr(durations, "_q_table", lambda: q)
+    u = np.exp(durations._log_q(np.arange(257, 1100)))
+    u = np.concatenate([q[1:], u, np.nextafter(q[1:], 0), np.nextafter(u, 0),
+                        np.nextafter(q[1:], 1), np.nextafter(u, 1)])
+    rows[:] = [(0, 256), (256, 1024)]  # the table, then the Wallis tail
+    t, capped = durations.unit_passage_from_uniforms(u, cap_exp=10)
+    t_ref, capped_ref = reference_unit_passage(u, 10)
+    np.testing.assert_array_equal(t, t_ref)
+    np.testing.assert_array_equal(capped, capped_ref)
+    assert capped.any() and not rows
+
+    n = 64
+    tables = durations.excursion_tables(SAMPLER_WALKS["unit-up:-2,-3"], n)
+    st = tables.pos
+    ei = np.repeat(np.arange(len(st.entries)), n + 1)
+    u = np.clip(-st.neg_surv.reshape(-1), 2.0 ** -54, 1 - 2.0 ** -53)
+    u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
+    ei = np.tile(ei, 3)
+    tau_ref, tail_ref = reference_sample_tau(tables, "pos", ei, u)
+    base = ei[~tail_ref] * (n + 1)
+    rows[:] = [(base + 1, base + n)]
+    tau, tail = tables.sample_tau("pos", ei, u)
+    np.testing.assert_array_equal(tau, tau_ref)
+    np.testing.assert_array_equal(tail, tail_ref)
+    assert tail.any() and not rows
+
+
 def test_sample_exit_past_a_last_cumulative_below_one():
     # on unit-up:-2,-3 the pos row e = 0, n = 6 sums to 1 - 2^-52; a u
     # above that once counted one column past the last exit

@@ -564,8 +564,8 @@ def test_engines_refuse_unknown_mode():
 def test_srw_xi_cap_retry_resolution():
     # a tiny passage cap forces many censored draws; retries must resolve
     # most final signs and what remains is flagged, not guessed
-    res = engine._srw_xi_chunk(Fraction(1, 2), 10, 4000, 571, (10,), 0,
-                               cap_exp=12)
+    res = engine._xi_chunk(SIMPLE, None, Fraction(1, 2), 10, 4000, 571, (10,), 0,
+                           cap_exp=12)
     assert res.capped_draws > 0
     assert res.decided + res.undecided == 4000
     assert res.retries_used >= 1
@@ -628,16 +628,15 @@ def test_collect_duration_pairs_simple():
         assert abs(np.mean(tau_m > h) - p) <= 3 * sigma
 
 
-def test_collect_duration_pairs_lane_invariance():
+def test_collect_duration_pairs_lane_invariance(monkeypatch):
     # the stepped harvest must not depend on how trials are laned; a modest
     # cap keeps the slowest lane short (the censored tail is identical in law
     # for both runs, so the survival comparison is still like-for-like)
     n = 4000
-    kw = dict(step_cap=1 << 16)
-    a_p, a_m, info_a = engine.collect_duration_pairs(UNIT_UP, n, 582, lanes=5,
-                                                     **kw)
-    b_p, b_m, info_b = engine.collect_duration_pairs(UNIT_UP, n, 583,
-                                                     lanes=101, **kw)
+    monkeypatch.setattr(engine, "_LANES", 5)
+    a_p, a_m, info_a = engine.collect_duration_pairs(UNIT_UP, n, 582, step_cap=1 << 16)
+    monkeypatch.setattr(engine, "_LANES", 101)
+    b_p, b_m, info_b = engine.collect_duration_pairs(UNIT_UP, n, 583, step_cap=1 << 16)
     assert _pairs_digest(a_p, a_m, info_a) == PAIRS_DIGESTS[582]
     assert _pairs_digest(b_p, b_m, info_b) == PAIRS_DIGESTS[583]
     assert len(a_p) >= n and len(b_p) >= n
@@ -653,12 +652,12 @@ def test_collect_duration_pairs_lane_invariance():
     assert info_a["restarts"] >= 0
 
 
-def test_collect_duration_pairs_censoring():
+def test_collect_duration_pairs_censoring(monkeypatch):
     # a small step cap right-censors at cap + 1 and restarts the lane; the
     # cap is enforced at 64-step block ends, so a stretch that completes
     # mid-block can be recorded at its true length up to cap + 63
-    tau_p, tau_m, info = engine.collect_duration_pairs(UNIT_UP, 4000, 584,
-                                                       step_cap=256, lanes=32)
+    monkeypatch.setattr(engine, "_LANES", 32)
+    tau_p, tau_m, info = engine.collect_duration_pairs(UNIT_UP, 4000, 584, step_cap=256)
     assert _pairs_digest(tau_p, tau_m, info) == PAIRS_DIGESTS[584]
     assert tau_p.max() <= 256 + 63 and tau_m.max() <= 256 + 63
     assert info["censored_pos"] + info["censored_neg"] > 0
@@ -668,28 +667,28 @@ def test_collect_duration_pairs_censoring():
     assert np.any(tau_p == 257) or np.any(tau_m == 257)
 
 
-def test_collect_duration_pairs_lanes_finish_apart():
+def test_collect_duration_pairs_lanes_finish_apart(monkeypatch):
     # lanes fill their quotas far apart, so the block grows while the last
     # ones run; on the lazy walk some lanes fill theirs inside a grown block,
     # before its last 64-step boundary, and skip that boundary's cap check,
     # as they would have left the run at their own boundary
     for dist, n, seed, lanes, cap in ((UNIT_UP, 20_000, 585, 256, 1 << 14),
                                       (LAZY, 5000, 587, 37, 1000)):
-        tau_p, tau_m, info = engine.collect_duration_pairs(
-            dist, n, seed, lanes=lanes, step_cap=cap)
+        monkeypatch.setattr(engine, "_LANES", lanes)
+        tau_p, tau_m, info = engine.collect_duration_pairs(dist, n, seed, step_cap=cap)
         assert _pairs_digest(tau_p, tau_m, info) == PAIRS_DIGESTS[seed]
         assert info["restarts"] > 0
 
 
-def test_collect_duration_pairs_replays_each_lane():
+def test_collect_duration_pairs_replays_each_lane(monkeypatch):
     # with no restart, lane i's harvest is the crossing decomposition of the
     # walk on its own stream: its leading negative stretch dropped, then its
     # first quota stretches of each sign, in order
     lanes, n = 4, 48
     quota = n // lanes
+    monkeypatch.setattr(engine, "_LANES", lanes)
     for dist, seed, cap in ((UNIT_UP, 596, 1 << 16), (LAZY, 600, 1 << 18)):
-        tau_p, tau_m, info = engine.collect_duration_pairs(dist, n, seed,
-                                                           lanes=lanes, step_cap=cap)
+        tau_p, tau_m, info = engine.collect_duration_pairs(dist, n, seed, step_cap=cap)
         assert info["restarts"] == 0
         tau_p, tau_m = tau_p.reshape(lanes, quota), tau_m.reshape(lanes, quota)
         # a lane ends within its harvest, a leading stretch below the cap
@@ -791,8 +790,8 @@ def test_exact_stretch_engines_pinned(x, mode):
 
 def test_exact_stretch_engines_pinned_with_caps():
     # a tiny passage cap makes capped draws common; their count is pinned too
-    tstar, capped = engine.srw_excursion_first_violation(
-        Fraction(1, 2), 3000, 2000, 593, trial_offset=77, cap_exp=6)
+    tstar, _, _, capped = engine._stretches(SIMPLE, Fraction(1, 2), 2000, 593, "strict",
+                                            77, 3000, engine._NO_LIMIT, cap_exp=6)
     assert capped > 0
     assert _digest(tstar, capped) == STRETCH_DIGESTS["time", "cap", "strict"]
     _, kstar, _, capped = engine._stretches(SIMPLE, Fraction(1, 2), 2000, 594, "weak",
@@ -808,8 +807,8 @@ def test_srw_xi_chunk_pinned(x):
 
 
 def test_srw_xi_chunk_retry_pinned():
-    res = engine._srw_xi_chunk(Fraction(1, 2), 10, 4000, 571, (10,), 0,
-                               cap_exp=12)
+    res = engine._xi_chunk(SIMPLE, None, Fraction(1, 2), 10, 4000, 571, (10,), 0,
+                           cap_exp=12)
     assert res.retries_used >= 1 and res.undecided > 0
     assert _xi_digest(res) == XI_DIGESTS["retry"]
 

@@ -99,13 +99,17 @@ def test_survival_a_cap_handling():
 
 def test_survival_refuses_horizons_the_run_cannot_answer():
     # trials are followed to t_max (k_max) only; a horizon past it used to
-    # report 0 survivors, and one below 1 reported p = 1
-    for grid in ((50, 100, 200), (0, -3, 50), ()):
+    # report 0 survivors, one below 1 reported p = 1, and 2.5 was read as 2
+    for grid in ((50, 100, 200), (0, -3, 50), (), (2.5, 10), (math.nan, 10),
+                 (math.inf,)):
         with pytest.raises(OutOfRange, match="grid"):
             mc.survival_atilde(SIMPLE, 0, 100, 200, seed=1, grid=grid)
     with pytest.raises(OutOfRange, match="grid"):
         mc.survival_a(SIMPLE, 0, 10, 200, seed=1, grid=(5, 10, 20))
-    curve = mc.survival_a(SIMPLE, 0, 10, 200, seed=1, grid=(10, 1, 10))
+    with pytest.raises(OutOfRange, match="grid"):
+        mc.survival_a(SIMPLE, 0, 10, 200, seed=1, grid=(2.5, 10))
+    curve = mc.survival_a(SIMPLE, 0, 10, 200, seed=1,
+                          grid=(10.0, np.int32(1), F(10)))
     assert curve.horizons.tolist() == [1, 10]
 
 

@@ -95,15 +95,6 @@ def test_exponential_consumes_one_position():
     assert s.position == 1
 
 
-def test_spawn_is_keyed_by_stream_id():
-    base = RandomStream(11, 0)
-    child = base.spawn(17)
-    fresh = RandomStream(11, 17)
-    assert child.key == fresh.key
-    assert uniform_at(np.array([child.key], dtype=np.uint64),
-                      np.array([0], dtype=np.uint64))[0] == fresh.uniform()
-
-
 def _unfmix64(h: int) -> int:
     """Inverse of fmix64: undo each xorshift and multiply by the inverse
     constants mod 2**64."""

@@ -29,8 +29,9 @@ def test_params_validation():
     stable.StableParams(kappa=-1.0)
     with pytest.raises(OutOfRange):
         stable.StableParams(kappa=1.0001)
-    with pytest.raises(OutOfRange):
-        stable.StableParams(kappa=0.0, scale=0.0)
+    for scale in (0.0, math.inf, math.nan):
+        with pytest.raises(OutOfRange):
+            stable.StableParams(kappa=0.0, scale=scale)
     with pytest.raises(OutOfRange):
         stable.negativity_probability(-1.5)
 
