@@ -17,14 +17,14 @@ Front door
 ----------
 Both run kinds, the barrier-event survival counts (:func:`atilde_counts`,
 :func:`a_counts`) and the ξ pair runs (:func:`run_xi_trials`), go through
-``_run``.  In order, it converts x, refuses x outside [0, 1) on every
-engine kind (``walk._ratio``, the check the oracle shares), resolves the
-engine kind (``ENGINE_KINDS``, the CLI's choices), refuses q·(p + q) ≥ 2^63
-for the exact loops, builds the duration tables once before any fork, and
-runs the chunks.  The chunk entry points ``srw_excursion_first_violation``,
-``_srw_xi_chunk`` and ``_table_xi_chunk`` stay on that path, and
-``stepped_first_violation`` stays beside it: the benchmark times each as a
-span.
+``_run``.  In order, it refuses trials < 1 (:class:`~.errors.OutOfRange`),
+converts x, refuses x outside [0, 1) on every engine kind (``walk._ratio``,
+the check the oracle shares), resolves the engine kind (``ENGINE_KINDS``,
+the CLI's choices), refuses q·(p + q) ≥ 2^63 for the exact loops, builds
+the duration tables once before any fork, and runs the chunks.  The chunk
+entry points ``srw_excursion_first_violation``, ``_srw_xi_chunk`` and
+``_table_xi_chunk`` stay on that path, and ``stepped_first_violation``
+stays beside it: the benchmark times each as a span.
 
 Engines
 -------
@@ -90,8 +90,14 @@ violation time (t_max + 1 if none) and the crossings before it
     stretch (drawn for its exit only, never paired), then two per stretch;
     retries alike.  A pass of the loop draws the 4·b stream positions of a
     block of b = max(1, ``_XI_DRAWS`` // (4·trials)) pairs per trial in one
-    call and, on the passage law, inverts them in one call; the tables
-    still draw pair by pair, since a stretch's entry is the exit before it.
+    call and, on the passage law, inverts them in one call.  On the tables
+    a stretch's entry is the exit before it, but a side with one entry
+    state has every entry known before any draw: the positive side where
+    the only step up is g, the gcd of the steps, and no step is 0 (every
+    ``unit-up`` walk), the negative side where the only step down is −g
+    (``tg``, the lazy ±1 walk).  That side leads, its b stretches in one
+    draw, and the other side's b follow in one more, entered at its exits.
+    A walk with several entry states on both sides draws pair by pair.
     A chunk's trials, and each retry's, run in tiles of at most
     ``_XI_DRAWS`` // 4, so a pass draws at most ``_XI_DRAWS`` = 2^15
     uniforms.  Neither the block nor the tile moves a trial's positions.
@@ -105,7 +111,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import durations as dur
-from .errors import OutOfDomain
+from .errors import OutOfDomain, OutOfRange
 from .increments import IncrementDistribution, preset, steps_from_uniforms
 from .rng import trial_keys, uniform_at
 from .walk import _is_strict, _ratio
@@ -403,6 +409,48 @@ def _w_negative(d, s, p, q):
     return d < p * s1 - (-(p * s0) // q)
 
 
+def _table_block(tables: dur.ExcursionTables, u: np.ndarray, entry: np.ndarray,
+                 cap_exp: int, cap: int
+                 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The table stretches of a block of pairs from its uniforms ``u``
+    (pair, sign, uniform, trial), each entered where the one before it left:
+    τ and capped flags shaped (pair, sign, trial), as the passage law gives
+    them, the number of tail draws and the entry after the block.
+
+    A side with one entry state leads: every stretch of it is entered there,
+    so one ``_draw`` on a flat batch takes the block's stretches of that
+    side, and one more the other side's, entered at the exits.  Positive
+    leading, the negative entries are the positive exits; negative leading,
+    the positive entries are the incoming entry, then the negative exits of
+    every pair but the last.  A walk with several entry states on both sides
+    takes sub-blocks of one pair.  Either way the next entry is the last
+    pair's negative exit."""
+    b, _, _, n = u.shape
+    pos_one, neg_one = len(tables.pos.entries) == 1, len(tables.neg.entries) == 1
+    step = b if pos_one or neg_one else 1
+    tau = np.empty((b, 2, n), dtype=np.int64)
+    capped, tail = np.empty((2, b, 2, n), dtype=bool)
+
+    def draw(sign, pairs, entries):
+        rows = u[pairs, sign]  # (pair, uniform, trial)
+        got = _draw(tables, rows[:, 0].ravel(), rows[:, 1].ravel(),
+                    np.full(entries.size, sign == 0), entries, cap_exp, cap)
+        for out, a in zip((tau, capped, tail), got[:3]):
+            out[pairs, sign] = a.reshape(rows.shape[0], n)
+        return got[3]
+
+    for i in range(0, b, step):
+        k = min(step, b - i)
+        pairs = slice(i, i + k)
+        if pos_one or not neg_one:
+            exits = draw(1, pairs, draw(0, pairs, np.tile(entry, k)))
+        else:
+            exits = draw(1, pairs, np.zeros(k * n, dtype=np.int64))
+            draw(0, pairs, np.concatenate((entry, exits[:(k - 1) * n])))
+        entry = exits[(k - 1) * n:]
+    return tau, capped, int(np.count_nonzero(tail)), entry
+
+
 def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
               keys: np.ndarray, n_pairs: int, p: int, q: int, cap_exp: int,
               record_ns: tuple[int, ...] = ()
@@ -414,10 +462,10 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
 
     A pass takes a block of b = max(1, _XI_DRAWS // (4·trials)) pairs: one
     ``uniform_at`` call draws every trial's 4·b uniforms, shaped (pair,
-    sign, uniform, trial) so that each row over the trials is contiguous,
-    and on the passage law one inversion takes them all.  The tables draw
-    pair by pair on the block's rows, each stretch entered where the one
-    before it left."""
+    sign, uniform, trial) so that each row over the trials is contiguous.
+    On the passage law one inversion takes them all; on the tables
+    ``_table_block`` draws them a side at a time, the side with one entry
+    state first.  W is then updated pair by pair."""
     ctr = np.zeros(keys.size, dtype=np.uint64)
     first = steps_from_uniforms(dist, uniform_at(keys, ctr))
     ctr += 1
@@ -429,7 +477,6 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
                       uniform_at(keys[dn], ctr[dn] + 1),
                       np.zeros(dn.size, dtype=bool), entry[dn], cap_exp, cap)[3]
     ctr[dn] += 2
-    up = np.ones(keys.size, dtype=bool)
     d, s = np.zeros((2, keys.size), dtype=np.int64)  # Σ τ⁺ - τ⁻ and Σ τ⁺ + τ⁻
     cap_pos, cap_neg = np.zeros((2, keys.size), dtype=bool)
     alive = np.ones(keys.size, dtype=bool)
@@ -445,13 +492,11 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
             tau, capped = dur.srw_tau_from_uniform_pairs(u[:, :, 0], u[:, :, 1],
                                                          cap_exp=cap_exp)
             counted += int(np.count_nonzero(capped))
+        else:
+            tau, capped, tail, entry = _table_block(tables, u, entry, cap_exp, cap)
+            counted += tail
         for i in range(b):
-            if tables is None:
-                (tp, tm), (cp, cm) = tau[i], capped[i]
-            else:
-                tp, cp, fp, entry = _draw(tables, *u[i, 0], up, entry, cap_exp, cap)
-                tm, cm, fm, entry = _draw(tables, *u[i, 1], ~up, entry, cap_exp, cap)
-                counted += int(np.count_nonzero(fp) + np.count_nonzero(fm))
+            (tp, tm), (cp, cm) = tau[i], capped[i]
             d += tp - tm
             s += tp + tm
             cap_pos |= cp
@@ -778,6 +823,8 @@ def _run(worker, dist: IncrementDistribution, x, engine_kind: str, trials: int,
     Stream keys depend only on the global trial index, so the merged
     result is independent of the chunking.
     """
+    if trials < 1:
+        raise OutOfRange(f"trials={trials} must be >= 1")
     x = Fraction(x)
     _ratio(x)
     kind = pick_engine(dist, engine_kind)

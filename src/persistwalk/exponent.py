@@ -285,13 +285,25 @@ def estimate_b_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int,
 
 
 def estimate_b(dist: IncrementDistribution, method: str, seed: int, *,
-               n_excursions: int = 50_000, x=Fraction(0), n_pairs: int = 250,
-               trials: int = 50_000, workers: int = 1,
-               step_cap: int = 2 ** 22) -> AsymmetryEstimate:
+               n_excursions: int | None = None, x=None, n_pairs: int | None = None,
+               trials: int | None = None, workers: int | None = None,
+               step_cap: int | None = None) -> AsymmetryEstimate:
     """Run :func:`estimate_b_tail` for method ``"tail"`` (``n_excursions``,
-    ``step_cap``) or :func:`estimate_b_q` for ``"q"`` (the other options)."""
+    50 000 if not given, and ``step_cap``, 2^22) or :func:`estimate_b_q` for
+    ``"q"`` (``x``, 0; ``n_pairs``, 250; ``trials``, 50 000; ``workers``, 1).
+    An option of the other method is refused with ``ValueError``, never
+    ignored."""
+    options = {"tail": {"n_excursions": n_excursions, "step_cap": step_cap},
+               "q": {"x": x, "n_pairs": n_pairs, "trials": trials, "workers": workers}}
+    if method not in options:
+        raise ValueError(f"unknown method {method!r} (expected 'tail' or 'q')")
+    stray = [name for other, given in options.items() if other != method
+             for name, value in given.items() if value is not None]
+    if stray:
+        raise ValueError(f"method {method!r} takes no {', '.join(stray)}")
     if method == "tail":
-        return estimate_b_tail(dist, n_excursions, seed, step_cap=step_cap)
-    if method == "q":
-        return estimate_b_q(dist, x, n_pairs, trials, seed, workers=workers)
-    raise ValueError(f"unknown method {method!r} (expected 'tail' or 'q')")
+        return estimate_b_tail(dist, 50_000 if n_excursions is None else n_excursions,
+                               seed, step_cap=2 ** 22 if step_cap is None else step_cap)
+    return estimate_b_q(dist, 0 if x is None else x, 250 if n_pairs is None else n_pairs,
+                        50_000 if trials is None else trials, seed,
+                        workers=1 if workers is None else workers)

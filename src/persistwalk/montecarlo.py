@@ -139,8 +139,6 @@ def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
     x = Fraction(x)
     if t_max < 2:
         raise OutOfRange(f"t_max={t_max} < 2")
-    if trials < 1:
-        raise OutOfRange("trials must be >= 1")
     grid = _horizons(t_max, grid_ratio, grid)
     counts = engine.atilde_counts(dist, x, t_max, trials, seed,
                                   tuple(int(g) for g in grid),
@@ -177,8 +175,6 @@ def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
         raise ValueError(f"on_cap must be 'count' or 'raise', not {on_cap!r}")
     if k_max < 1:
         raise OutOfRange(f"k_max={k_max} < 1")
-    if trials < 1:
-        raise OutOfRange("trials must be >= 1")
     grid = _horizons(k_max, grid_ratio, grid)
     counts = engine.a_counts(dist, x, k_max, trials, seed,
                              tuple(int(g) for g in grid), mode=mode,

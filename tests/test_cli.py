@@ -337,6 +337,18 @@ def test_bad_sizes_are_refused_or_merged(capsys, argv):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate-b", "--dist", "unit-up:-2", "--method", "q", "--trials", "0",
+     "--n-pairs", "5"),
+    ("diagnose-skew", "--dist", "unit-up:-2", "--trials", "-5", "--n-grid", "5,10"),
+])
+def test_xi_commands_refuse_trials_below_one(capsys, argv):
+    # these said "phi=nan outside (0, 1)" and "only 0 of -5 trials survive"
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 1 and f"persistwalk {argv[0]}: OutOfRange: trials=" in err
+    assert "Traceback" not in err
+
+
 def test_reproduce_list_and_unknown(capsys):
     rc, out, _ = run_cli(capsys, "reproduce", "--list")
     assert rc == 0

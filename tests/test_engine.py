@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistwalk import durations, engine, exponent, montecarlo, oracle, walk
-from persistwalk.errors import OutOfDomain
+from persistwalk.errors import OutOfDomain, OutOfRange
 from persistwalk.increments import preset, steps_from_uniforms, validate
 from persistwalk.rng import trial_keys, uniform_at
 
@@ -774,7 +775,13 @@ TABLE_XI_DIGESTS = {
     "unit-up": "eb2bd2b9d494d596b1d90dd4f6f3c867eb131ed70929e840777f5ce4870ee532",
     "tg": "fc7a719f3fd53875a32a7d026795bd5fca7627f1c95ccf2af81c8256f589eeb2",
     "lazy": "35d8ef17c3d34768a97234fa8d0e2ad328ff94d8c580cd3285ff769db7204559",
+    "pm1,pm2": "eead4ab7381aa0738dad2f6bcdd45d83c073ed5a2bd39fcef2c087abecf407da",
 }
+# {−2, −1, +1, +2} at ¼ each ("pm1,pm2") enters both sides at two states,
+# so its table stretches are drawn pair by pair; its digest comes from the
+# loop that drew every walk's that way.  Its tables stop at 2^11, since at
+# the default 2^15 they take seconds to build
+PM12 = validate([(v, Fraction(1, 4)) for v in (-2, -1, 1, 2)])
 
 
 @pytest.mark.parametrize("x", X_PINNED, ids=str)
@@ -820,6 +827,25 @@ def test_table_xi_chunk_pinned(name, dist):
     res = engine._table_xi_chunk(dist, Fraction(1, 3), 30, 2000, 596,
                                  (10, 30), 321)
     assert _xi_digest(res) == TABLE_XI_DIGESTS[name]
+
+
+def test_table_xi_chunk_pinned_drawn_pair_by_pair():
+    res = engine._xi_chunk(PM12, durations.excursion_tables(PM12, 2 ** 11),
+                           Fraction(1, 3), 30, 2000, 596, (10, 30), 321)
+    assert _xi_digest(res) == TABLE_XI_DIGESTS["pm1,pm2"]
+
+
+def test_runs_refuse_trials_below_one():
+    # the ξ runs returned empty counts for zero trials and ran a negative
+    # count as zero; the front door refuses both for every run
+    for trials in (0, -3):
+        for run in (lambda: engine.run_xi_trials(UNIT_UP, 0, 5, trials, 1),
+                    lambda: engine.atilde_counts(SIMPLE, 0, 10, trials, 1, (5,)),
+                    lambda: engine.a_counts(UNIT_UP, 0, 3, trials, 1, (2,)),
+                    lambda: montecarlo.survival_atilde(SIMPLE, 0, 10, trials, 1),
+                    lambda: montecarlo.survival_a(UNIT_UP, 0, 3, trials, 1)):
+            with pytest.raises(OutOfRange, match=f"trials={trials} must be >= 1"):
+                run()
 
 
 def test_runs_reach_the_benchmark_spans(monkeypatch):
@@ -1022,24 +1048,28 @@ def test_lattice_walk_runs_pinned(name):
 
 
 @pytest.mark.parametrize("name,dist", [("simple", SIMPLE), ("unit-up", UNIT_UP),
-                                       ("lazy", LAZY)])
+                                       ("lazy", LAZY), ("tg", TG), ("pm1,pm2", PM12)])
 @pytest.mark.parametrize("cap_exp", [CAP_EXP, 6])
 def test_xi_blocks_and_tiles_keep_every_count(monkeypatch, name, dist, cap_exp):
     # a pass of one pair per tile of one trial; blocks of 3 pairs, so the
     # records 1, 3, 4, 10 fall at a block's start, on its edge and past it,
     # and the last block holds 1 pair; tiles of 7 trials, which split 17 as
     # 7, 7, 3 with blocks of 1, 1 and 2 pairs; the default, one block of all
-    # 10 pairs.  At cap_exp = 6 the cap retries run.
+    # 10 pairs.  On the tables the positive side leads on unit-up, the
+    # negative side on lazy and tg, and ±1, ±2 draws pair by pair.  At
+    # cap_exp = 6 table τ are clamped and the cap retries run.
     x, n_pairs, trials, seed, record_ns = Fraction(1, 3), 10, 17, 597, (1, 3, 4, 10)
-    tables = None if dist.is_simple else durations.excursion_tables(dist)
+    tables = (None if dist.is_simple else
+              durations.excursion_tables(dist, 2 ** 11) if dist is PM12 else
+              durations.excursion_tables(dist))
     keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
     want = int_xi_result(dist, tables, x, n_pairs, keys, cap_exp, record_ns)
-    got = set()
+    runs = []
     for draws in (4, 12 * trials, 28, engine._XI_DRAWS):
         monkeypatch.setattr(engine, "_XI_DRAWS", draws)
         res = engine._xi_chunk(dist, tables, x, n_pairs, trials, seed, record_ns, 0,
                                cap_exp)
         assert _xi_fields(res) == want
-        got.add(res.capped_draws)
-    assert len(got) == 1
+        runs.append([np.asarray(getattr(res, f.name)).tolist() for f in fields(res)])
+    assert all(run == runs[0] for run in runs)
     assert (want[-1] > 0) == (cap_exp == 6)

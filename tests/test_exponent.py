@@ -139,3 +139,14 @@ def test_estimate_b_dispatch():
     assert est.method == "tail-ratio"
     with pytest.raises(ValueError):
         exponent.estimate_b(SIMPLE, "bogus", 617)
+
+
+def test_estimate_b_refuses_the_other_methods_options():
+    # the tail method returned b̂ = 1.0604 here, as if x, trials and n_pairs
+    # had not been given
+    with pytest.raises(ValueError, match="'tail' takes no x, n_pairs, trials"):
+        exponent.estimate_b(SIMPLE, "tail", 1, n_excursions=20000, trials=7,
+                            n_pairs=3, x=0.5)
+    with pytest.raises(ValueError, match="'q' takes no n_excursions, step_cap"):
+        exponent.estimate_b(SIMPLE, "q", 1, n_excursions=20000, step_cap=2 ** 10,
+                            trials=7)
