@@ -150,13 +150,12 @@ def _cmd_estimate_a(args) -> int:
 
 def _cmd_estimate_b(args) -> int:
     dist = parse_dist_spec(args.dist)
-    kwargs = {}
-    if args.method == "tail":
-        kwargs.update(n_excursions=args.excursions, step_cap=args.step_cap)
-    else:
-        kwargs.update(x=parse_rational(args.x), n_pairs=args.n_pairs,
-                      trials=args.trials, workers=args.workers)
-    est = estimate_b(dist, args.method, args.seed, **kwargs)
+    # every option the user gave goes through, so that estimate_b refuses
+    # one of the other method; it fills in the ones not given
+    est = estimate_b(dist, args.method, args.seed, n_excursions=args.excursions,
+                     step_cap=args.step_cap,
+                     x=None if args.x is None else parse_rational(args.x),
+                     n_pairs=args.n_pairs, trials=args.trials, workers=args.workers)
     print(f"b_hat={est.b_hat:.6g} stderr={est.stderr:.6g} "
           f"method={est.method}")
     # the approximations: censored stretches (tail), undecided trials and
@@ -301,13 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dist", required=True)
     sp.add_argument("--method", required=True, choices=("tail", "q"))
     sp.add_argument("--seed", type=int, default=_env_seed())
-    sp.add_argument("--excursions", type=int, default=50_000,
-                    help="duration pairs for the tail method")
-    sp.add_argument("--step-cap", type=int, default=2 ** 22, dest="step_cap")
-    sp.add_argument("--x", default="0", help="barrier slope (q method)")
-    sp.add_argument("--n-pairs", type=int, default=250, dest="n_pairs")
-    sp.add_argument("--trials", type=int, default=50_000)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--excursions", type=int,
+                    help="duration pairs (tail method; default 50000)")
+    sp.add_argument("--step-cap", type=int, dest="step_cap",
+                    help="censoring step cap (tail method; default 2^22)")
+    sp.add_argument("--x", help="barrier slope (q method; default 0)")
+    sp.add_argument("--n-pairs", type=int, dest="n_pairs",
+                    help="excursion pairs per trial (q method; default 250)")
+    sp.add_argument("--trials", type=int, help="trials (q method; default 50000)")
+    sp.add_argument("--workers", type=int, help="worker processes (q method; default 1)")
     sp.set_defaults(func=_cmd_estimate_b)
 
     sp = sub.add_parser("diagnose-skew",

@@ -10,8 +10,9 @@ workers — per-horizon counters merge by integer addition.  An engine
 may generate positions past the point where a trial's outcome is settled
 (the stepped reference draws whole blocks); those values are never used, so
 no result depends on them.  An engine may also draw a trial's positions
-ahead of use (the ξ pair loop draws a block of pairs at once); the
-positions each trial consumes stay the ones documented below.
+ahead of use (the stretch loop and the ξ pair loop each draw a block of
+stretches at once); the positions each trial consumes stay the ones
+documented below.
 
 Front door
 ----------
@@ -51,14 +52,22 @@ violation time (t_max + 1 if none) and the crossings before it
     v ≥ 0 opens a positive stretch, at height 0 for v = 0), then two per
     stretch (``_draw``): two unit passages of the exact passage law on the
     simple walk, or τ and the exit entry from the duration tables on any
-    other walk.  A table τ is a float whose √-tail can pass 2^63;
-    every τ is clamped one step past what can matter (t_max - t + 1, or
-    step_cap + 1), and a table stretch longer than step_cap ends its trial
-    as a censored survivor unless the barrier fell first.  Products with p
-    or q are formed only of remainders, below q·(p + q), or stay below the
-    sums they split, so the loop is exact in int64 for every x in [0, 1)
-    with q·(p + q) < 2^63 and horizon below 2^62 steps, and refuses any other
-    input with :class:`~.errors.OutOfDomain`.
+    other walk.  A pass draws a block of b = max(1, ``_DRAWS`` // (2·live))
+    stretches per live trial, 2·b stream positions in one call, and settles
+    them at once: start times and heights are cumulative sums of τ, and a
+    trial's stretches count (towards tstar, kstar, censored and the flagged
+    draws) up to the first that ends it; the rest of its block is drawn and
+    never used.  A table τ is a float
+    whose √-tail can pass 2^63; every τ is clamped at min(t_max,
+    step_cap) + 1, which decides what a longer τ would, and a stretch longer
+    than step_cap ends its trial as a censored survivor unless the barrier
+    or the horizon came first.  A block is short enough that no start time
+    in it reaches 2^62, so no cumulative sum wraps, past a trial's last
+    stretch too.  Products with p or q are formed only of remainders, below
+    q·(p + q), or stay below the sums they split, so the loop is exact in
+    int64 for every x in [0, 1) with q·(p + q) < 2^63 and horizon below
+    2^62 steps, and refuses any other input with
+    :class:`~.errors.OutOfDomain`.
 
 ``_stepped``
     The stepped reference the tests compare the stretch loop against,
@@ -89,17 +98,18 @@ violation time (t_max + 1 if none) and the crossings before it
     Consumption: one uniform for the first step, two for a leading negative
     stretch (drawn for its exit only, never paired), then two per stretch;
     retries alike.  A pass of the loop draws the 4·b stream positions of a
-    block of b = max(1, ``_XI_DRAWS`` // (4·trials)) pairs per trial in one
-    call and, on the passage law, inverts them in one call.  On the tables
-    a stretch's entry is the exit before it, but a side with one entry
-    state has every entry known before any draw: the positive side where
-    the only step up is g, the gcd of the steps, and no step is 0 (every
-    ``unit-up`` walk), the negative side where the only step down is −g
-    (``tg``, the lazy ±1 walk).  That side leads, its b stretches in one
-    draw, and the other side's b follow in one more, entered at its exits.
-    A walk with several entry states on both sides draws pair by pair.
-    A chunk's trials, and each retry's, run in tiles of at most
-    ``_XI_DRAWS`` // 4, so a pass draws at most ``_XI_DRAWS`` = 2^15
+    block of b = max(1, ``_DRAWS`` // (4·trials)) pairs per trial in one
+    call, and ``_draw``, the block draw the stretch loop uses too, takes its
+    2·b stretches, every trial positive-leading: on the passage law one
+    inversion.  On the tables a stretch's entry is the exit before it, but a
+    side with one entry state has every entry known before any draw: the
+    positive side where the only step up is g, the gcd of the steps, and no
+    step is 0 (every ``unit-up`` walk), the negative side where the only
+    step down is −g (``tg``, the lazy ±1 walk).  That side's stretches of
+    the block take one sampler call, and the other side's one more, entered
+    at its exits.  A walk with several entry states on both sides draws
+    stretch by stretch.  A chunk's trials, and each retry's, run in tiles of
+    at most ``_DRAWS`` // 4, so a pass draws at most ``_DRAWS`` = 2^15
     uniforms.  Neither the block nor the tile moves a trial's positions.
 """
 
@@ -120,7 +130,7 @@ _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
 _NO_LIMIT = 1 << 62  # no horizon, stretch count or step cap; t stays below it
 _SIMPLE = preset("simple")
 _XI_RETRIES = 3  # cap retries of the ξ pair loop
-_XI_DRAWS = 1 << 15  # most uniforms one pass of the ξ pair loop draws
+_DRAWS = 1 << 15  # uniforms a pass of either loop draws, or 2 a live trial if more
 _LANES = 2048  # most walks the lane collector steps side by side
 
 
@@ -274,19 +284,53 @@ def _down_first_violation(g, t, p, q, strict):
     return np.maximum(sstar, t + 1)
 
 
-def _draw(tables, u, v, up, entry, cap_exp, cap):
-    """One stretch per trial from its two uniforms, rows ``u`` and ``v``: τ
-    (int64), its capped and counted flags and the next entry.  On the
-    passage law (``tables`` None) u and v are two unit passages and both
-    flags are the passage cap hits; on the tables u draws τ and v the exit,
-    τ is clamped at ``cap``, a clamp hit is capped and a √-tail draw
-    counted."""
+def _draw(tables, u, up, entry, cap_exp, cap):
+    """A block of k stretches per trial from their uniforms ``u`` (stretch,
+    uniform, trial): τ (int64), its capped and counted flags, shaped
+    (stretch, trial), and the entry after the block.  Stretch 0 is positive
+    where ``up`` is set and entered at ``entry``; signs alternate, and each
+    stretch is entered at the exit before it.
+
+    On the passage law (``tables`` None) a stretch is two unit passages and
+    both flags are the passage cap hits.  On the tables the first uniform
+    draws τ and the second the exit, τ is clamped at ``cap``, a clamp hit is
+    capped and a √-tail draw counted.  A side with one entry state has every
+    entry known before any draw, so all its stretches in the block take one
+    sampler call, and the other side's take one more, entered at the exits;
+    a walk with several entry states on both sides draws stretch by
+    stretch."""
     if tables is None:
-        tau, capped = dur.srw_tau_from_uniform_pairs(u, v, cap_exp=cap_exp)
+        tau, capped = dur.srw_tau_from_uniform_pairs(u[:, 0], u[:, 1], cap_exp=cap_exp)
         return tau, capped, capped, entry
-    tau, tail, entry = tables.sample_stretches(up, entry, u, v)
+    k, _, n = u.shape
+    ups = up ^ (np.arange(k) % 2 == 1)[:, None]
+    tau = np.empty((k, n))
+    tail = np.empty((k, n), dtype=bool)
+    exits = np.empty((k, n), dtype=np.int64)
+
+    def draw(at, entries):
+        sel = ups[at]
+        got = tables.sample_stretches(sel.ravel(), entries.ravel(),
+                                      u[:, 0][at].ravel(), u[:, 1][at].ravel())
+        for out, a in zip((tau, tail, exits), got):
+            out[at] = a.reshape(sel.shape)
+
+    pos_lead = len(tables.pos.entries) == 1
+    if pos_lead or len(tables.neg.entries) == 1:
+        if up.all() or not up.any():  # a side's stretches are every other row
+            j0 = int(bool(up.all()) != pos_lead)
+            lead, other = slice(j0, None, 2), slice(1 - j0, None, 2)
+        else:
+            lead = ups if pos_lead else ~ups
+            other = ~lead
+        draw(lead, np.zeros(ups[lead].shape, dtype=np.int64))
+        draw(other, np.concatenate((entry[None], exits[:-1]))[other])
+    else:
+        for j in range(k):
+            draw(j, entry)
+            entry = exits[j]
     capped = tau > cap
-    return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, entry
+    return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, exits[-1]
 
 
 def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
@@ -297,13 +341,22 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     """Both events on the passage law (``tables`` None) or on ``tables``:
     (tstar, kstar, censored) as in the module docstring, and the flagged
     draws: capped passage draws, or tail draws that could end before t_max.
-    """
+
+    A pass settles a block of b = max(1, _DRAWS // (2·live)) stretches per
+    live trial, drawn by one ``uniform_at`` call and one ``_draw``; a
+    trial's stretches count up to the first that ends it."""
     p, q = _exact_ratio(x, _STRETCH_REFUSAL)
     strict = _is_strict(mode)
     longest = min(step_cap, dur.srw_tau_cap(cap_exp) if tables is None else _NO_LIMIT)
-    if min(t_max + 1, n_stretches * (longest + 1)) >= _NO_LIMIT:  # bounds every t
+    reach = min(t_max + 1, n_stretches * (longest + 1))
+    if reach >= _NO_LIMIT:  # bounds every t
         raise OutOfDomain("a horizon of 2^62 steps is beyond the stretch loop's "
                           "exact int64 arithmetic")
+    # a τ of ``clamp`` steps ends its trial past t_max or the cap, as any
+    # longer τ would; in a block of at most ``block_cap`` stretches no start
+    # time reaches 2^62, past a trial's last stretch too, so G + t never wraps
+    clamp = min(t_max, longest) + 1
+    block_cap = 1 + (_NO_LIMIT - reach) // clamp
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     idx = np.arange(trials, dtype=np.int64)
@@ -320,31 +373,46 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     censored = flagged = 0
     stretch = 0
     while idx.size and stretch < n_stretches:
-        tau, _, flag, entry = _draw(tables, uniform_at(keys, ctr),
-                                    uniform_at(keys, ctr + 1), up, entry, cap_exp,
+        b = min(max(1, _DRAWS // (2 * idx.size)), n_stretches - stretch, block_cap)
+        u = uniform_at(keys, ctr + np.arange(2 * b, dtype=np.uint64)[:, None])
+        tau, _, flag, entry = _draw(tables, u.reshape(b, 2, -1), up, entry, cap_exp,
                                     _NO_LIMIT)
+        del u  # freed before the settle step, where a pass's memory peaks
+        np.minimum(tau, clamp, out=tau)
+        ups = up ^ (np.arange(b) % 2 == 1)[:, None]
+        # the stretches' start times and heights, from the moves before each
+        start, height = np.empty((2, b, idx.size), dtype=np.int64)
+        start[0], height[0] = t, g
+        np.cumsum(tau[:-1], axis=0, out=start[1:])
+        start[1:] += t
+        np.cumsum(np.where(ups[:-1], tau[:-1], -tau[:-1]), axis=0, out=height[1:])
+        height[1:] += g
+        end = start + tau
+        when = np.where(ups, start + 1,
+                        _down_first_violation(height, start, p, q, strict))
+        dead = np.where(ups, _up_entry_violation(height, start, p, q, strict),
+                        when <= np.minimum(end, t_max))
+        # outgrew the cap before the horizon, barrier intact
+        over = ~dead & (tau > step_cap) & (start <= t_max - step_cap)
+        ends = dead | over | (end >= t_max)
+        done = np.logical_or.accumulate(ends, axis=0)  # ended at stretch j or before
+        ending = ends.copy()  # the stretch that ends the trial
+        ending[1:] &= ~done[:-1]
         if tables is not None:
-            flag &= t < t_max - tables.n_table - 1  # else τ > N decides nothing
-        ctr += 2
-        flagged += int(flag.sum())
-        tau = np.minimum(tau, np.minimum(t_max - t, step_cap) + 1)
-
-        when = np.where(up, t + 1, _down_first_violation(g, t, p, q, strict))
-        dead = np.where(up, _up_entry_violation(g, t, p, q, strict),
-                        when <= np.minimum(t + tau, t_max))
-        rows = idx[dead]
-        tstar[rows] = when[dead]
-        kstar[rows] = stretch
-        over = ~dead & (tau > step_cap)  # outgrew the cap, barrier intact
-        censored += int(over.sum())
-        t = t + tau
-        g = np.where(up, g + tau, g - tau)
-        keep = ~dead & ~over & (t < t_max)
+            flag &= start < t_max - tables.n_table - 1  # else τ > N decides nothing
+        flagged += int(np.count_nonzero(flag & (ending | ~done)))  # up to the ending one
+        censored += int(np.count_nonzero(over & ending))
+        jk, ck = np.nonzero(dead & ending)
+        tstar[idx[ck]] = when[jk, ck]
+        kstar[idx[ck]] = stretch + jk
+        keep = ~done[-1]
+        t, g = end[-1], np.where(ups[-1], height[-1] + tau[-1], height[-1] - tau[-1])
         if not keep.all():
             idx, t, g, keys, ctr, up, entry = (a[keep] for a in
                                                (idx, t, g, keys, ctr, up, entry))
-        up = ~up
-        stretch += 1
+        ctr += 2 * b
+        up ^= b % 2 == 1
+        stretch += b
     return tstar, kstar, censored, flagged
 
 
@@ -409,48 +477,6 @@ def _w_negative(d, s, p, q):
     return d < p * s1 - (-(p * s0) // q)
 
 
-def _table_block(tables: dur.ExcursionTables, u: np.ndarray, entry: np.ndarray,
-                 cap_exp: int, cap: int
-                 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """The table stretches of a block of pairs from its uniforms ``u``
-    (pair, sign, uniform, trial), each entered where the one before it left:
-    τ and capped flags shaped (pair, sign, trial), as the passage law gives
-    them, the number of tail draws and the entry after the block.
-
-    A side with one entry state leads: every stretch of it is entered there,
-    so one ``_draw`` on a flat batch takes the block's stretches of that
-    side, and one more the other side's, entered at the exits.  Positive
-    leading, the negative entries are the positive exits; negative leading,
-    the positive entries are the incoming entry, then the negative exits of
-    every pair but the last.  A walk with several entry states on both sides
-    takes sub-blocks of one pair.  Either way the next entry is the last
-    pair's negative exit."""
-    b, _, _, n = u.shape
-    pos_one, neg_one = len(tables.pos.entries) == 1, len(tables.neg.entries) == 1
-    step = b if pos_one or neg_one else 1
-    tau = np.empty((b, 2, n), dtype=np.int64)
-    capped, tail = np.empty((2, b, 2, n), dtype=bool)
-
-    def draw(sign, pairs, entries):
-        rows = u[pairs, sign]  # (pair, uniform, trial)
-        got = _draw(tables, rows[:, 0].ravel(), rows[:, 1].ravel(),
-                    np.full(entries.size, sign == 0), entries, cap_exp, cap)
-        for out, a in zip((tau, capped, tail), got[:3]):
-            out[pairs, sign] = a.reshape(rows.shape[0], n)
-        return got[3]
-
-    for i in range(0, b, step):
-        k = min(step, b - i)
-        pairs = slice(i, i + k)
-        if pos_one or not neg_one:
-            exits = draw(1, pairs, draw(0, pairs, np.tile(entry, k)))
-        else:
-            exits = draw(1, pairs, np.zeros(k * n, dtype=np.int64))
-            draw(0, pairs, np.concatenate((entry, exits[:(k - 1) * n])))
-        entry = exits[(k - 1) * n:]
-    return tau, capped, int(np.count_nonzero(tail)), entry
-
-
 def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
               keys: np.ndarray, n_pairs: int, p: int, q: int, cap_exp: int,
               record_ns: tuple[int, ...] = ()
@@ -460,12 +486,11 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     the number of counted draws and, per n in ``record_ns``, the counts of
     trials with W_m ≥ 0 for every m ≤ n and of those with W_n < 0.
 
-    A pass takes a block of b = max(1, _XI_DRAWS // (4·trials)) pairs: one
-    ``uniform_at`` call draws every trial's 4·b uniforms, shaped (pair,
-    sign, uniform, trial) so that each row over the trials is contiguous.
-    On the passage law one inversion takes them all; on the tables
-    ``_table_block`` draws them a side at a time, the side with one entry
-    state first.  W is then updated pair by pair."""
+    A pass takes a block of b = max(1, _DRAWS // (4·trials)) pairs: one
+    ``uniform_at`` call draws every trial's 4·b uniforms, shaped (stretch,
+    uniform, trial) so that each row over the trials is contiguous, and one
+    ``_draw`` takes the block's 2·b stretches, every trial positive-leading.
+    W is then updated pair by pair."""
     ctr = np.zeros(keys.size, dtype=np.uint64)
     first = steps_from_uniforms(dist, uniform_at(keys, ctr))
     ctr += 1
@@ -473,28 +498,25 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
              else tables.first_entries(first))
     dn = np.flatnonzero(first < 0)  # a leading negative stretch: its exit only
     cap = dur.srw_tau_cap(cap_exp)
-    entry[dn] = _draw(tables, uniform_at(keys[dn], ctr[dn]),
-                      uniform_at(keys[dn], ctr[dn] + 1),
-                      np.zeros(dn.size, dtype=bool), entry[dn], cap_exp, cap)[3]
+    u = uniform_at(keys[dn], ctr[dn] + np.arange(2, dtype=np.uint64)[:, None])
+    entry[dn] = _draw(tables, u.reshape(1, 2, -1), np.zeros(dn.size, dtype=bool),
+                      entry[dn], cap_exp, cap)[3]
     ctr[dn] += 2
     d, s = np.zeros((2, keys.size), dtype=np.int64)  # Σ τ⁺ - τ⁻ and Σ τ⁺ + τ⁻
     cap_pos, cap_neg = np.zeros((2, keys.size), dtype=bool)
     alive = np.ones(keys.size, dtype=bool)
     counts = np.zeros((2, len(record_ns)), dtype=np.int64)
     counted = 0
-    block = max(1, _XI_DRAWS // (4 * max(1, keys.size)))
+    block = max(1, _DRAWS // (4 * max(1, keys.size)))
+    positive = np.ones(keys.size, dtype=bool)
     for m0 in range(0, n_pairs, block):
         b = min(block, n_pairs - m0)
-        u = uniform_at(keys, ctr + np.arange(4 * b, dtype=np.uint64)[:, None]
-                       ).reshape(b, 2, 2, keys.size)
+        u = uniform_at(keys, ctr + np.arange(4 * b, dtype=np.uint64)[:, None])
         ctr += 4 * b
-        if tables is None:
-            tau, capped = dur.srw_tau_from_uniform_pairs(u[:, :, 0], u[:, :, 1],
-                                                         cap_exp=cap_exp)
-            counted += int(np.count_nonzero(capped))
-        else:
-            tau, capped, tail, entry = _table_block(tables, u, entry, cap_exp, cap)
-            counted += tail
+        tau, capped, flag, entry = _draw(tables, u.reshape(2 * b, 2, -1), positive,
+                                         entry, cap_exp, cap)
+        counted += int(np.count_nonzero(flag))
+        tau, capped = tau.reshape(b, 2, -1), capped.reshape(b, 2, -1)
         for i in range(b):
             (tp, tm), (cp, cm) = tau[i], capped[i]
             d += tp - tm
@@ -516,13 +538,13 @@ def _xi_chunk(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     """The pair loop on one chunk of trials on the passage law (``tables``
     None) or on ``tables``, then the cap retries: retry r reruns it on the
     undecided trials at cap_exp + 2r, with the uniforms they had before.
-    Each run goes over tiles of at most _XI_DRAWS // 4 trials, so that no
-    pass draws more than _XI_DRAWS uniforms."""
+    Each run goes over tiles of at most _DRAWS // 4 trials, so that no
+    pass draws more than _DRAWS uniforms."""
     p, q = _exact_ratio(x, _XI_REFUSAL)
     record_ns = tuple(sorted(record_ns))
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
-    tile = _XI_DRAWS // 4
+    tile = _DRAWS // 4
 
     def tiled(keys, cap_exp, record_ns=()):
         parts = [_xi_pairs(dist, tables, keys[i:i + tile], n_pairs, p, q, cap_exp,

@@ -121,10 +121,17 @@ _TAIL_BOOTSTRAP = 200          # pair-bootstrap resamples for the stderr
 _MIN_TAIL = 100                # stretches of each sign the window must hold
 
 
-def _fixed_slope_constant(durations: np.ndarray, grid: np.ndarray) -> float:
-    """LS fit of C in P(τ > n) = C·n^(-1/2) over the grid (log scale)."""
+def _fixed_slope_constant(durations: np.ndarray, grid: np.ndarray,
+                          n_excursions: int) -> float:
+    """LS fit of C in P(τ > n) = C·n^(-1/2) over the grid (log scale), or
+    :class:`InsufficientTail` where no duration passes a grid point."""
     n = len(durations)
     exceed = np.array([(durations > g).sum() for g in grid], dtype=np.float64)
+    if not exceed.all():
+        raise InsufficientTail(
+            f"no stretch of a sample or bootstrap resample passes the fit grid "
+            f"point {grid[exceed.argmin()]} at n_excursions={n_excursions}; "
+            "increase n_excursions")
     p = exceed / n
     return float(np.exp(np.mean(np.log(p) + 0.5 * np.log(grid))))
 
@@ -159,7 +166,8 @@ def estimate_b_tail(dist: IncrementDistribution, n_excursions: int, seed: int, *
     "> n" for every grid point (the window is clipped below the cap, so the
     fit itself never sees a censored value as finite).  Raises
     :class:`InsufficientTail` when fewer than 100 stretches of either sign
-    exceed the lower window edge.
+    exceed the lower window edge, or when the sample or a bootstrap resample
+    has no stretch past a grid point (its constant would be 0).
     """
     if n_excursions < 1:
         raise ValueError("n_excursions must be >= 1")
@@ -176,7 +184,7 @@ def estimate_b_tail(dist: IncrementDistribution, n_excursions: int, seed: int, *
                 f"{n_beyond} {label} stretches beyond the fit window "
                 f"(need {_MIN_TAIL}); increase n_excursions")
         grids[label] = grid
-        consts[label] = _fixed_slope_constant(tau, grid)
+        consts[label] = _fixed_slope_constant(tau, grid, n_excursions)
 
     b_hat = consts["pos"] / consts["neg"]
 
@@ -188,8 +196,8 @@ def estimate_b_tail(dist: IncrementDistribution, n_excursions: int, seed: int, *
     for bi in range(_TAIL_BOOTSTRAP):
         counters = np.arange(bi * n, (bi + 1) * n, dtype=np.uint64)
         idx = (uniform_at(keys, counters) * n).astype(np.int64)
-        cp = _fixed_slope_constant(tau_pos[idx], grids["pos"])
-        cm = _fixed_slope_constant(tau_neg[idx], grids["neg"])
+        cp = _fixed_slope_constant(tau_pos[idx], grids["pos"], n_excursions)
+        cm = _fixed_slope_constant(tau_neg[idx], grids["neg"], n_excursions)
         bvals[bi] = cp / cm
     stderr = float(np.std(bvals, ddof=1))
 

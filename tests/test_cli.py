@@ -233,6 +233,24 @@ def test_estimate_b_reports_approximations(capsys):
     assert re.search(r"capped_draws=\(\d+, \d+\)", out)
 
 
+@pytest.mark.parametrize("argv,refusal", [
+    (("--method", "tail", "--excursions", "20000", "--x", "1/2", "--trials", "7"),
+     "ValueError: method 'tail' takes no x, trials"),
+    (("--method", "q", "--excursions", "20000", "--step-cap", "1024", "--trials", "7"),
+     "ValueError: method 'q' takes no n_excursions, step_cap"),
+    (("--method", "tail", "--excursions", "2000"),
+     "InsufficientTail: no stretch of a sample or bootstrap resample"),
+])
+def test_estimate_b_refusals(capsys, argv, refusal):
+    # the first two printed a b̂ and exited 0, as if the other method's
+    # options had not been given; the third ended in a ZeroDivisionError
+    rc, out, err = run_cli(capsys, "estimate-b", "--dist", "simple", *argv,
+                           "--seed", "1")
+    assert rc == 1 and out == ""
+    assert f"persistwalk estimate-b: {refusal}" in err
+    assert "Traceback" not in err
+
+
 def test_estimate_a_general_walk_runs_on_tables(capsys):
     # this command used to fall back to the O(t) stepped engine and had not
     # finished after 100 s at --k-max 400 --trials 1500

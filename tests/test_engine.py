@@ -778,8 +778,8 @@ TABLE_XI_DIGESTS = {
     "pm1,pm2": "eead4ab7381aa0738dad2f6bcdd45d83c073ed5a2bd39fcef2c087abecf407da",
 }
 # {−2, −1, +1, +2} at ¼ each ("pm1,pm2") enters both sides at two states,
-# so its table stretches are drawn pair by pair; its digest comes from the
-# loop that drew every walk's that way.  Its tables stop at 2^11, since at
+# so its table stretches are drawn one at a time; its digest comes from
+# the loop that drew every walk's that way.  Its tables stop at 2^11, since at
 # the default 2^15 they take seconds to build
 PM12 = validate([(v, Fraction(1, 4)) for v in (-2, -1, 1, 2)])
 
@@ -1056,7 +1056,7 @@ def test_xi_blocks_and_tiles_keep_every_count(monkeypatch, name, dist, cap_exp):
     # and the last block holds 1 pair; tiles of 7 trials, which split 17 as
     # 7, 7, 3 with blocks of 1, 1 and 2 pairs; the default, one block of all
     # 10 pairs.  On the tables the positive side leads on unit-up, the
-    # negative side on lazy and tg, and ±1, ±2 draws pair by pair.  At
+    # negative side on lazy and tg, and ±1, ±2 draws stretch by stretch.  At
     # cap_exp = 6 table τ are clamped and the cap retries run.
     x, n_pairs, trials, seed, record_ns = Fraction(1, 3), 10, 17, 597, (1, 3, 4, 10)
     tables = (None if dist.is_simple else
@@ -1065,11 +1065,96 @@ def test_xi_blocks_and_tiles_keep_every_count(monkeypatch, name, dist, cap_exp):
     keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
     want = int_xi_result(dist, tables, x, n_pairs, keys, cap_exp, record_ns)
     runs = []
-    for draws in (4, 12 * trials, 28, engine._XI_DRAWS):
-        monkeypatch.setattr(engine, "_XI_DRAWS", draws)
+    for draws in (4, 12 * trials, 28, engine._DRAWS):
+        monkeypatch.setattr(engine, "_DRAWS", draws)
         res = engine._xi_chunk(dist, tables, x, n_pairs, trials, seed, record_ns, 0,
                                cap_exp)
         assert _xi_fields(res) == want
         runs.append([np.asarray(getattr(res, f.name)).tolist() for f in fields(res)])
     assert all(run == runs[0] for run in runs)
     assert (want[-1] > 0) == (cap_exp == 6)
+
+
+@pytest.mark.parametrize("name,dist", [("simple", SIMPLE), ("unit-up", UNIT_UP),
+                                       ("lazy", LAZY), ("tg", TG), ("pm1,pm2", PM12)])
+def test_stretch_blocks_keep_every_count(monkeypatch, name, dist):
+    # blocks of one stretch, the order the loop once settled them in; a first
+    # block of 3 stretches, so that trials end on a block's first, middle and
+    # last stretch; the default.  The excursion event stops at 10 stretches,
+    # so its last block is partial, and at a cap of 20 steps it censors; the
+    # last run has a horizon, a stretch limit and a cap
+    trials = 300
+    tables = (None if dist.is_simple else
+              durations.excursion_tables(dist, 2 ** 11) if dist is PM12 else
+              durations.excursion_tables(dist))
+    runs = {}
+    for draws in (2, 6 * trials, engine._DRAWS):
+        monkeypatch.setattr(engine, "_DRAWS", draws)
+        runs[draws] = [engine._stretches(dist, Fraction(1, 3), trials, 598, mode, 0,
+                                         t_max, n_stretches, tables=tables,
+                                         step_cap=step_cap)
+                       for mode in ("strict", "weak")
+                       for t_max, n_stretches, step_cap in (
+                           (500, engine._NO_LIMIT, engine._NO_LIMIT),
+                           (engine._NO_LIMIT, 10, 20),
+                           (200, 10, 30))]
+    want = runs.pop(2)
+    assert any(run[2] > 0 for run in want)  # the cap censors
+    for got in runs.values():
+        for (tstar, kstar, censored, flagged), w in zip(got, want):
+            np.testing.assert_array_equal(tstar, w[0])
+            np.testing.assert_array_equal(kstar, w[1])
+            assert (censored, flagged) == w[2:]
+
+
+def checked(closed_form):
+    """A closed form that first asserts its inputs are stretch starts no
+    wrapped sum gave: 0 ≤ t < 2^62 and |G| ≤ t on every element."""
+    def run(g, t, p, q, strict):
+        assert ((0 <= t) & (t < 2 ** 62) & (np.abs(g) <= t)).all()
+        return closed_form(g, t, p, q, strict)
+    return run
+
+
+def test_stretch_block_sums_never_wrap(monkeypatch):
+    # a block sums τ past the stretch that ends a trial.  Every start time the
+    # closed forms see must stay below 2^62, at blocks of one stretch and at
+    # the default: at the longest horizon the tables accept (no step cap,
+    # √-tail τ clamped at 2^62), at a step cap of 2^58 (tail τ clamped past
+    # it, several stretches to a block), on the path of
+    # test_exact_excursion_int64_range, and at a horizon of 2^60 with every τ
+    # stretched to a multiple of 2^56, where blocks of 3 stretches are the
+    # most that cannot pass 2^62
+    for name in ("_up_entry_violation", "_down_first_violation"):
+        monkeypatch.setattr(engine, name, checked(getattr(engine, name)))
+    draw = engine._draw
+
+    def stretched(*args):
+        tau, capped, flag, entry = draw(*args)
+        return np.minimum(tau, 16) << 56, capped, flag, entry
+
+    tables = durations.excursion_tables(UNIT_UP)
+    runs = (lambda: engine._stretches(UNIT_UP, Fraction(1, 3), 300, 599, "weak", 0,
+                                      engine._NO_LIMIT - 2, engine._NO_LIMIT,
+                                      tables=tables),
+            lambda: engine._stretches(UNIT_UP, Fraction(1, 3), 300, 599, "weak", 0,
+                                      engine._NO_LIMIT, 10, tables=tables,
+                                      step_cap=2 ** 58),
+            lambda: engine._stretches(SIMPLE, X_WIDE[0], 20_000, 5, "weak", 0,
+                                      engine._NO_LIMIT, 400),
+            lambda: engine._stretches(UNIT_UP, Fraction(1, 3), 300, 599, "strict", 0,
+                                      2 ** 60, engine._NO_LIMIT, tables=tables))
+    default = engine._DRAWS
+    results = []
+    for i, run in enumerate(runs):
+        if i == 3:
+            monkeypatch.setattr(engine, "_draw", stretched)
+        monkeypatch.setattr(engine, "_DRAWS", 2)
+        want = run()
+        monkeypatch.setattr(engine, "_DRAWS", default)
+        got = run()
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        results.append(got)
+    assert results[0][3] > 0 and results[1][3] > 0  # tail draws, clamped
+    assert (results[3][0] <= 2 ** 60).sum() > 0  # violations among τ of 2^56 up

@@ -130,6 +130,12 @@ def test_estimate_b_tail_symmetric_walk():
 def test_estimate_b_tail_insufficient():
     with pytest.raises(InsufficientTail):
         exponent.estimate_b_tail(SIMPLE, 500, 614)
+    # a bootstrap resample with no stretch past a grid point ended these in
+    # ZeroDivisionError, and (5000, 4) in b̂ 1.0122 with a stderr of 0.1917
+    # after a "divide by zero encountered in log" warning
+    for n, seed in [(2000, s) for s in range(1, 9)] + [(5000, 1), (5000, 4)]:
+        with pytest.raises(InsufficientTail, match=f"n_excursions={n}"):
+            exponent.estimate_b_tail(SIMPLE, n, seed)
     with pytest.raises(ValueError):
         exponent.estimate_b_tail(SIMPLE, 0, 615)
 
