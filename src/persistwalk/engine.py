@@ -12,20 +12,23 @@ may generate positions past the point where a trial's outcome is settled
 no result depends on them.  An engine may also draw a trial's positions
 ahead of use (the stretch loop and the ξ pair loop each draw a block of
 stretches at once); the positions each trial consumes stay the ones
-documented below.
+documented below.  In the stretch loop a trial whose first step is negative
+reads positions 0–2 only.
 
 Front door
 ----------
 Both run kinds, the barrier-event survival counts (:func:`atilde_counts`,
-:func:`a_counts`) and the ξ pair runs (:func:`run_xi_trials`), go through
-``_run``.  In order, it refuses trials < 1 (:class:`~.errors.OutOfRange`),
-converts x, refuses x outside [0, 1) on every engine kind (``walk._ratio``,
-the check the oracle shares), resolves the engine kind (``ENGINE_KINDS``,
-the CLI's choices), refuses q·(p + q) ≥ 2^63 for the exact loops, builds
-the duration tables once before any fork, and runs the chunks.  The chunk
-entry points ``srw_excursion_first_violation``, ``_srw_xi_chunk`` and
-``_table_xi_chunk`` stay on that path, and ``stepped_first_violation``
-stays beside it: the benchmark times each as a span.
+which refuses a horizon below 1, and :func:`a_counts`) and the ξ pair runs
+(:func:`run_xi_trials`), go through ``_run``.  In order, it refuses trials
+< 1 and workers < 1 (:class:`~.errors.OutOfRange`), converts x, refuses x
+outside [0, 1) on every engine kind (``walk._ratio``, the check the oracle
+shares), resolves the engine kind (``ENGINE_KINDS``, the CLI's choices),
+refuses q·(p + q) ≥ 2^63 for the exact loops, builds the duration tables
+once before any fork, and runs the chunks, on a pool of one process per
+chunk.  The chunk entry points ``srw_excursion_first_violation``,
+``_srw_xi_chunk`` and ``_table_xi_chunk`` stay on that path, and
+``stepped_first_violation`` stays beside it: the benchmark times each as a
+span.
 
 Engines
 -------
@@ -52,14 +55,18 @@ violation time (t_max + 1 if none) and the crossings before it
     v ≥ 0 opens a positive stretch, at height 0 for v = 0), then two per
     stretch (``_draw``): two unit passages of the exact passage law on the
     simple walk, or τ and the exit entry from the duration tables on any
-    other walk.  A pass draws a block of b = max(1, ``_DRAWS`` // (2·live))
-    stretches per live trial, 2·b stream positions in one call, and settles
-    them at once: start times and heights are cumulative sums of τ, and a
-    trial's stretches count (towards tstar, kstar, censored and the flagged
-    draws) up to the first that ends it; the rest of its block is drawn and
-    never used.  A table τ is a float
-    whose √-tail can pass 2^63; every τ is clamped at min(t_max,
-    step_cap) + 1, which decides what a longer τ would, and a stretch longer
+    other walk.  The loop opens with ``_open``, as the ξ pair loop does: a
+    negative start's stretch, from positions 1 and 2, ends it at s = 1
+    (G_1 = −1 fails the barrier for every x in [0, 1)), its flag counted as
+    a stretch's from t = 0.  The positive starts then run in lockstep.  A
+    pass draws a block of b = max(1, ``_DRAWS`` // (2·live)) stretches per
+    live trial, 2·b stream positions in one ``_draw``, and settles them at
+    once: start times and heights are cumulative sums of τ, and a trial's
+    stretches count (towards tstar, kstar, censored and the flagged draws)
+    up to the first that ends it; the rest of its block is drawn and never
+    used.  A table τ is a float whose √-tail can pass 2^63; every τ is
+    clamped at min(t_max, step_cap) + 1, which decides what a longer τ
+    would, and a stretch longer
     than step_cap ends its trial as a censored survivor unless the barrier
     or the horizon came first.  A block is short enough that no start time
     in it reaches 2^62, so no cumulative sum wraps, past a trial's last
@@ -96,19 +103,19 @@ violation time (t_max + 1 if none) and the crossings before it
     trials at cap_exp + 2r, on either source, and they get the uniforms they
     had in the full batch.
     Consumption: one uniform for the first step, two for a leading negative
-    stretch (drawn for its exit only, never paired), then two per stretch;
-    retries alike.  A pass of the loop draws the 4·b stream positions of a
-    block of b = max(1, ``_DRAWS`` // (4·trials)) pairs per trial in one
-    call, and ``_draw``, the block draw the stretch loop uses too, takes its
-    2·b stretches, every trial positive-leading: on the passage law one
-    inversion.  On the tables a stretch's entry is the exit before it, but a
-    side with one entry state has every entry known before any draw: the
-    positive side where the only step up is g, the gcd of the steps, and no
-    step is 0 (every ``unit-up`` walk), the negative side where the only
-    step down is −g (``tg``, the lazy ±1 walk).  That side's stretches of
-    the block take one sampler call, and the other side's one more, entered
-    at its exits.  A walk with several entry states on both sides draws
-    stretch by stretch.  A chunk's trials, and each retry's, run in tiles of
+    stretch (drawn for its exit only, never paired), both in ``_open``, the
+    opening the stretch loop shares; then two per stretch; retries alike.  A
+    pass of the loop draws the 4·b stream positions of a block of
+    b = max(1, ``_DRAWS`` // (4·trials)) pairs per trial in one ``_draw``,
+    the block draw the stretch loop uses too, every trial positive-leading:
+    on the passage law one inversion.  On the tables a stretch's entry is
+    the exit before it, but a side with one entry state has every entry
+    known before any draw: the positive side where the only step up is g,
+    the gcd of the steps, and no step is 0 (every ``unit-up`` walk), the
+    negative side where the only step down is −g (``tg``, the lazy ±1
+    walk).  That side's stretches of the block take one sampler call, and
+    the other side's one more, entered at its exits.  A walk with several
+    entry states on both sides draws stretch by stretch.  A chunk's trials, and each retry's, run in tiles of
     at most ``_DRAWS`` // 4, so a pass draws at most ``_DRAWS`` = 2^15
     uniforms.  Neither the block nor the tile moves a trial's positions.
 """
@@ -284,53 +291,65 @@ def _down_first_violation(g, t, p, q, strict):
     return np.maximum(sstar, t + 1)
 
 
-def _draw(tables, u, up, entry, cap_exp, cap):
-    """A block of k stretches per trial from their uniforms ``u`` (stretch,
-    uniform, trial): τ (int64), its capped and counted flags, shaped
-    (stretch, trial), and the entry after the block.  Stretch 0 is positive
-    where ``up`` is set and entered at ``entry``; signs alternate, and each
-    stretch is entered at the exit before it.
+def _draw(tables, keys, at, k, up, entry, cap_exp, cap):
+    """A block of k stretches per trial from stream positions at .. at + 2k - 1
+    (``at`` one value for all trials or one per trial), two per stretch: τ
+    (int64), its capped and counted flags, shaped (stretch, trial), and the
+    entry after the block.  Stretch 0 is positive if ``up`` and entered at
+    ``entry``; signs alternate, and each stretch is entered at the exit
+    before it.
 
     On the passage law (``tables`` None) a stretch is two unit passages and
     both flags are the passage cap hits.  On the tables the first uniform
     draws τ and the second the exit, τ is clamped at ``cap``, a clamp hit is
-    capped and a √-tail draw counted.  A side with one entry state has every
-    entry known before any draw, so all its stretches in the block take one
-    sampler call, and the other side's take one more, entered at the exits;
-    a walk with several entry states on both sides draws stretch by
-    stretch."""
+    capped and a √-tail draw counted.  A side's stretches are every other
+    row.  A side with one entry state has every entry known before any
+    draw, so all its stretches in the block take one sampler call, and the
+    other side's take one more, entered at the exits; a walk with several
+    entry states on both sides draws stretch by stretch."""
+    u = uniform_at(keys, at + np.arange(2 * k, dtype=np.uint64)[:, None])
+    u = u.reshape(k, 2, -1)
     if tables is None:
         tau, capped = dur.srw_tau_from_uniform_pairs(u[:, 0], u[:, 1], cap_exp=cap_exp)
         return tau, capped, capped, entry
-    k, _, n = u.shape
-    ups = up ^ (np.arange(k) % 2 == 1)[:, None]
-    tau = np.empty((k, n))
-    tail = np.empty((k, n), dtype=bool)
-    exits = np.empty((k, n), dtype=np.int64)
+    tau = np.empty((k, keys.size))
+    tail = np.empty((k, keys.size), dtype=bool)
+    exits = np.empty((k, keys.size), dtype=np.int64)
+    sides = ("pos", "neg") if up else ("neg", "pos")  # of the even and odd rows
 
-    def draw(at, entries):
-        sel = ups[at]
-        got = tables.sample_stretches(sel.ravel(), entries.ravel(),
-                                      u[:, 0][at].ravel(), u[:, 1][at].ravel())
-        for out, a in zip((tau, tail, exits), got):
-            out[at] = a.reshape(sel.shape)
+    def draw(rows, side, entries):
+        e = entries.ravel()
+        tau[rows], tail[rows] = (a.reshape(entries.shape) for a in
+                                 tables.sample_tau(side, e, u[rows, 0].ravel()))
+        exits[rows] = tables.sample_exit(side, e, tau[rows].ravel(), tail[rows].ravel(),
+                                         u[rows, 1].ravel()).reshape(entries.shape)
 
     pos_lead = len(tables.pos.entries) == 1
     if pos_lead or len(tables.neg.entries) == 1:
-        if up.all() or not up.any():  # a side's stretches are every other row
-            j0 = int(bool(up.all()) != pos_lead)
-            lead, other = slice(j0, None, 2), slice(1 - j0, None, 2)
-        else:
-            lead = ups if pos_lead else ~ups
-            other = ~lead
-        draw(lead, np.zeros(ups[lead].shape, dtype=np.int64))
-        draw(other, np.concatenate((entry[None], exits[:-1]))[other])
+        j0 = int(up != pos_lead)  # the first row of the side with one entry state
+        lead, other = slice(j0, None, 2), slice(1 - j0, None, 2)
+        draw(lead, sides[j0], np.zeros(tau[lead].shape, dtype=np.int64))
+        draw(other, sides[1 - j0], np.concatenate((entry[None], exits[:-1]))[other])
     else:
         for j in range(k):
-            draw(j, entry)
+            draw(j, sides[j % 2], entry)
             entry = exits[j]
     capped = tau > cap
     return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, exits[-1]
+
+
+def _open(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
+          keys: np.ndarray, cap_exp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every trial's first step, from stream position 0, and for the trials it
+    takes below zero their leading negative stretch, from positions 1 and 2:
+    the mask of those trials, every trial's entry into its first positive
+    stretch and the counted flags of the negative stretches."""
+    first = steps_from_uniforms(dist, uniform_at(keys, np.zeros(keys.size, np.uint64)))
+    entry = np.zeros_like(first) if tables is None else tables.first_entries(first)
+    down = first < 0
+    _, _, flag, entry[down] = _draw(tables, keys[down], 1, 1, False, entry[down],
+                                    cap_exp, _NO_LIMIT)
+    return down, entry, flag[0]
 
 
 def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
@@ -341,10 +360,11 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     """Both events on the passage law (``tables`` None) or on ``tables``:
     (tstar, kstar, censored) as in the module docstring, and the flagged
     draws: capped passage draws, or tail draws that could end before t_max.
+    The horizon t_max is at least 1.
 
-    A pass settles a block of b = max(1, _DRAWS // (2·live)) stretches per
-    live trial, drawn by one ``uniform_at`` call and one ``_draw``; a
-    trial's stretches count up to the first that ends it."""
+    ``_open`` settles the negative starts.  A pass then settles a block of
+    b = max(1, _DRAWS // (2·live)) stretches per live trial, drawn by one
+    ``_draw``; a trial's stretches count up to the first that ends it."""
     p, q = _exact_ratio(x, _STRETCH_REFUSAL)
     strict = _is_strict(mode)
     longest = min(step_cap, dur.srw_tau_cap(cap_exp) if tables is None else _NO_LIMIT)
@@ -357,29 +377,28 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     # time reaches 2^62, past a trial's last stretch too, so G + t never wraps
     clamp = min(t_max, longest) + 1
     block_cap = 1 + (_NO_LIMIT - reach) // clamp
-    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
-                                      dtype=np.uint64))
-    idx = np.arange(trials, dtype=np.int64)
     tstar = np.full(trials, t_max + 1, dtype=np.int64)
     kstar = np.full(trials, n_stretches, dtype=np.int64)
-    t = np.zeros(trials, dtype=np.int64)
-    g = np.zeros(trials, dtype=np.int64)
-    ctr = np.zeros(trials, dtype=np.uint64)
-
-    first = steps_from_uniforms(dist, uniform_at(keys, ctr))
-    ctr += 1
-    up = first >= 0
-    entry = np.zeros(trials, np.int64) if tables is None else tables.first_entries(first)
-    censored = flagged = 0
-    stretch = 0
+    if n_stretches < 1:
+        return tstar, kstar, 0, 0
+    keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
+                                      dtype=np.uint64))
+    down, entry, flag = _open(dist, tables, keys, cap_exp)
+    tstar[down], kstar[down] = 1, 0  # G_1 = -1 fails the barrier at s = 1
+    if tables is not None:
+        flag &= 0 < t_max - tables.n_table - 1  # the rule below, at start 0
+    flagged = int(np.count_nonzero(flag))
+    idx = np.flatnonzero(~down)
+    keys, entry = keys[idx], entry[idx]
+    t, g = np.zeros((2, idx.size), dtype=np.int64)
+    censored = 0
+    stretch = 0  # every live trial's next stretch, positive when even
     while idx.size and stretch < n_stretches:
         b = min(max(1, _DRAWS // (2 * idx.size)), n_stretches - stretch, block_cap)
-        u = uniform_at(keys, ctr + np.arange(2 * b, dtype=np.uint64)[:, None])
-        tau, _, flag, entry = _draw(tables, u.reshape(b, 2, -1), up, entry, cap_exp,
-                                    _NO_LIMIT)
-        del u  # freed before the settle step, where a pass's memory peaks
+        tau, _, flag, entry = _draw(tables, keys, 1 + 2 * stretch, b, stretch % 2 == 0,
+                                    entry, cap_exp, _NO_LIMIT)
         np.minimum(tau, clamp, out=tau)
-        ups = up ^ (np.arange(b) % 2 == 1)[:, None]
+        ups = (np.arange(stretch, stretch + b) % 2 == 0)[:, None]
         # the stretches' start times and heights, from the moves before each
         start, height = np.empty((2, b, idx.size), dtype=np.int64)
         start[0], height[0] = t, g
@@ -408,10 +427,7 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
         keep = ~done[-1]
         t, g = end[-1], np.where(ups[-1], height[-1] + tau[-1], height[-1] - tau[-1])
         if not keep.all():
-            idx, t, g, keys, ctr, up, entry = (a[keep] for a in
-                                               (idx, t, g, keys, ctr, up, entry))
-        ctr += 2 * b
-        up ^= b % 2 == 1
+            idx, t, g, keys, entry = (a[keep] for a in (idx, t, g, keys, entry))
         stretch += b
     return tstar, kstar, censored, flagged
 
@@ -486,35 +502,25 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     the number of counted draws and, per n in ``record_ns``, the counts of
     trials with W_m ≥ 0 for every m ≤ n and of those with W_n < 0.
 
-    A pass takes a block of b = max(1, _DRAWS // (4·trials)) pairs: one
-    ``uniform_at`` call draws every trial's 4·b uniforms, shaped (stretch,
-    uniform, trial) so that each row over the trials is contiguous, and one
-    ``_draw`` takes the block's 2·b stretches, every trial positive-leading.
-    W is then updated pair by pair."""
-    ctr = np.zeros(keys.size, dtype=np.uint64)
-    first = steps_from_uniforms(dist, uniform_at(keys, ctr))
-    ctr += 1
-    entry = (np.zeros(keys.size, dtype=np.int64) if tables is None
-             else tables.first_entries(first))
-    dn = np.flatnonzero(first < 0)  # a leading negative stretch: its exit only
+    ``_open`` takes the first step and a leading negative stretch's exit.  A
+    pass then takes a block of b = max(1, _DRAWS // (4·trials)) pairs: one
+    ``_draw`` reads every trial's 4·b uniforms in one call, shaped (stretch,
+    uniform, trial) so that each row over the trials is contiguous, and
+    takes the block's 2·b stretches, every trial positive-leading.  W is
+    then updated pair by pair."""
     cap = dur.srw_tau_cap(cap_exp)
-    u = uniform_at(keys[dn], ctr[dn] + np.arange(2, dtype=np.uint64)[:, None])
-    entry[dn] = _draw(tables, u.reshape(1, 2, -1), np.zeros(dn.size, dtype=bool),
-                      entry[dn], cap_exp, cap)[3]
-    ctr[dn] += 2
+    down, entry, _ = _open(dist, tables, keys, cap_exp)
+    at = np.where(down, 3, 1).astype(np.uint64)  # past the leading negative stretch
     d, s = np.zeros((2, keys.size), dtype=np.int64)  # Σ τ⁺ - τ⁻ and Σ τ⁺ + τ⁻
     cap_pos, cap_neg = np.zeros((2, keys.size), dtype=bool)
     alive = np.ones(keys.size, dtype=bool)
     counts = np.zeros((2, len(record_ns)), dtype=np.int64)
     counted = 0
     block = max(1, _DRAWS // (4 * max(1, keys.size)))
-    positive = np.ones(keys.size, dtype=bool)
     for m0 in range(0, n_pairs, block):
         b = min(block, n_pairs - m0)
-        u = uniform_at(keys, ctr + np.arange(4 * b, dtype=np.uint64)[:, None])
-        ctr += 4 * b
-        tau, capped, flag, entry = _draw(tables, u.reshape(2 * b, 2, -1), positive,
-                                         entry, cap_exp, cap)
+        tau, capped, flag, entry = _draw(tables, keys, at + 4 * m0, 2 * b, True, entry,
+                                         cap_exp, cap)
         counted += int(np.count_nonzero(flag))
         tau, capped = tau.reshape(b, 2, -1), capped.reshape(b, 2, -1)
         for i in range(b):
@@ -655,12 +661,8 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
     """
     if dist.is_simple:
         ids = np.arange(n_excursions, dtype=np.uint64) + np.uint64(_SENTINEL_STREAM)
-        keys = trial_keys(seed, ids)
-        z = np.zeros(n_excursions, dtype=np.uint64)
-        tau_p, cp = dur.srw_tau_from_uniform_pairs(uniform_at(keys, z),
-                                                   uniform_at(keys, z + 1))
-        tau_m, cm = dur.srw_tau_from_uniform_pairs(uniform_at(keys, z + 2),
-                                                   uniform_at(keys, z + 3))
+        (tau_p, tau_m), (cp, cm), _, _ = _draw(None, trial_keys(seed, ids), 0, 2, True,
+                                               None, dur.DEFAULT_PASSAGE_CAP_EXP, None)
         info = {"engine": "exact-excursion", "censored_pos": int(cp.sum()),
                 "censored_neg": int(cm.sum()),
                 "cap": dur.srw_tau_cap(dur.DEFAULT_PASSAGE_CAP_EXP),
@@ -791,6 +793,8 @@ def atilde_counts(dist: IncrementDistribution, x: Fraction, t_max: int,
                   trials: int, seed: int, grid: tuple[int, ...], *,
                   mode: str = "strict", engine_kind: str = "auto",
                   workers: int = 1) -> SurvivalCounts:
+    if t_max < 1:
+        raise OutOfRange(f"t_max={t_max} must be >= 1")
     return SurvivalCounts.merge(_run(_survival_worker, dist, x, engine_kind, trials,
                                      workers, t_max, _NO_LIMIT, seed, tuple(grid),
                                      mode, _NO_LIMIT))
@@ -823,17 +827,13 @@ def pick_engine(dist: IncrementDistribution, engine_kind: str = "auto") -> str:
 
 
 def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (offset, count) chunks covering range(trials)."""
-    workers = max(1, min(workers, trials)) if trials else 1
-    base, rem = divmod(trials, workers)
-    bounds = []
-    off = 0
-    for i in range(workers):
-        cnt = base + (1 if i < rem else 0)
-        if cnt:
-            bounds.append((off, cnt))
-        off += cnt
-    return bounds or [(0, 0)]
+    """Contiguous (offset, count) chunks covering range(trials), one per
+    worker up to one per trial, the first trials % chunks one trial longer;
+    no trials make one empty chunk."""
+    n = max(1, min(workers, trials))
+    base, rem = divmod(trials, n)
+    starts = [i * base + min(i, rem) for i in range(n + 1)]
+    return [(a, b - a) for a, b in zip(starts, starts[1:])]
 
 
 def _run(worker, dist: IncrementDistribution, x, engine_kind: str, trials: int,
@@ -847,6 +847,8 @@ def _run(worker, dist: IncrementDistribution, x, engine_kind: str, trials: int,
     """
     if trials < 1:
         raise OutOfRange(f"trials={trials} must be >= 1")
+    if workers < 1:
+        raise OutOfRange(f"workers={workers} must be >= 1")
     x = Fraction(x)
     _ratio(x)
     kind = pick_engine(dist, engine_kind)
@@ -859,10 +861,11 @@ def _run(worker, dist: IncrementDistribution, x, engine_kind: str, trials: int,
         dur.excursion_tables(dist)  # build once before any fork
     args = (dist, x, *args, kind)
     bounds = chunk_bounds(trials, workers)
-    if len(bounds) == 1 or workers <= 1:
+    if len(bounds) == 1:
         return [worker(args, cnt, off) for off, cnt in bounds]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # under fork the pool starts all its processes at the first submit
+    with ProcessPoolExecutor(max_workers=len(bounds)) as ex:
         futs = [ex.submit(worker, args, cnt, off)
                 for off, cnt in bounds]
         return [f.result() for f in futs]

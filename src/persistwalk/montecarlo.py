@@ -384,11 +384,15 @@ def write_survival_csv(curve: SurvivalCurve, path, *, extra_comments=()) -> None
 
 def read_survival_csv(path) -> SurvivalCurve:
     """Read a curve written by :func:`write_survival_csv` (or hand-made in
-    the same column format); header comments are optional."""
+    the same column format); header comments are optional.  A row with a
+    horizon below 1 or not above the row before it, trials below 1 or unlike
+    the first row's, or survivors outside [0, trials] is
+    :class:`InsufficientData`, naming the file and the line."""
     config = {}
-    horizons, survivors, trials_col = [], [], []
+    horizons, survivors = [], []
+    trials = None
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -404,12 +408,21 @@ def read_survival_csv(path) -> SurvivalCurve:
                         f"{path}: unrecognized columns {cols!r}")
                 continue
             parts = line.split(",")
-            horizons.append(int(parts[0]))
-            survivors.append(float(parts[1]))
-            trials_col.append(int(parts[2]))
+            h, s, n = int(parts[0]), float(parts[1]), int(parts[2])
+            trials = n if trials is None else trials
+            prev = horizons[-1] if horizons else 0
+            problem = (f"horizon {h} is below 1" if h < 1 else
+                       f"horizon {h} is not above {prev}" if h <= prev else
+                       f"trials {n} is below 1" if n < 1 else
+                       f"trials {n} is not the first row's {trials}" if n != trials else
+                       f"survivors {parts[1]} lie outside [0, {n}]" if not 0 <= s <= n
+                       else None)
+            if problem:
+                raise InsufficientData(f"{path}, line {lineno}: {problem}")
+            horizons.append(h)
+            survivors.append(s)
     if not horizons:
         raise InsufficientData(f"{path}: no data rows")
-    trials = trials_col[0]
     surv = np.asarray(survivors)
     if np.all(surv == np.round(surv)):
         surv = surv.astype(np.int64)

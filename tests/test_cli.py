@@ -341,6 +341,9 @@ def test_error_exit_codes(tmp_path, capsys):
     ("stable-sample", "--kappa", "0", "--n", "-1"),
     ("stable-sample", "--kappa", "0", "--scale", "inf", "--n", "3"),
     ("diagnose-skew", "--dist", "simple", "--n-grid", "10,10,100"),
+    ("estimate-atilde", "--dist", "simple", "--t-max", "10", "--workers", "0"),
+    ("estimate-a", "--dist", "unit-up:-2", "--k-max", "10", "--workers", "-2"),
+    ("estimate-b", "--dist", "simple", "--method", "q", "--workers", "0"),
 ])
 def test_bad_sizes_are_refused_or_merged(capsys, argv):
     # each used to end in a traceback or an error from deep in numpy
@@ -353,6 +356,24 @@ def test_bad_sizes_are_refused_or_merged(capsys, argv):
     else:
         assert rc == 1 and f"persistwalk {argv[0]}: OutOfRange" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows,problem", [
+    ("1,30,40\n2,50,40\n", "line 3: survivors 50 lie outside [0, 40]"),
+    ("0,40,40\n-2,30,40\n", "line 2: horizon 0 is below 1"),
+    ("1,30,40\n4,20,100\n16,10,1000\n", "line 3: trials 100 is not the first row's 40"),
+    ("16,10,40\n1,30,40\n4,20,40\n", "line 3: horizon 1 is not above 16"),
+])
+def test_fit_refuses_malformed_curves(tmp_path, capsys, rows, problem):
+    # each used to fit: a slope from 50 survivors of 40 trials, a nan slope
+    # after a RuntimeWarning, the first row's trials for every row, a range
+    # from the first and last rows of unsorted horizons
+    path = tmp_path / "bad.csv"
+    path.write_text("horizon,survivors,trials,p_hat,ci_low,ci_high\n" + rows)
+    rc, out, err = run_cli(capsys, "fit", "--in", str(path), "--min-survivors", "1")
+    assert rc == 1 and out == ""
+    assert f"persistwalk fit: InsufficientData: {path}, {problem}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

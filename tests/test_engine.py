@@ -1,5 +1,6 @@
 """Event engines: stepped vs exact-excursion vs duration-table agreement."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -498,6 +499,63 @@ def test_xi_workers_bit_identical():
     t3 = engine.run_xi_trials(UNIT_UP, Fraction(0), 30, 3000, 542, workers=3)
     np.testing.assert_array_equal(t1.alive_counts, t3.alive_counts)
     assert t1.engine == "duration-table"
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs
+    each submission in this process."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def test_pool_is_sized_by_its_chunks(monkeypatch):
+    # under fork a pool starts all max_workers processes at its first
+    # submit, so 500 workers for 2 trials must ask for 2; the counts match
+    # the serial run's
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    serial = engine.atilde_counts(SIMPLE, Fraction(0), 50, 2, 1, (10, 50))
+    pooled = engine.atilde_counts(SIMPLE, Fraction(0), 50, 2, 1, (10, 50), workers=500)
+    np.testing.assert_array_equal(pooled.survivors, serial.survivors)
+    engine.a_counts(UNIT_UP, Fraction(0), 5, 3, 1, (1, 5), workers=4)
+    xi = engine.run_xi_trials(SIMPLE, Fraction(0), 5, 3, 1, workers=500)
+    serial_xi = engine.run_xi_trials(SIMPLE, Fraction(0), 5, 3, 1)
+    assert _xi_digest(xi) == _xi_digest(serial_xi)
+    assert _InProcessPool.sizes == [2, 3, 3]
+    for workers in (0, -1):
+        for run in (lambda: engine.atilde_counts(SIMPLE, 0, 50, 10, 1, (10,),
+                                                 workers=workers),
+                    lambda: engine.a_counts(UNIT_UP, 0, 5, 10, 1, (1,), workers=workers),
+                    lambda: engine.run_xi_trials(SIMPLE, 0, 5, 10, 1, workers=workers)):
+            with pytest.raises(OutOfRange, match="workers"):
+                run()
+    assert _InProcessPool.sizes == [2, 3, 3]
+
+
+@pytest.mark.parametrize("dist,kind", [(SIMPLE, "auto"), (UNIT_UP, "auto"),
+                                       (UNIT_UP, "stepped")])
+def test_atilde_counts_refuses_horizons_below_1(monkeypatch, dist, kind):
+    for t_max in (0, -3):
+        with pytest.raises(OutOfRange, match="t_max"):
+            engine.atilde_counts(dist, Fraction(0), t_max, 10, 1, (1,), engine_kind=kind)
+    # the excursion event with no stretch to run draws nothing
+    monkeypatch.setattr(engine, "uniform_at", None)
+    kstar = engine._stretches(SIMPLE, Fraction(0), 10, 1, "weak", 0, engine._NO_LIMIT, 0,
+                              step_cap=30)[1]
+    np.testing.assert_array_equal(kstar, 0)
 
 
 def test_xi_exact_vs_table_on_simple_walk():
@@ -1075,6 +1133,25 @@ def test_xi_blocks_and_tiles_keep_every_count(monkeypatch, name, dist, cap_exp):
     assert (want[-1] > 0) == (cap_exp == 6)
 
 
+# (t_max, n_stretches, step_cap) of the stretch loop's edges: horizons 1
+# and 2, where a positive start can end on its first stretch too, and limits
+# of 1 and 2 stretches, where a negative start's stretch is the last counted
+_NL = engine._NO_LIMIT
+STRETCH_EDGES = ((1, _NL, _NL), (2, _NL, _NL), (_NL, 1, 30), (_NL, 2, 30), (1, 1, _NL),
+                 (2, 2, 1), (1, 2, 1), (2, 1, 30))
+
+# digests of every run of test_stretch_blocks_keep_every_count, edges
+# included, from the loop that drew a negative start's first block beside
+# the positive starts', with a sign per trial
+STRETCH_BLOCK_DIGESTS = {
+    "simple": "84236c955f5f0d24a760a1335909658c3cedf1fadaa6f96f2b1db320a093cd96",
+    "unit-up": "afa873c5209ec380960270228a2d9074359be9da9208d7bd8929fb903d90fcf0",
+    "lazy": "c693631e4d5440a49aac6054f5c126991f47e594899dd6838f2ad0e54b74f97c",
+    "tg": "7acce9f3b01dadfcc32bb125b67dcb2230a47e1b4ccd963536873341e71f4ec4",
+    "pm1,pm2": "1d5dc59dd793b2eb21e54136bc521e43792c66dc52ac31b0a9c82784240a3baa",
+}
+
+
 @pytest.mark.parametrize("name,dist", [("simple", SIMPLE), ("unit-up", UNIT_UP),
                                        ("lazy", LAZY), ("tg", TG), ("pm1,pm2", PM12)])
 def test_stretch_blocks_keep_every_count(monkeypatch, name, dist):
@@ -1082,7 +1159,7 @@ def test_stretch_blocks_keep_every_count(monkeypatch, name, dist):
     # block of 3 stretches, so that trials end on a block's first, middle and
     # last stretch; the default.  The excursion event stops at 10 stretches,
     # so its last block is partial, and at a cap of 20 steps it censors; the
-    # last run has a horizon, a stretch limit and a cap
+    # third run has a horizon, a stretch limit and a cap; then the edges
     trials = 300
     tables = (None if dist.is_simple else
               durations.excursion_tables(dist, 2 ** 11) if dist is PM12 else
@@ -1095,11 +1172,11 @@ def test_stretch_blocks_keep_every_count(monkeypatch, name, dist):
                                          step_cap=step_cap)
                        for mode in ("strict", "weak")
                        for t_max, n_stretches, step_cap in (
-                           (500, engine._NO_LIMIT, engine._NO_LIMIT),
-                           (engine._NO_LIMIT, 10, 20),
-                           (200, 10, 30))]
+                           (500, _NL, _NL), (_NL, 10, 20), (200, 10, 30),
+                           *STRETCH_EDGES)]
     want = runs.pop(2)
     assert any(run[2] > 0 for run in want)  # the cap censors
+    assert _digest(*(a for run in want for a in run)) == STRETCH_BLOCK_DIGESTS[name]
     for got in runs.values():
         for (tstar, kstar, censored, flagged), w in zip(got, want):
             np.testing.assert_array_equal(tstar, w[0])

@@ -252,6 +252,30 @@ def test_read_survival_csv_rejects_garbage(tmp_path):
         mc.read_survival_csv(empty)
 
 
+def test_read_survival_csv_refuses_malformed_curves(tmp_path):
+    # each body has one bad row, on line 4 under a comment and the column row
+    head = "# persistwalk 0\nhorizon,survivors,trials,p_hat,ci_low,ci_high\n1,30,40\n"
+    for row, problem in (("2,50,40", "survivors 50 lie outside"),
+                         ("2,-1,40", "survivors -1 lie outside"),
+                         ("2,nan,40", "survivors nan lie outside"),
+                         ("0,10,40", "horizon 0 is below 1"),
+                         ("-2,10,40", "horizon -2 is below 1"),
+                         ("1,10,40", "horizon 1 is not above 1"),
+                         ("2,10,100", "trials 100 is not the first row's 40")):
+        path = tmp_path / "bad.csv"
+        path.write_text(head + row + "\n")
+        with pytest.raises(InsufficientData, match=f"bad.csv, line 4: {problem}"):
+            mc.read_survival_csv(path)
+    path.write_text("1,0,0\n")
+    with pytest.raises(InsufficientData, match="line 1: trials 0 is below 1"):
+        mc.read_survival_csv(path)
+    # the edges stay readable: every trial alive, none alive, one horizon
+    path.write_text(head + "2,0,40\n")
+    assert mc.read_survival_csv(path).survivors.tolist() == [30, 0]
+    path.write_text("1,40,40\n")
+    assert mc.read_survival_csv(path).survivors.tolist() == [40]
+
+
 def test_gamma_ratio():
     assert mc.gamma_ratio(0, 0.5) == pytest.approx(1.0, rel=1e-14)
     k = np.arange(0, 40)
