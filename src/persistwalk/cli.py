@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--k-max", type=int, required=True, dest="k_max")
     sp.add_argument("--mode", default="weak", choices=("strict", "weak"))
-    sp.add_argument("--step-cap", type=int, default=10 ** 9, dest="step_cap")
+    sp.add_argument("--step-cap", type=int, default=10 ** 9, dest="step_cap",
+                    help="censoring step cap of a stretch, ≥ 1 (default 10^9)")
     sp.add_argument("--on-cap", default="count", choices=("count", "raise"),
                     dest="on_cap",
                     help="capped stretches: count as survivors or raise")
@@ -301,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", required=True, choices=("tail", "q"))
     sp.add_argument("--seed", type=int, default=_env_seed())
     sp.add_argument("--excursions", type=int,
-                    help="duration pairs (tail method; default 50000)")
+                    help="duration pairs, ≥ 1 (tail method; default 50000)")
     sp.add_argument("--step-cap", type=int, dest="step_cap",
-                    help="censoring step cap (tail method; default 2^22)")
+                    help="censoring step cap, ≥ 1 (tail method; default 2^22)")
     sp.add_argument("--x", help="barrier slope (q method; default 0)")
     sp.add_argument("--n-pairs", type=int, dest="n_pairs",
-                    help="excursion pairs per trial (q method; default 250)")
+                    help="excursion pairs per trial, ≥ 1 (q method; default 250)")
     sp.add_argument("--trials", type=int, help="trials (q method; default 50000)")
     sp.add_argument("--workers", type=int, help="worker processes (q method; default 1)")
     sp.set_defaults(func=_cmd_estimate_b)

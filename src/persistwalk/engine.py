@@ -17,18 +17,21 @@ reads positions 0–2 only.
 
 Front door
 ----------
-Both run kinds, the barrier-event survival counts (:func:`atilde_counts`,
-which refuses a horizon below 1, and :func:`a_counts`) and the ξ pair runs
-(:func:`run_xi_trials`), go through ``_run``.  In order, it refuses trials
-< 1 and workers < 1 (:class:`~.errors.OutOfRange`), converts x, refuses x
-outside [0, 1) on every engine kind (``walk._ratio``, the check the oracle
-shares), resolves the engine kind (``ENGINE_KINDS``, the CLI's choices),
-refuses q·(p + q) ≥ 2^63 for the exact loops, builds the duration tables
-once before any fork, and runs the chunks, on a pool of one process per
-chunk.  The chunk entry points ``srw_excursion_first_violation``,
-``_srw_xi_chunk`` and ``_table_xi_chunk`` stay on that path, and
-``stepped_first_violation`` stays beside it: the benchmark times each as a
-span.
+Each Monte Carlo entry point checks the sizes it takes, and ``_run`` trials
+and workers, by one rule (``_whole``) before any draw or process start: a
+horizon (t_max, k_max, the ξ runs' n), step_cap and n_excursions is a whole
+number ≥ 1, each entry of a grid (``grid``, ``record_ns``) one in
+1..horizon, run sorted and once each (``_grid``), or else the run is refused
+with :class:`~.errors.OutOfRange`.  Both run kinds, the survival counts and
+the ξ pair runs, go through ``_run``.  In order, it applies the rule to
+trials and workers, converts x, refuses x outside [0, 1) on every engine
+kind (``walk._ratio``, the check the oracle shares), resolves the engine
+kind (``ENGINE_KINDS``, the CLI's choices), refuses q·(p + q) ≥ 2^63 for
+the exact loops, builds the duration tables once before any fork, and runs
+the chunks, on a pool of one process per chunk.  The chunk entry points
+``srw_excursion_first_violation``, ``_srw_xi_chunk`` and ``_table_xi_chunk``
+stay on that path, and ``stepped_first_violation`` stays beside it: the
+benchmark times each as a span.
 
 Engines
 -------
@@ -547,7 +550,6 @@ def _xi_chunk(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     Each run goes over tiles of at most _DRAWS // 4 trials, so that no
     pass draws more than _DRAWS uniforms."""
     p, q = _exact_ratio(x, _XI_REFUSAL)
-    record_ns = tuple(sorted(record_ns))
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     tile = _DRAWS // 4
@@ -594,13 +596,8 @@ def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
     Returns merged counts; bit-identical for any `workers` split.  Stepped
     is for the barrier events only: ``engine_kind="stepped"`` is refused.
     """
-    if n < 1:
-        raise ValueError(f"n={n} < 1")
-    if record_ns is None:
-        record_ns = (n,)
-    record_ns = tuple(sorted(set(int(r) for r in record_ns)))
-    if record_ns and (record_ns[0] < 1 or record_ns[-1] > n):
-        raise ValueError(f"record_ns must lie in 1..{n}")
+    n = _whole("n", n)
+    record_ns = _grid("record_ns", (n,) if record_ns is None else record_ns, n)
     return XiRunResult.merge(_run(_xi_worker, dist, x, engine_kind, trials, workers,
                                   n, seed, record_ns))
 
@@ -659,6 +656,7 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
     order, and a lane whose quotas fill before the last boundary skips the
     cap check, as it would have left the run at its own boundary.
     """
+    n_excursions, step_cap = _whole("n_excursions", n_excursions), _whole("step_cap", step_cap)
     if dist.is_simple:
         ids = np.arange(n_excursions, dtype=np.uint64) + np.uint64(_SENTINEL_STREAM)
         (tau_p, tau_m), (cp, cm), _, _ = _draw(None, trial_keys(seed, ids), 0, 2, True,
@@ -669,7 +667,7 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
                 "lanes": 0, "restarts": 0}
         return tau_p, tau_m, info
 
-    lanes = int(min(_LANES, max(1, n_excursions)))
+    lanes = min(_LANES, n_excursions)
     quota = -(-n_excursions // lanes)
     keys = trial_keys(seed, np.arange(lanes, dtype=np.uint64)
                       + np.uint64(_SENTINEL_STREAM))
@@ -793,19 +791,22 @@ def atilde_counts(dist: IncrementDistribution, x: Fraction, t_max: int,
                   trials: int, seed: int, grid: tuple[int, ...], *,
                   mode: str = "strict", engine_kind: str = "auto",
                   workers: int = 1) -> SurvivalCounts:
-    if t_max < 1:
-        raise OutOfRange(f"t_max={t_max} must be >= 1")
+    """Time-event survivors at each horizon of ``grid``, one in 1..t_max."""
+    t_max = _whole("t_max", t_max)
     return SurvivalCounts.merge(_run(_survival_worker, dist, x, engine_kind, trials,
-                                     workers, t_max, _NO_LIMIT, seed, tuple(grid),
-                                     mode, _NO_LIMIT))
+                                     workers, t_max, _NO_LIMIT, seed,
+                                     _grid("grid", grid, t_max), mode, _NO_LIMIT))
 
 
 def a_counts(dist: IncrementDistribution, x: Fraction, k_max: int,
              trials: int, seed: int, grid: tuple[int, ...], *,
              mode: str = "weak", engine_kind: str = "auto",
              step_cap: int = 10 ** 9, workers: int = 1) -> SurvivalCounts:
+    """Excursion-event survivors at each horizon of ``grid``, one in 1..k_max."""
+    k_max = _whole("k_max", k_max)
+    grid, step_cap = _grid("grid", grid, k_max), _whole("step_cap", step_cap)
     return SurvivalCounts.merge(_run(_survival_worker, dist, x, engine_kind, trials,
-                                     workers, _NO_LIMIT, 2 * k_max, seed, tuple(grid),
+                                     workers, _NO_LIMIT, 2 * k_max, seed, grid,
                                      mode, step_cap))
 
 
@@ -836,19 +837,36 @@ def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(a, b - a) for a, b in zip(starts, starts[1:])]
 
 
+def _whole(name: str, value, top: int | None = None) -> int:
+    """``value`` as an int, by the one size rule of every Monte Carlo run: a
+    whole number in 1..top (≥ 1 if no top), else :class:`~.errors.OutOfRange`."""
+    try:
+        if int(value) == value and 1 <= value <= (value if top is None else top):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf, ...
+        pass
+    span = ">= 1" if top is None else f"in 1..{top}"
+    raise OutOfRange(f"{name}={value} must be {span} and a whole number")
+
+
+def _grid(name: str, grid, top: int) -> tuple[int, ...]:
+    """The horizons of ``grid``, by the size rule in 1..top, sorted, once each."""
+    hs = tuple(sorted({_whole(f"{name}[{i}]", h, top) for i, h in enumerate(grid)}))
+    if not hs:
+        raise OutOfRange(f"{name} holds no horizon")
+    return hs
+
+
 def _run(worker, dist: IncrementDistribution, x, engine_kind: str, trials: int,
          workers: int, *args) -> list:
     """worker((dist, x, *args, kind), count, offset) over contiguous chunks,
-    serial or pooled, once x and the engine kind pass the checks in the
-    module docstring.
+    serial or pooled, once trials, workers, x and the engine kind pass the
+    checks in the module docstring.
 
     Stream keys depend only on the global trial index, so the merged
     result is independent of the chunking.
     """
-    if trials < 1:
-        raise OutOfRange(f"trials={trials} must be >= 1")
-    if workers < 1:
-        raise OutOfRange(f"workers={workers} must be >= 1")
+    trials, workers = _whole("trials", trials), _whole("workers", workers)
     x = Fraction(x)
     _ratio(x)
     kind = pick_engine(dist, engine_kind)

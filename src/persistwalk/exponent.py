@@ -172,8 +172,6 @@ def estimate_b_tail(dist: IncrementDistribution, n_excursions: int, seed: int, *
     is refused at 2 000 excursions for seeds 1–8, and at 5 000 for seeds 1,
     2, 4, 6 and 8.
     """
-    if n_excursions < 1:
-        raise ValueError("n_excursions must be >= 1")
     tau_pos, tau_neg, info = engine.collect_duration_pairs(
         dist, n_excursions, seed, step_cap=step_cap)
 

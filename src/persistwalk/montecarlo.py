@@ -111,19 +111,6 @@ def _curve_config(command: str, dist: IncrementDistribution, x: Fraction,
     return cfg
 
 
-def _horizons(h_max: int, grid_ratio: float, grid) -> np.ndarray:
-    """The geometric grid up to h_max, or the given horizons sorted; a run
-    followed to h_max answers only the whole horizons 1..h_max."""
-    if grid is None:
-        return geometric_grid(h_max, grid_ratio)
-    hs = list(grid)
-    if not hs or not all(math.isfinite(h) and h == int(h) and 1 <= h <= h_max
-                         for h in hs):
-        raise OutOfRange(f"grid {', '.join(map(str, hs))} is empty or holds "
-                         f"a horizon that is not a whole number in 1..{h_max}")
-    return np.unique(np.asarray([int(h) for h in hs], dtype=np.int64))
-
-
 def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
                     seed: int, *, grid_ratio: float = 2 ** 0.25,
                     grid=None, mode: str = "strict", engine_kind: str = "auto",
@@ -139,15 +126,14 @@ def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
     x = Fraction(x)
     if t_max < 2:
         raise OutOfRange(f"t_max={t_max} < 2")
-    grid = _horizons(t_max, grid_ratio, grid)
     counts = engine.atilde_counts(dist, x, t_max, trials, seed,
-                                  tuple(int(g) for g in grid),
-                                  mode=mode, engine_kind=engine_kind,
+                                  geometric_grid(t_max, grid_ratio) if grid is None
+                                  else grid, mode=mode, engine_kind=engine_kind,
                                   workers=workers)
     cfg = _curve_config("estimate-atilde", dist, x, t_max=t_max, trials=trials,
                         seed=seed, grid_ratio=grid_ratio, mode=mode,
                         engine=counts.engine, workers=workers)
-    return SurvivalCurve(kind="time", horizons=grid, survivors=counts.survivors,
+    return SurvivalCurve(kind="time", horizons=counts.grid, survivors=counts.survivors,
                          trials=trials, capped=counts.capped,
                          engine=counts.engine, tail_draws=counts.tail_draws,
                          config=cfg)
@@ -173,13 +159,10 @@ def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
     x = Fraction(x)
     if on_cap not in ("count", "raise"):
         raise ValueError(f"on_cap must be 'count' or 'raise', not {on_cap!r}")
-    if k_max < 1:
-        raise OutOfRange(f"k_max={k_max} < 1")
-    grid = _horizons(k_max, grid_ratio, grid)
     counts = engine.a_counts(dist, x, k_max, trials, seed,
-                             tuple(int(g) for g in grid), mode=mode,
-                             engine_kind=engine_kind, step_cap=step_cap,
-                             workers=workers)
+                             geometric_grid(k_max, grid_ratio) if grid is None
+                             else grid, mode=mode, engine_kind=engine_kind,
+                             step_cap=step_cap, workers=workers)
     if counts.capped and on_cap == "raise":
         raise HorizonOverflow(
             f"{counts.capped} of {trials} trials exceeded {step_cap} steps "
@@ -188,7 +171,7 @@ def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
                         seed=seed, grid_ratio=grid_ratio, mode=mode,
                         step_cap=step_cap, engine=counts.engine,
                         workers=workers)
-    return SurvivalCurve(kind="excursion", horizons=grid,
+    return SurvivalCurve(kind="excursion", horizons=counts.grid,
                          survivors=counts.survivors, trials=trials,
                          capped=counts.capped, engine=counts.engine,
                          tail_draws=counts.tail_draws, config=cfg)
@@ -317,17 +300,15 @@ def skew_diagnostic(dist: IncrementDistribution, x, n_grid, trials: int,
     of the event).  Raises :class:`InsufficientData` when fewer than 30
     trials keep all prefix sums nonnegative at the largest n.
     """
-    n_grid = sorted({int(v) for v in n_grid})
-    if not n_grid or n_grid[0] < 2:
+    if min(n_grid, default=0) < 2:
         raise OutOfRange("n_grid entries must be >= 2")
-    res = engine.run_xi_trials(dist, x, n_grid[-1], trials, seed,
-                               record_ns=tuple(n_grid),
+    res = engine.run_xi_trials(dist, x, max(n_grid), trials, seed, record_ns=n_grid,
                                engine_kind=engine_kind, workers=workers)
     if res.alive_counts[-1] < 30:
         raise InsufficientData(
             f"only {int(res.alive_counts[-1])} of {trials} trials survive to "
-            f"n={n_grid[-1]} (need 30); increase trials")
-    return _skew_from_counts(n_grid, res.alive_counts, res.neg_counts,
+            f"n={res.record_ns[-1]} (need 30); increase trials")
+    return _skew_from_counts(res.record_ns, res.alive_counts, res.neg_counts,
                              trials, printed_sign)
 
 

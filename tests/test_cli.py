@@ -344,9 +344,13 @@ def test_error_exit_codes(tmp_path, capsys):
     ("estimate-atilde", "--dist", "simple", "--t-max", "10", "--workers", "0"),
     ("estimate-a", "--dist", "unit-up:-2", "--k-max", "10", "--workers", "-2"),
     ("estimate-b", "--dist", "simple", "--method", "q", "--workers", "0"),
+    ("estimate-a", "--dist", "unit-up:-2", "--k-max", "5", "--step-cap", "-1"),
+    ("estimate-a", "--dist", "unit-up:-2", "--k-max", "5", "--step-cap", "0"),
+    ("estimate-b", "--dist", "simple", "--method", "q", "--n-pairs", "0"),
 ])
 def test_bad_sizes_are_refused_or_merged(capsys, argv):
-    # each used to end in a traceback or an error from deep in numpy
+    # each used to end in a traceback or an error from deep in numpy, or
+    # (--step-cap 0) in a curve of 1351 censored trials of 2000
     trials = ("--trials", "2000") if argv[0] != "stable-sample" else ()
     rc, out, err = run_cli(capsys, *argv, *trials)
     if argv[0] == "diagnose-skew":  # a repeated n is one row

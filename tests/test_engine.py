@@ -546,13 +546,30 @@ def test_pool_is_sized_by_its_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("dist,kind", [(SIMPLE, "auto"), (UNIT_UP, "auto"),
-                                       (UNIT_UP, "stepped")])
+                                       (UNIT_UP, "stepped"), (SIMPLE, "table")])
 def test_atilde_counts_refuses_horizons_below_1(monkeypatch, dist, kind):
-    for t_max in (0, -3):
-        with pytest.raises(OutOfRange, match="t_max"):
-            engine.atilde_counts(dist, Fraction(0), t_max, 10, 1, (1,), engine_kind=kind)
-    # the excursion event with no stretch to run draws nothing
+    # every size is refused before any draw; these used to run, and gave
+    # survivors [42, 0, 100] at horizons 5, 50 and -3 of a run to t_max = 10,
+    # [0] at k_max = -1 and 0 at k = 50 of a run to k_max = 2
     monkeypatch.setattr(engine, "uniform_at", None)
+    monkeypatch.setattr(engine, "trial_keys", None)
+
+    def atilde(t_max=10, grid=(1,)):
+        return engine.atilde_counts(dist, Fraction(0), t_max, 100, 1, grid,
+                                    engine_kind=kind)
+
+    def a(k_max=2, grid=(1,), step_cap=30):
+        return engine.a_counts(dist, Fraction(0), k_max, 10, 1, grid, engine_kind=kind,
+                               step_cap=step_cap)
+
+    for run, match in [*((lambda t=t: atilde(t_max=t), "t_max") for t in (0, -3, 10.5)),
+                       (lambda: atilde(grid=(5, 50, -3)), r"grid\[1\]=50"),
+                       *((lambda k=k: a(k_max=k), "k_max") for k in (-1, 2.5)),
+                       (lambda: a(grid=(1, 2, 50)), r"grid\[2\]=50"),
+                       *((lambda c=c: a(step_cap=c), "step_cap") for c in (0, -1))]:
+        with pytest.raises(OutOfRange, match=match):
+            run()
+    # the excursion event with no stretch to run draws nothing
     kstar = engine._stretches(SIMPLE, Fraction(0), 10, 1, "weak", 0, engine._NO_LIMIT, 0,
                               step_cap=30)[1]
     np.testing.assert_array_equal(kstar, 0)
@@ -575,7 +592,7 @@ def test_xi_exact_vs_table_on_simple_walk():
 
 
 def test_xi_record_ns_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         engine.run_xi_trials(SIMPLE, Fraction(0), 10, 100, 561,
                              record_ns=(5, 11))
     r = engine.run_xi_trials(SIMPLE, Fraction(0), 10, 500, 561,
@@ -584,11 +601,11 @@ def test_xi_record_ns_validation():
     assert r.decided + r.undecided == r.trials
     # an entry below 1 was never reached and zeroed every count after it
     for bad in ((0, 10), (-3, 10)):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             engine.run_xi_trials(SIMPLE, Fraction(0), 10, 500, 561,
                                  record_ns=bad)
     for n in (0, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             engine.run_xi_trials(SIMPLE, Fraction(0), n, 500, 561)
     ref = engine.run_xi_trials(SIMPLE, Fraction(0), 10, 500, 561,
                                record_ns=(10,))
@@ -894,9 +911,10 @@ def test_table_xi_chunk_pinned_drawn_pair_by_pair():
 
 
 def test_runs_refuse_trials_below_one():
-    # the ξ runs returned empty counts for zero trials and ran a negative
-    # count as zero; the front door refuses both for every run
-    for trials in (0, -3):
+    # the ξ runs returned empty counts for zero trials, ran a negative count
+    # as zero and 2.5 trials as 3, and 1.5 workers ended in a TypeError; the
+    # front door refuses each for every run
+    for trials in (0, -3, 2.5):
         for run in (lambda: engine.run_xi_trials(UNIT_UP, 0, 5, trials, 1),
                     lambda: engine.atilde_counts(SIMPLE, 0, 10, trials, 1, (5,)),
                     lambda: engine.a_counts(UNIT_UP, 0, 3, trials, 1, (2,)),
@@ -904,6 +922,10 @@ def test_runs_refuse_trials_below_one():
                     lambda: montecarlo.survival_a(UNIT_UP, 0, 3, trials, 1)):
             with pytest.raises(OutOfRange, match=f"trials={trials} must be >= 1"):
                 run()
+    for run in (lambda: engine.run_xi_trials(UNIT_UP, 0, 5, 10, 1, workers=1.5),
+                lambda: montecarlo.survival_atilde(SIMPLE, 0, 10, 10, 1, workers=1.5)):
+        with pytest.raises(OutOfRange, match="workers=1.5 must be >= 1"):
+            run()
 
 
 def test_runs_reach_the_benchmark_spans(monkeypatch):

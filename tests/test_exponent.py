@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistwalk import exponent
-from persistwalk.errors import InsufficientTail, OutOfDomain, Unattainable
+from persistwalk.errors import InsufficientTail, OutOfDomain, OutOfRange, Unattainable
 from persistwalk.increments import preset
 
 SIMPLE = preset("simple")
+UNIT_UP = preset("unit-up", negatives=[-2])
 
 
 def test_phi_special_values():
@@ -136,8 +137,12 @@ def test_estimate_b_tail_insufficient():
     for n, seed in [(2000, s) for s in range(1, 9)] + [(5000, 1), (5000, 4)]:
         with pytest.raises(InsufficientTail, match=f"n_excursions={n}"):
             exponent.estimate_b_tail(SIMPLE, n, seed)
-    with pytest.raises(ValueError):
-        exponent.estimate_b_tail(SIMPLE, 0, 615)
+    # on unit-up -5 excursions failed in numpy ("negative dimensions") and a
+    # step cap of -7 collected negative durations; 2.5 excursions ran
+    for dist, n, step_cap in ((SIMPLE, 0, 2 ** 22), (UNIT_UP, -5, 2 ** 22),
+                              (SIMPLE, 2.5, 2 ** 22), (UNIT_UP, 5000, -7)):
+        with pytest.raises(OutOfRange):
+            exponent.estimate_b_tail(dist, n, 615, step_cap=step_cap)
 
 
 def test_estimate_b_dispatch():

@@ -199,6 +199,9 @@ def test_skew_diagnostic_simulated():
         mc.skew_diagnostic(SIMPLE, F(1, 2), (4, 400), 50, seed=706)
     with pytest.raises(OutOfRange):
         mc.skew_diagnostic(SIMPLE, 0, (1, 8), 100, seed=707)
+    # 20.7 used to run as n = 20
+    with pytest.raises(OutOfRange, match="20.7"):
+        mc.skew_diagnostic(SIMPLE, 0, (10, 20.7), 100, seed=707)
 
 
 def test_csv_round_trip(tmp_path):
