@@ -46,21 +46,28 @@ the ξ pair runs and both barrier events (the engine's stretch loop), each
 stretch taking one uniform for τ and one for its exit, which is the next
 stretch's entry.
 
-Sampling has no loop over entry states.  A duration draw indexes the
-survival rows stacked over entries as one flat array: the √-law guess picks
-a start row from a guide table (Chen & Asau 1974; Devroye 1986, §III.2)
-built once with the tables, at or a few rows before the crossing, and the
-search below moves it to the crossing.  An
-exit draw gathers the first K - 1 cumulatives of its row by flat index and
-counts those below u; the map from exit column to the other side's entry
-index is also built once with the tables.
+Sampling has no loop over entry states.  A duration draw searches one
+array stacked over entries: each entry's block holds -P(τ > n) at row 0,
+a -1 sentinel, and at the rows where mass leaves (on a lattice walk most
+rows hold none, and P(τ > n) is flat across them), then a +1 sentinel.
+The √-law guess picks a start slot from a guide table (Chen & Asau 1974;
+Devroye 1986, §III.2) built once with the tables, at or a slot before the
+crossing, and the search below moves it there; a draw past the table stops
+on the +1 sentinel and takes the √-tail.  An exit draw gathers the first
+K - 1 cumulatives of its row by flat index and counts those below u; the
+map from exit column to the other side's entry index is also built once
+with the tables.
 
 Search
 ------
 A duration draw is set by the crossing of its uniform u with a
-non-increasing row (q_j, ln q_j or P(τ > n)), the last index whose value is
-at least u.  :func:`_step_to_crossing` steps a guess there, so every draw
-lands where a full search does, whatever its guess.
+non-increasing row (q_j, ln q_j, or the rows of P(τ > n) where mass
+leaves), the last index whose value is at least u.
+:func:`_step_to_crossing` steps a guess there, so every draw lands where a
+full search does, whatever its guess.  On the tables a draw lands on the
+first slot of its block with P(τ > n) < u, and that slot's τ is the first
+row with P(τ > n) < u, since the rows a block skips repeat the value before
+them.
 """
 
 from __future__ import annotations
@@ -213,11 +220,18 @@ class SideTables:
     K ``exit_values`` given τ = n; ``tail_cum[e]``, shape (E, K), the split
     given τ > N; and ``tail_p[e] = P(τ > N)``, shape (E,).
 
-    ``guide``, derived from these on construction, is a guide table over the
-    √-tail guess g = ⌈N·(P(τ > N)/u)²⌉ ∈ [0, N]: ``guide[e·(N+1) + g]`` is
-    the flat index into ``neg_surv`` of the first n ≥ 1 with P(τ > n) < u
-    at the largest u whose guess is g, so the draws with that guess start
-    there or a few rows before their crossing.
+    ``search``, ``search_tau`` and ``guide`` are derived from these on
+    construction.  ``search`` stacks one block per entry: -P(τ > n) for row
+    0 (-1, a sentinel that stops every downward step, since u ≤ 1) and for
+    every row n where mass leaves, P(τ > n) < P(τ > n - 1), then a +1
+    sentinel that stops every upward step, on which exactly the draws with
+    u ≤ P(τ > N) land.  Each block ascends strictly, and ``search_tau``
+    holds each slot's τ (the +1 sentinel's, N + 1, is never returned).
+    ``guide`` is a guide table over the √-tail guess
+    g = ⌈N·(P(τ > N)/u)²⌉ ∈ [0, N]: ``guide[e·(N+1) + g]`` is the index
+    into ``search`` of the first slot past row 0 of entry e's block whose
+    P(τ > n) < u at the largest u whose guess is g, so the draws with that
+    guess start there or a slot or so before their crossing.
     """
 
     entries: list[int]
@@ -227,6 +241,8 @@ class SideTables:
     tail_cum: np.ndarray
     tail_p: np.ndarray
     n_table: int
+    search: np.ndarray = field(init=False, repr=False)
+    search_tau: np.ndarray = field(init=False, repr=False)
     guide: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -234,14 +250,19 @@ class SideTables:
         rows = self.neg_surv.shape[0]
         # guess g ≥ 2 takes u in [p·√(N/g), p·√(N/(g - 1))), p = P(τ > N),
         # and the crossing at its largest u is the earliest; guesses 0 and 1
-        # take u ≥ p·√N, and every u < 1 crosses at n ≥ 1
+        # take u ≥ p·√N, and every u ≤ 1 crosses past row 0
         top = np.sqrt(n_table / np.arange(1.0, n_table))
         guide = np.ones((rows, n_table + 1), dtype=np.int64)
-        for e in range(rows):
-            guide[e, 2:] = np.searchsorted(self.neg_surv[e], -self.tail_p[e] * top,
-                                           side="right")
+        blocks, taus = [], []
+        for e, row in enumerate(self.neg_surv):
+            n = np.flatnonzero(row[1:] > row[:-1]) + 1  # the rows where mass leaves
+            blocks.append(np.concatenate(([row[0]], row[n], [1.0])))
+            taus.append(np.concatenate(([0], n, [n_table + 1])))
+            guide[e, 2:] = np.searchsorted(blocks[-1], -self.tail_p[e] * top, side="right")
         np.maximum(guide, 1, out=guide)
-        guide += (n_table + 1) * np.arange(rows)[:, None]
+        guide += np.cumsum([0] + [b.size for b in blocks[:-1]])[:, None]
+        self.search = np.concatenate(blocks)
+        self.search_tau = np.concatenate(taus).astype(np.float64)
         self.guide = guide.reshape(-1)
 
 
@@ -382,27 +403,24 @@ class ExcursionTables:
         """Durations for a batch of stretches (float64), plus tail-draw flags.
 
         τ is the first n with P(τ > n) < u in the entry's row, the index
-        ``searchsorted(neg_surv[e], -u, "right")`` returns.  The √-tail
-        n = N·(P(τ > N)/u)² is the draw itself where u ≤ P(τ > N); elsewhere
-        its ceiling g picks the start row ``guide[e, g]`` in the flat stacked
-        rows, searched from there (the module's Search section).  Each row
-        is non-increasing from P(τ > 0) = 1 to P(τ > N) < u, so the steps
-        stay in the row.
+        ``searchsorted(neg_surv[e], -u, "right")`` returns.  Every draw's
+        guess g = ⌈N·(P(τ > N)/u)²⌉ picks its start slot ``guide[e, g]``
+        (g clipped at N) in the stacked ``search`` blocks, searched from
+        there (the module's Search section): the block's -1 and +1 sentinels
+        keep the steps in it, the crossing is the τ of the slot it lands on,
+        and a draw with u ≤ P(τ > N) lands on the +1 sentinel and takes the
+        √-tail n = N·(P(τ > N)/u)², its guess, instead.
         """
         tables = self.pos if side == "pos" else self.neg
         pt = tables.tail_p[entry_idx]
-        tau = np.ceil(self.n_table * (pt / u) ** 2)
+        guess = np.ceil(self.n_table * (pt / u) ** 2)
         tail = u <= pt
-        rows = np.flatnonzero(~tail)
-        if rows.size:
-            flat = tables.neg_surv.reshape(-1)
-            neg_u = -u[rows]
-            base = entry_idx[rows] * (self.n_table + 1)
-            at = tables.guide[base + np.minimum(tau[rows], self.n_table).astype(np.int64)]
-            _step_to_crossing(at, lambda r, i: flat[i - 1] > neg_u[r],
-                              lambda r, i: flat[i] <= neg_u[r])
-            tau[rows] = at - base
-        return tau, tail
+        at = tables.guide[entry_idx * (self.n_table + 1)
+                          + np.minimum(guess, self.n_table).astype(np.int64)]
+        search, neg_u = tables.search, -u
+        _step_to_crossing(at, lambda r, i: search[i - 1] > neg_u[r],
+                          lambda r, i: search[i] <= neg_u[r])
+        return np.where(tail, guess, tables.search_tau[at]), tail
 
     def sample_exit(self, side: str, entry_idx: np.ndarray, tau: np.ndarray,
                     tail: np.ndarray, u: np.ndarray) -> np.ndarray:

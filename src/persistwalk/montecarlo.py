@@ -31,11 +31,12 @@ from .increments import IncrementDistribution
 
 def geometric_grid(h_max: int, ratio: float = 2 ** 0.25, h_min: int = 1
                    ) -> np.ndarray:
-    """Sorted unique integer horizons h_min..h_max, geometric with `ratio`."""
-    if h_min < 1:
-        raise OutOfRange(f"h_min={h_min} < 1")
-    if h_max < h_min:
-        raise OutOfRange(f"h_max={h_max} < h_min={h_min}")
+    """Sorted unique integer horizons h_min..h_max, geometric with `ratio`.
+
+    h_max and h_min follow the engine's size rule: whole numbers with
+    1 ≤ h_min ≤ h_max, else :class:`OutOfRange`."""
+    h_max = engine._whole("h_max", h_max)
+    h_min = engine._whole("h_min", h_min, h_max)
     if not (math.isfinite(ratio) and ratio > 1.0):
         raise OutOfRange(f"grid ratio {ratio} must be finite and exceed 1")
     vals = [h_min]

@@ -440,10 +440,42 @@ TABLE_WALKS = {
 }
 
 
+def reference_search(tables):
+    """The search array, its τ and the guide, rebuilt slot by slot from a
+    side's ``neg_surv`` and ``tail_p``: per entry, row 0 and every row n
+    with P(τ > n) < P(τ > n - 1), then a +1 sentinel; ``guide[e, g]`` for
+    g ≥ 2 is the first slot past row 0 whose -P(τ > n) exceeds
+    -P(τ > N)·√(N/(g - 1)), and the first slot past row 0 for g = 0, 1.
+    The bound rises with g (P(τ > N) > 0), so one pointer moves up only."""
+    n_table = tables.n_table
+    search, search_tau, guide = [], [], []
+    for e in range(len(tables.entries)):
+        row = tables.neg_surv[e].tolist()
+        assert row[0] == -1.0 and tables.tail_p[e] > 0
+        first = len(search) + 1
+        search.append(row[0])
+        search_tau.append(0.0)
+        for n in range(1, n_table + 1):
+            if row[n] > row[n - 1]:
+                search.append(row[n])
+                search_tau.append(float(n))
+        search.append(1.0)
+        search_tau.append(n_table + 1.0)
+        at = first
+        guide += [first, first]
+        for g in range(2, n_table + 1):
+            bound = -tables.tail_p[e] * math.sqrt(n_table / (g - 1))
+            while search[at] <= bound:
+                at += 1
+            guide.append(at)
+    return np.array(search), np.array(search_tau), np.array(guide, dtype=np.int64)
+
+
 @pytest.mark.parametrize("n_table", [1, 2, 3, 64, 2048])
 @pytest.mark.parametrize("name", list(TABLE_WALKS))
 def test_tables_match_position_dp(name, n_table):
-    # every table array, the guide included, bit for bit on both sides
+    # every table array bit for bit on both sides, and the search arrays
+    # and guide against a slot-by-slot rebuild from the reference rows
     dist = TABLE_WALKS[name]
     pos_entries, neg_entries = durations._entry_closure(dist)
     for side, entries in ((dist, pos_entries),
@@ -451,8 +483,11 @@ def test_tables_match_position_dp(name, n_table):
         got = durations._one_sided_tables(side, entries, n_table)
         ref = reference_one_sided_tables(side, entries, n_table)
         assert got.entries == ref.entries and got.exit_values == ref.exit_values
-        for a in ("neg_surv", "exit_cum", "tail_cum", "tail_p", "guide"):
+        for a in ("neg_surv", "exit_cum", "tail_cum", "tail_p"):
             assert np.array_equal(getattr(got, a), getattr(ref, a)), a
+        for a, want in zip(("search", "search_tau", "guide"), reference_search(ref)):
+            have = getattr(got, a)
+            assert have.dtype == want.dtype and np.array_equal(have, want), a
 
 
 @pytest.mark.parametrize("n_table", [2048, durations.DEFAULT_TABLE_SIZE])
@@ -532,8 +567,11 @@ def test_searches_land_from_the_worst_start(monkeypatch, last):
     u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
     ei = np.tile(ei, 3)
     tau_ref, tail_ref = reference_sample_tau(tables, "pos", ei, u)
-    base = ei[~tail_ref] * (n + 1)
-    rows[:] = [(base + 1, base + n)]
+    # every draw is searched, from the first slot past its block's row 0
+    # or from the block's +1 sentinel, where the draws past the table land
+    ends = np.flatnonzero(st.search == 1.0)
+    starts = np.r_[0, ends[:-1] + 1]
+    rows[:] = [(starts[ei] + 1, ends[ei])]
     tau, tail = tables.sample_tau("pos", ei, u)
     np.testing.assert_array_equal(tau, tau_ref)
     np.testing.assert_array_equal(tail, tail_ref)

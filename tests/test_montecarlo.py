@@ -24,14 +24,28 @@ def test_geometric_grid():
     coarse = mc.geometric_grid(100, ratio=4.0)
     assert len(coarse) < len(g)
     assert np.array_equal(mc.geometric_grid(5, h_min=5), [5])
+    assert np.array_equal(mc.geometric_grid(10.0, h_min=np.int32(2)),
+                          mc.geometric_grid(10, h_min=2))
     with pytest.raises(OutOfRange):
         mc.geometric_grid(4, h_min=10)
     # h_min = 0 used to loop forever; inf and nan used to escape as
-    # OverflowError and ValueError from int(round(h))
+    # OverflowError and ValueError from int(round(h)), and fractional
+    # bounds were truncated without a word
     for kw in ({"ratio": 1.0}, {"ratio": math.inf}, {"ratio": math.nan},
-               {"ratio": 2.0, "h_min": 0}):
+               {"ratio": 2.0, "h_min": 0}, {"h_min": math.nan}, {"h_min": math.inf},
+               {"h_min": 2.5}):
         with pytest.raises(OutOfRange):
             mc.geometric_grid(10, **kw)
+    for h_max in (math.inf, math.nan, 10.5, 0):
+        with pytest.raises(OutOfRange):
+            mc.geometric_grid(h_max)
+    # the default grid of a survival curve is built before the engine sees
+    # t_max or k_max; an infinite horizon used to end in OverflowError
+    # after some 4 000 loop steps
+    with pytest.raises(OutOfRange):
+        mc.survival_atilde(SIMPLE, 0, math.inf, 100, 1)
+    with pytest.raises(OutOfRange):
+        mc.survival_a(SIMPLE, 0, math.inf, 100, 1)
 
 
 def test_clopper_pearson_boundaries_and_interior():
