@@ -73,14 +73,13 @@ them.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfRange
 from .increments import IncrementDistribution
+from .walk import _whole
 
 _TABLE_BITS = 19
 _TABLE_LEN = 1 << _TABLE_BITS
@@ -468,15 +467,9 @@ def excursion_tables(dist: IncrementDistribution, n_table: int = DEFAULT_TABLE_S
                      ) -> ExcursionTables:
     """Build (or fetch cached) duration tables for a general walk.
 
-    ``n_table``, the table horizon N, is an integer ≥ 1; anything else is
-    :class:`OutOfRange`.
+    ``n_table``, the table horizon N, follows :func:`~.walk._whole`.
     """
-    try:
-        n_table = operator.index(n_table)
-    except TypeError:
-        raise OutOfRange(f"n_table={n_table!r} must be an integer") from None
-    if n_table < 1:
-        raise OutOfRange(f"n_table={n_table} must be >= 1")
+    n_table = _whole("n_table", n_table)
     key = (dist.atoms, n_table)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:

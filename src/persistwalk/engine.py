@@ -18,11 +18,13 @@ reads positions 0–2 only.
 Front door
 ----------
 Each Monte Carlo entry point checks the sizes it takes, and ``_run`` trials
-and workers, by one rule (``_whole``) before any draw or process start: a
-horizon (t_max, k_max, the ξ runs' n), step_cap and n_excursions is a whole
-number ≥ 1, each entry of a grid (``grid``, ``record_ns``) one in
-1..horizon, run sorted and once each (``_grid``), or else the run is refused
-with :class:`~.errors.OutOfRange`.  Both run kinds, the survival counts and
+and workers, by the package's one size rule (``walk._whole``, which the
+oracle, the tables, the stable sampler and the survival curves share)
+before any draw or process start: a horizon (t_max, k_max, the ξ runs' n),
+step_cap and n_excursions is a whole number ≥ 1, each entry of a grid
+(``grid``, ``record_ns``) one in 1..horizon, run sorted and once each
+(``walk._grid``), or else the run is refused with
+:class:`~.errors.OutOfRange`.  Both run kinds, the survival counts and
 the ξ pair runs, go through ``_run``.  In order, it applies the rule to
 trials and workers, converts x, refuses x outside [0, 1) on every engine
 kind (``walk._ratio``, the check the oracle shares), resolves the engine
@@ -131,10 +133,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import durations as dur
-from .errors import OutOfDomain, OutOfRange
+from .errors import OutOfDomain
 from .increments import IncrementDistribution, preset, steps_from_uniforms
 from .rng import trial_keys, uniform_at
-from .walk import _is_strict, _ratio
+from .walk import _grid, _is_strict, _ratio, _whole
 
 _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
 _NO_LIMIT = 1 << 62  # no horizon, stretch count or step cap; t stays below it
@@ -835,26 +837,6 @@ def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
     base, rem = divmod(trials, n)
     starts = [i * base + min(i, rem) for i in range(n + 1)]
     return [(a, b - a) for a, b in zip(starts, starts[1:])]
-
-
-def _whole(name: str, value, top: int | None = None) -> int:
-    """``value`` as an int, by the one size rule of every Monte Carlo run: a
-    whole number in 1..top (≥ 1 if no top), else :class:`~.errors.OutOfRange`."""
-    try:
-        if int(value) == value and 1 <= value <= (value if top is None else top):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):  # None, nan, inf, ...
-        pass
-    span = ">= 1" if top is None else f"in 1..{top}"
-    raise OutOfRange(f"{name}={value} must be {span} and a whole number")
-
-
-def _grid(name: str, grid, top: int) -> tuple[int, ...]:
-    """The horizons of ``grid``, by the size rule in 1..top, sorted, once each."""
-    hs = tuple(sorted({_whole(f"{name}[{i}]", h, top) for i, h in enumerate(grid)}))
-    if not hs:
-        raise OutOfRange(f"{name} holds no horizon")
-    return hs
 
 
 def _run(worker, dist: IncrementDistribution, x, engine_kind: str, trials: int,

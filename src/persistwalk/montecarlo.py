@@ -27,18 +27,23 @@ from scipy.special import betaincinv, gammaln
 from . import __version__, engine
 from .errors import HorizonOverflow, InsufficientData, OutOfRange
 from .increments import IncrementDistribution
+from .walk import _grid, _whole
 
 
 def geometric_grid(h_max: int, ratio: float = 2 ** 0.25, h_min: int = 1
                    ) -> np.ndarray:
     """Sorted unique integer horizons h_min..h_max, geometric with `ratio`.
 
-    h_max and h_min follow the engine's size rule: whole numbers with
-    1 ≤ h_min ≤ h_max, else :class:`OutOfRange`."""
-    h_max = engine._whole("h_max", h_max)
-    h_min = engine._whole("h_min", h_min, h_max)
+    h_max and h_min follow the size rule (:func:`~.walk._whole`): whole
+    numbers with 1 ≤ h_min ≤ h_max, else :class:`OutOfRange`."""
+    h_max = _whole("h_max", h_max)
+    h_min = _whole("h_min", h_min, h_max)
     if not (math.isfinite(ratio) and ratio > 1.0):
         raise OutOfRange(f"grid ratio {ratio} must be finite and exceed 1")
+    if (h_max + 1) * (ratio - 1) <= 0.5:
+        # a step moves h < h_max + 1/2 by at most 1/2, so every horizon is
+        # hit; the loop would take ln(h_max/h_min)/(ratio - 1) steps
+        return np.arange(h_min, h_max + 1, dtype=np.int64)
     vals = [h_min]
     h = float(h_min)
     while vals[-1] < h_max:
@@ -124,7 +129,7 @@ def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
     simple walk and from the duration tables on any other walk;
     `engine_kind="stepped"` forces the step-by-step reference engine.
     """
-    x = Fraction(x)
+    x, t_max = Fraction(x), _whole("t_max", t_max)
     if t_max < 2:
         raise OutOfRange(f"t_max={t_max} < 2")
     counts = engine.atilde_counts(dist, x, t_max, trials, seed,
@@ -210,8 +215,11 @@ def fit_exponent(curve: SurvivalCurve, fit_range: tuple[int, int] | None = None,
     w = trials·p̂/(1-p̂) with (1-p̂) floored at 0.5/trials so an exact-1
     point cannot get infinite weight.  Points with fewer than
     `min_survivors` survivors are dropped; fewer than `min_points` usable
-    points raises :class:`InsufficientData`.
+    points, or than two, raises :class:`InsufficientData`.  Both sizes
+    follow :func:`~.walk._whole`.
     """
+    min_survivors = _whole("min_survivors", min_survivors)
+    need = max(_whole("min_points", min_points), 2)
     h = np.asarray(curve.horizons, dtype=np.float64)
     s = np.asarray(curve.survivors, dtype=np.float64)
     n = curve.trials
@@ -219,10 +227,10 @@ def fit_exponent(curve: SurvivalCurve, fit_range: tuple[int, int] | None = None,
         fit_range = (int(h[0]), int(h[-1]))
     lo, hi = fit_range
     keep = (h >= lo) & (h <= hi) & (s >= min_survivors)
-    if keep.sum() < min_points:
+    if keep.sum() < need:
         raise InsufficientData(
             f"{int(keep.sum())} usable grid points in [{lo}, {hi}] "
-            f"(need {min_points} with >= {min_survivors} survivors)")
+            f"(need {need} with >= {min_survivors} survivors)")
     p = s[keep] / n
     xs = np.log(h[keep])
     ys = np.log(p)
@@ -301,9 +309,10 @@ def skew_diagnostic(dist: IncrementDistribution, x, n_grid, trials: int,
     of the event).  Raises :class:`InsufficientData` when fewer than 30
     trials keep all prefix sums nonnegative at the largest n.
     """
-    if min(n_grid, default=0) < 2:
+    n_grid = _grid("n_grid", n_grid, None)
+    if n_grid[0] < 2:
         raise OutOfRange("n_grid entries must be >= 2")
-    res = engine.run_xi_trials(dist, x, max(n_grid), trials, seed, record_ns=n_grid,
+    res = engine.run_xi_trials(dist, x, n_grid[-1], trials, seed, record_ns=n_grid,
                                engine_kind=engine_kind, workers=workers)
     if res.alive_counts[-1] < 30:
         raise InsufficientData(

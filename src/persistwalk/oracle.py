@@ -47,16 +47,15 @@ are popped as they move, so the peak holds about one layer, not two.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from .errors import CapExceeded, OutOfDomain
+from .errors import CapExceeded
 from .increments import IncrementDistribution
-from .walk import _is_strict, _ratio, decompose, sign_sum
+from .walk import _is_strict, _ratio, _whole, decompose, sign_sum
 
 DEFAULT_CAP = 2000
 
@@ -65,17 +64,6 @@ def _weights(dist: IncrementDistribution) -> tuple[list[tuple[int, int]], int]:
     """Atoms as (value, integer weight) over the common denominator D."""
     denom = math.lcm(*(p.denominator for _, p in dist.atoms))
     return [(int(v), int(p * denom)) for v, p in dist.atoms], denom
-
-
-def _horizon(name: str, value, low: int) -> int:
-    """`value` as an int >= `low`; anything else is :class:`OutOfDomain`."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise OutOfDomain(f"{name}={value!r} must be an integer") from None
-    if n < low:
-        raise OutOfDomain(f"{name}={n} must be >= {low}")
-    return n
 
 
 def _slot_sum(packed: int, width: int) -> int:
@@ -161,7 +149,7 @@ def exact_atilde(dist: IncrementDistribution, x, t: int, *,
     checked at every layer.
     """
     p, q = _ratio(x)
-    t = _horizon("t", t, 1)
+    t, cap = _whole("t", t), _whole("cap", cap)
     if t > cap:
         raise CapExceeded(f"t={t} exceeds the DP cap {cap}")
     alive, _, total = _forward(dist, p, q, t, mode, None)
@@ -181,8 +169,8 @@ def exact_a(dist: IncrementDistribution, x, k: int, t_cap: int, *,
     widens the upper bound.  k=0 returns (1, 1): an empty condition.
     """
     p, q = _ratio(x)
-    k = _horizon("k", k, 0)
-    t_cap = _horizon("t_cap", t_cap, 1)
+    k = 0 if k == 0 else _whole("k", k)
+    t_cap, cap = _whole("t_cap", t_cap), _whole("cap", cap)
     if t_cap > cap:
         raise CapExceeded(f"t_cap={t_cap} exceeds the DP cap {cap}")
     _is_strict(mode)  # an unknown mode is refused for k = 0 too

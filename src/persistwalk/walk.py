@@ -27,7 +27,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import OutOfDomain
+from .errors import OutOfDomain, OutOfRange
 from .increments import IncrementDistribution, sample_block
 from .rng import RandomStream
 
@@ -36,9 +36,9 @@ Path = np.ndarray  # positions S_0..S_horizon, int64, S_0 = 0
 
 def simulate_path(dist: IncrementDistribution, horizon: int,
                   stream: RandomStream) -> Path:
-    """Simulate S_0 = 0, S_n = S_{n-1} + X_n for n = 1..horizon."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    """Simulate S_0 = 0, S_n = S_{n-1} + X_n for n = 1..horizon; horizon 0
+    is the one-point path, any other horizon follows :func:`_whole`."""
+    horizon = 0 if horizon == 0 else _whole("horizon", horizon)
     out = np.zeros(horizon + 1, dtype=np.int64)
     if horizon:
         np.cumsum(sample_block(dist, stream, horizon), out=out[1:])
@@ -126,6 +126,26 @@ def _is_strict(mode: str) -> bool:
     if mode not in ("strict", "weak"):
         raise ValueError(f"mode must be 'strict' or 'weak', not {mode!r}")
     return mode == "strict"
+
+
+def _whole(name: str, value, top: int | None = None) -> int:
+    """``value`` as an int, by the one size rule of the package: a whole
+    number in 1..top (≥ 1 if no top), else :class:`~.errors.OutOfRange`."""
+    try:
+        if int(value) == value and 1 <= value <= (value if top is None else top):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf, ...
+        pass
+    span = ">= 1" if top is None else f"in 1..{top}"
+    raise OutOfRange(f"{name}={value} must be {span} and a whole number")
+
+
+def _grid(name: str, grid, top: int | None) -> tuple[int, ...]:
+    """The horizons of ``grid``, by the size rule in 1..top, sorted, once each."""
+    hs = tuple(sorted({_whole(f"{name}[{i}]", h, top) for i, h in enumerate(grid)}))
+    if not hs:
+        raise OutOfRange(f"{name} holds no horizon")
+    return hs
 
 
 def _ratio(x) -> tuple[int, int]:

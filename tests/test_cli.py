@@ -58,7 +58,7 @@ def test_oracle_dp_refuses_empty_horizon(capsys):
         rc, out, err = run_cli(capsys, "oracle-dp", "--dist", "simple",
                                "--x", "0", "--t", "0", *extra)
         assert rc == 1 and out == "", extra
-        assert "persistwalk oracle-dp: OutOfDomain" in err, extra
+        assert "persistwalk oracle-dp: OutOfRange" in err, extra
 
 
 def test_estimate_atilde_then_fit_round_trip(tmp_path, capsys):
@@ -310,6 +310,15 @@ def test_error_exit_codes(tmp_path, capsys):
     assert rc == 1 and "OutOfRange" in err
     rc, _, err = run_cli(capsys, "fit", "--in", str(tmp_path / "missing.csv"))
     assert rc == 1 and "persistwalk fit" in err
+    # a survivor floor of 0 kept the point with no survivors: slope=nan, exit 0
+    six = tmp_path / "six.csv"
+    six.write_text("horizon,survivors,trials\n" + "".join(
+        f"{h},{s},100\n" for h, s in zip((1, 2, 4, 8, 16, 32), (50, 30, 20, 10, 5, 0))))
+    rc, out, err = run_cli(capsys, "fit", "--in", str(six), "--min-survivors", "0")
+    assert rc == 1 and out == ""
+    assert "persistwalk fit: OutOfRange: min_survivors=0" in err
+    rc, out, _ = run_cli(capsys, "fit", "--in", str(six), "--min-survivors", "1")
+    assert rc == 0 and "n_points=5" in out and "nan" not in out
     with pytest.raises(SystemExit) as ei:
         cli.main(["definitely-not-a-command"])
     assert ei.value.code == 2

@@ -262,15 +262,21 @@ def test_tables_cache_and_shape():
     assert t.pos.tail_cum.shape == (1, 1) and t.pos.tail_p.shape == (1,)
 
 
-def test_table_size_refused():
+def test_table_size_refused(monkeypatch):
     # tables of horizon 0 drew every τ as 0 with the tail flag set
     d = preset("unit-up", negatives=[-2])
-    for n_table in (0, -1, 2048.0, "2048", None):
-        with pytest.raises(OutOfRange):
-            durations.excursion_tables(d, n_table)
     t = durations.excursion_tables(d, np.int64(1))
     assert type(t.n_table) is int and t.n_table == 1
     assert durations.excursion_tables(d, 1) is t
+    # a whole number of any type is the int's cached table
+    four = durations.excursion_tables(d, 4)
+    for n_table in (4.0, np.int64(4), Fraction(4)):
+        assert durations.excursion_tables(d, n_table) is four
+    # every other size is refused before any table is built
+    monkeypatch.setattr(durations, "_one_sided_tables", None)
+    for n_table in (0, -1, "2048", None, "10", 2.5, math.nan, math.inf):
+        with pytest.raises(OutOfRange, match="n_table="):
+            durations.excursion_tables(d, n_table)
 
 
 # SHA-256 of every table array and of sample_tau/sample_exit on fixed

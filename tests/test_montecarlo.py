@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
-from persistwalk import increments, montecarlo as mc, oracle
+from persistwalk import engine, increments, montecarlo as mc, oracle
 from persistwalk.errors import (HorizonOverflow, InsufficientData, OutOfRange)
 
 SIMPLE = increments.preset("simple")
 UNIT_UP = increments.preset("unit-up", negatives=[-2])
 TG = increments.preset("truncated-geometric", p=F(1, 2), cutoff=3)
+# sizes the package-wide size rule refuses, and whole numbers of other types
+# it accepts as the int 4
+BAD_SIZES = (None, "10", 2.5, 0, math.nan, math.inf)
+WHOLE_FOURS = (4.0, np.int64(4), F(4))
 
 
 def test_geometric_grid():
@@ -36,9 +40,22 @@ def test_geometric_grid():
                {"h_min": 2.5}):
         with pytest.raises(OutOfRange):
             mc.geometric_grid(10, **kw)
-    for h_max in (math.inf, math.nan, 10.5, 0):
-        with pytest.raises(OutOfRange):
+    for h_max in (10.5, *BAD_SIZES):
+        with pytest.raises(OutOfRange, match="h_max="):
             mc.geometric_grid(h_max)
+    for h_min in BAD_SIZES:
+        with pytest.raises(OutOfRange, match="h_min="):
+            mc.geometric_grid(10, h_min=h_min)
+    for v in WHOLE_FOURS:
+        assert np.array_equal(mc.geometric_grid(v), mc.geometric_grid(4))
+        assert np.array_equal(mc.geometric_grid(10, h_min=v),
+                              mc.geometric_grid(10, h_min=4))
+    # a ratio of 1 + 2^-40 used to loop for some 2.5·10^12 steps; near 1
+    # the grid is every horizon
+    np.testing.assert_array_equal(mc.geometric_grid(10, ratio=1 + 2 ** -40),
+                                  np.arange(1, 11))
+    np.testing.assert_array_equal(mc.geometric_grid(1000, ratio=1.0004, h_min=7),
+                                  np.arange(7, 1001))
     # the default grid of a survival curve is built before the engine sees
     # t_max or k_max; an infinite horizon used to end in OverflowError
     # after some 4 000 loop steps
@@ -111,7 +128,7 @@ def test_survival_a_cap_handling():
         mc.survival_a(UNIT_UP, 0, 2, 500, seed=704, on_cap="raise", **kw)
 
 
-def test_survival_refuses_horizons_the_run_cannot_answer():
+def test_survival_refuses_horizons_the_run_cannot_answer(monkeypatch):
     # trials are followed to t_max (k_max) only; a horizon past it used to
     # report 0 survivors, one below 1 reported p = 1, and 2.5 was read as 2
     for grid in ((50, 100, 200), (0, -3, 50), (), (2.5, 10), (math.nan, 10),
@@ -125,6 +142,18 @@ def test_survival_refuses_horizons_the_run_cannot_answer():
     curve = mc.survival_a(SIMPLE, 0, 10, 200, seed=1,
                           grid=(10.0, np.int32(1), F(10)))
     assert curve.horizons.tolist() == [1, 10]
+    # a whole t_max of any type runs as the int; None and "10" used to end
+    # in TypeError, and every bad t_max is refused before any draw
+    ref = mc.survival_atilde(SIMPLE, 0, 4, 100, 1)
+    for v in WHOLE_FOURS:
+        curve = mc.survival_atilde(SIMPLE, 0, v, 100, 1)
+        assert np.array_equal(curve.survivors, ref.survivors)
+        assert curve.config == ref.config
+    monkeypatch.setattr(engine, "uniform_at", None)
+    monkeypatch.setattr(engine, "trial_keys", None)
+    for t_max in (1, *BAD_SIZES):
+        with pytest.raises(OutOfRange, match="t_max="):
+            mc.survival_atilde(SIMPLE, 0, t_max, 100, 1)
 
 
 def test_survival_refuses_unknown_mode_and_on_cap():
@@ -165,6 +194,24 @@ def test_fit_exponent_insufficient_data():
     sparse = mc.SurvivalCurve.from_probabilities(grid, p, trials=1000)
     with pytest.raises(InsufficientData):
         mc.fit_exponent(sparse)
+    # one usable point is no fit whatever min_points says; it used to end
+    # in ZeroDivisionError
+    with pytest.raises(InsufficientData, match="need 2"):
+        mc.fit_exponent(sparse, (1, 1), min_points=1)
+    # a survivor floor of 0 kept a point with no survivors and gave
+    # slope=nan, r2=1
+    six = mc.SurvivalCurve(kind="time", horizons=[1, 2, 4, 8, 16, 32],
+                           survivors=[50, 30, 20, 10, 5, 0], trials=100)
+    for bad in BAD_SIZES:
+        with pytest.raises(OutOfRange, match="min_survivors="):
+            mc.fit_exponent(six, min_survivors=bad)
+        with pytest.raises(OutOfRange, match="min_points="):
+            mc.fit_exponent(six, min_points=bad)
+    fit = mc.fit_exponent(six, min_survivors=1)
+    assert fit.n_points == 5 and math.isfinite(fit.slope)
+    for v in WHOLE_FOURS:
+        assert mc.fit_exponent(six, min_survivors=v, min_points=v) == \
+            mc.fit_exponent(six, min_survivors=4, min_points=4)
 
 
 def test_skew_from_xi_trivial_sequences():
@@ -203,7 +250,7 @@ def test_skew_from_xi_mixed_population():
         abs(math.log(0.75) / math.log(4) - 0.25), rel=1e-12)
 
 
-def test_skew_diagnostic_simulated():
+def test_skew_diagnostic_simulated(monkeypatch):
     d = mc.skew_diagnostic(SIMPLE, F(1, 2), (4, 8, 16), 4000, seed=705)
     assert d.trials == 4000
     assert np.all(np.diff(d.alive_counts) <= 0)
@@ -213,9 +260,20 @@ def test_skew_diagnostic_simulated():
         mc.skew_diagnostic(SIMPLE, F(1, 2), (4, 400), 50, seed=706)
     with pytest.raises(OutOfRange):
         mc.skew_diagnostic(SIMPLE, 0, (1, 8), 100, seed=707)
-    # 20.7 used to run as n = 20
+    # 20.7 used to run as n = 20, and None ended in TypeError; every entry
+    # is refused before any draw
     with pytest.raises(OutOfRange, match="20.7"):
         mc.skew_diagnostic(SIMPLE, 0, (10, 20.7), 100, seed=707)
+    same = mc.skew_diagnostic(SIMPLE, F(1, 2), (F(16), 4.0, np.int64(8), 4), 4000,
+                              seed=705)
+    assert same.n_grid == d.n_grid
+    np.testing.assert_array_equal(same.alive_counts, d.alive_counts)
+    np.testing.assert_array_equal(same.neg_counts, d.neg_counts)
+    monkeypatch.setattr(engine, "uniform_at", None)
+    monkeypatch.setattr(engine, "trial_keys", None)
+    for bad in BAD_SIZES:
+        with pytest.raises(OutOfRange, match="n_grid"):
+            mc.skew_diagnostic(SIMPLE, 0, (bad, 10), 100, seed=707)
 
 
 def test_csv_round_trip(tmp_path):

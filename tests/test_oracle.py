@@ -1,5 +1,6 @@
 """Exact-DP ground truth: pinned rationals, brute-force mirrors, brackets."""
 
+import math
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from persistwalk import increments, oracle
-from persistwalk.errors import CapExceeded, OutOfDomain
+from persistwalk.errors import CapExceeded, OutOfDomain, OutOfRange
 
 SIMPLE = increments.preset("simple")
 TG = increments.preset("truncated-geometric", p=F(1, 2), cutoff=3)
@@ -233,19 +234,32 @@ def test_atilde_monotone_in_t_x_and_mode():
         oracle.exact_atilde(TG, F(1, 2), 6, mode="strict")
 
 
-def test_atilde_domain_and_cap():
+# sizes the package-wide size rule refuses, and whole numbers of other types
+# it accepts as the int 4
+BAD_SIZES = (None, "10", 2.5, 0, math.nan, math.inf)
+WHOLE_FOURS = (4.0, np.int64(4), F(4))
+
+
+def test_atilde_domain_and_cap(monkeypatch):
     with pytest.raises(OutOfDomain):
         oracle.exact_atilde(SIMPLE, 1, 5)
     with pytest.raises(OutOfDomain):
         oracle.exact_atilde(SIMPLE, F(-1, 4), 5)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfRange):
         oracle.exact_atilde(SIMPLE, 0, 0)
     with pytest.raises(CapExceeded):
         oracle.exact_atilde(SIMPLE, 0, 21, cap=20)
-    for t in (-3, 2.5, "4"):
-        with pytest.raises(OutOfDomain, match="t="):
+    for v in WHOLE_FOURS:
+        assert oracle.exact_atilde(SIMPLE, 0, v) == F(3, 8)
+        assert oracle.exact_atilde(SIMPLE, 0, 4, cap=v) == F(3, 8)
+    # every size is refused before the first DP layer
+    monkeypatch.setattr(oracle, "_forward", None)
+    for t in (-3, "4", *BAD_SIZES):
+        with pytest.raises(OutOfRange, match="t="):
             oracle.exact_atilde(SIMPLE, 0, t)
-    assert oracle.exact_atilde(SIMPLE, 0, np.int64(4)) == F(3, 8)
+    for cap in BAD_SIZES:
+        with pytest.raises(OutOfRange, match="cap="):
+            oracle.exact_atilde(SIMPLE, 0, 4, cap=cap)
 
 
 def test_a_bracket_matches_brute_enumeration():
@@ -315,21 +329,33 @@ def test_unknown_mode_is_refused():
             oracle.exact_a(SIMPLE, 0, k, 8, mode="wek")
 
 
-def test_a_domain_and_cap():
+def test_a_domain_and_cap(monkeypatch):
     with pytest.raises(OutOfDomain):
         oracle.exact_a(SIMPLE, 1, 1, 10)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfRange):
         oracle.exact_a(SIMPLE, 0, -1, 10)
     with pytest.raises(CapExceeded):
         oracle.exact_a(SIMPLE, 0, 1, 300, cap=200)
-    # a horizon below one step, or not an integer, used to escape as
-    # UnboundLocalError or TypeError
+    four = oracle.exact_a(SIMPLE, 0, 4, 9)
+    for v in WHOLE_FOURS:
+        assert oracle.exact_a(SIMPLE, 0, v, 9) == four
+        assert oracle.exact_a(SIMPLE, 0, 1, v) == oracle.exact_a(SIMPLE, 0, 1, 4)
+        assert oracle.exact_a(SIMPLE, 0, 1, 4, cap=v) == oracle.exact_a(SIMPLE, 0, 1, 4)
+    for zero in (0.0, np.int64(0), F(0)):
+        assert oracle.exact_a(SIMPLE, 0, zero, 9) == (F(1), F(1))
+    # every size is refused before the first DP layer; a horizon below one
+    # step, or not an integer, used to escape as UnboundLocalError or TypeError
+    monkeypatch.setattr(oracle, "_forward", None)
     for k in (0, 1):
-        for t_cap in (0, -2, 2.5):
-            with pytest.raises(OutOfDomain, match="t_cap="):
+        for t_cap in (-2, *BAD_SIZES):
+            with pytest.raises(OutOfRange, match="t_cap="):
                 oracle.exact_a(SIMPLE, 0, k, t_cap)
-    with pytest.raises(OutOfDomain, match="k="):
-        oracle.exact_a(SIMPLE, 0, 1.5, 9)
+    for k in (1.5, -1, *(v for v in BAD_SIZES if v != 0)):
+        with pytest.raises(OutOfRange, match="k="):
+            oracle.exact_a(SIMPLE, 0, k, 9)
+    for cap in BAD_SIZES:
+        with pytest.raises(OutOfRange, match="cap="):
+            oracle.exact_a(SIMPLE, 0, 1, 9, cap=cap)
 
 
 def test_equivalence_check_exhaustive():

@@ -1,6 +1,7 @@
 """Stable-law sampler, closed forms, and the sum/difference algebra."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ def test_params_validation():
             stable.StableParams(kappa=0.0, scale=scale)
     with pytest.raises(OutOfRange):
         stable.negativity_probability(-1.5)
+    # a block size follows the package's size rule, before any draw; 2.5
+    # used to end in TypeError
+    four = stable.sample_standard_block(0.3, RandomStream(314, 0), 4)
+    for n in (4.0, np.int64(4), Fraction(4)):
+        np.testing.assert_array_equal(
+            stable.sample_standard_block(0.3, RandomStream(314, 0), n), four)
+    for n in (None, "10", 2.5, 0, -1, math.nan, math.inf):
+        s = RandomStream(314, 0)
+        with pytest.raises(OutOfRange, match="n="):
+            stable.sample_standard_block(0.3, s, n)
+        assert s.position == 0
 
 
 def test_cms_transform_hand_point():

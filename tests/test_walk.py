@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistwalk import durations, walk
-from persistwalk.errors import OutOfDomain
+from persistwalk.errors import OutOfDomain, OutOfRange
 from persistwalk.increments import preset, sample_block
 from persistwalk.rng import RandomStream
 
@@ -124,6 +124,17 @@ def test_simulate_path_deterministic():
     assert a[0] == 0
     assert len(a) == 101
     assert set(np.abs(np.diff(a)).tolist()) == {1}
+    # horizon 0 is the one-point path; any other horizon follows the
+    # package's size rule, before any draw (2.5 used to end in TypeError)
+    for zero in (0, 0.0, np.int64(0)):
+        np.testing.assert_array_equal(walk.simulate_path(d, zero, RandomStream(5, 0)), [0])
+    for h in (100.0, np.int64(100), Fraction(100)):
+        np.testing.assert_array_equal(walk.simulate_path(d, h, RandomStream(5, 0)), a)
+    for h in (None, "10", 2.5, -1, math.nan, math.inf):
+        s = RandomStream(5, 0)
+        with pytest.raises(OutOfRange, match="horizon="):
+            walk.simulate_path(d, h, s)
+        assert s.position == 0
 
 
 def test_xi_sequence_identity():
