@@ -199,6 +199,9 @@ def _cmd_oracle_dp(args) -> int:
     dist = parse_dist_spec(args.dist)
     x = parse_rational(args.x)
     if args.k is None:
+        if args.t_cap is not None:
+            raise ValueError("--t-cap truncates the bracket of --k; the exact "
+                             "value at --t takes none")
         value = oracle.exact_atilde(dist, x, args.t, mode=args.mode or "strict",
                                     cap=args.cap)
         print(f"{value} = {float(value):.10g}")
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="time horizon (exact value)")
     sp.add_argument("--k", type=int, help="excursion horizon (exact bracket)")
     sp.add_argument("--t-cap", type=int, dest="t_cap",
-                    help="time truncation for the bracket (default --t)")
+                    help="time truncation for the bracket (needs --k; default --t)")
     sp.add_argument("--mode", choices=("strict", "weak"))
     sp.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
     sp.set_defaults(func=_cmd_oracle_dp)

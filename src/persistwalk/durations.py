@@ -46,17 +46,17 @@ the ξ pair runs and both barrier events (the engine's stretch loop), each
 stretch taking one uniform for τ and one for its exit, which is the next
 stretch's entry.
 
-Sampling has no loop over entry states.  A duration draw searches one
-array stacked over entries: each entry's block holds -P(τ > n) at row 0,
-a -1 sentinel, and at the rows where mass leaves (on a lattice walk most
-rows hold none, and P(τ > n) is flat across them), then a +1 sentinel.
+Sampling has no loop over entry states, and the tables hold only what a
+draw reads: one array per side, stacked over entries, that every draw
+searches.  Each entry's block holds -P(τ > n) at row 0, a -1 sentinel, and
+at the rows where mass leaves (on a lattice walk most rows hold none, and
+P(τ > n) is flat across them), then a +1 sentinel; each slot also holds its
+τ and its exit split (given τ > N, the tail split, at the +1 sentinel).
 The √-law guess picks a start slot from a guide table (Chen & Asau 1974;
-Devroye 1986, §III.2) built once with the tables, at or a slot before the
+Devroye 1986, §III.2) built with the tables, at or a slot before the
 crossing, and the search below moves it there; a draw past the table stops
 on the +1 sentinel and takes the √-tail.  An exit draw gathers the first
-K - 1 cumulatives of its row by flat index and counts those below u; the
-map from exit column to the other side's entry index is also built once
-with the tables.
+K - 1 cumulatives of its landing slot and counts those below u.
 
 Search
 ------
@@ -207,26 +207,22 @@ def srw_halfexcursion_survival(n) -> np.ndarray:
 
 @dataclass
 class SideTables:
-    """Per-entry-state duration/exit tables for one side of zero.
+    """Per-entry-state duration/exit tables for one side of zero, kept only
+    in the layout a draw reads.
 
     ``entries`` are entry positions as *distances from zero* (always
-    positive here; the caller mirrors the negative side).  The arrays are
-    stacked over the entry index e, C-contiguous, so flat index
-    e·(N+1) + n reads row e at n: ``neg_surv[e, n] = -P(τ > n)``, shape
-    (E, N+1), negated so each row ascends and -u compares against it
-    directly (as searchsorted would);
-    ``exit_cum[e, n, k]``, shape (E, N+1, K), the cumulative split over the
-    K ``exit_values`` given τ = n; ``tail_cum[e]``, shape (E, K), the split
-    given τ > N; and ``tail_p[e] = P(τ > N)``, shape (E,).
-
-    ``search``, ``search_tau`` and ``guide`` are derived from these on
-    construction.  ``search`` stacks one block per entry: -P(τ > n) for row
-    0 (-1, a sentinel that stops every downward step, since u ≤ 1) and for
-    every row n where mass leaves, P(τ > n) < P(τ > n - 1), then a +1
-    sentinel that stops every upward step, on which exactly the draws with
-    u ≤ P(τ > N) land.  Each block ascends strictly, and ``search_tau``
-    holds each slot's τ (the +1 sentinel's, N + 1, is never returned).
-    ``guide`` is a guide table over the √-tail guess
+    positive here; the caller mirrors the negative side).  ``search`` stacks
+    one block per entry: -P(τ > n), negated so each block ascends and -u
+    compares against it directly, for row 0 (-1, a sentinel that stops
+    every downward step, since u ≤ 1) and for every row n where mass
+    leaves, P(τ > n) < P(τ > n - 1), then a +1 sentinel that stops every
+    upward step, on which exactly the draws with u ≤ P(τ > N) land.  Each
+    block ascends strictly.  Per slot, ``search_tau`` holds its τ (the +1
+    sentinel's, N + 1, is never returned) and ``exit_cum``, shape
+    (slots, K), the cumulative split over the K ``exit_values``: given
+    τ = n at a row where mass leaves, given τ > N at the +1 sentinel, and
+    zeros at row 0, where no draw lands.  ``tail_p[e] = P(τ > N)``, shape
+    (E,).  ``guide`` is a guide table over the √-tail guess
     g = ⌈N·(P(τ > N)/u)²⌉ ∈ [0, N]: ``guide[e·(N+1) + g]`` is the index
     into ``search`` of the first slot past row 0 of entry e's block whose
     P(τ > n) < u at the largest u whose guess is g, so the draws with that
@@ -235,34 +231,12 @@ class SideTables:
 
     entries: list[int]
     exit_values: list[int]  # signed landing positions on the other side
-    neg_surv: np.ndarray
+    search: np.ndarray
+    search_tau: np.ndarray
     exit_cum: np.ndarray
-    tail_cum: np.ndarray
     tail_p: np.ndarray
+    guide: np.ndarray
     n_table: int
-    search: np.ndarray = field(init=False, repr=False)
-    search_tau: np.ndarray = field(init=False, repr=False)
-    guide: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n_table = self.n_table
-        rows = self.neg_surv.shape[0]
-        # guess g ≥ 2 takes u in [p·√(N/g), p·√(N/(g - 1))), p = P(τ > N),
-        # and the crossing at its largest u is the earliest; guesses 0 and 1
-        # take u ≥ p·√N, and every u ≤ 1 crosses past row 0
-        top = np.sqrt(n_table / np.arange(1.0, n_table))
-        guide = np.ones((rows, n_table + 1), dtype=np.int64)
-        blocks, taus = [], []
-        for e, row in enumerate(self.neg_surv):
-            n = np.flatnonzero(row[1:] > row[:-1]) + 1  # the rows where mass leaves
-            blocks.append(np.concatenate(([row[0]], row[n], [1.0])))
-            taus.append(np.concatenate(([0], n, [n_table + 1])))
-            guide[e, 2:] = np.searchsorted(blocks[-1], -self.tail_p[e] * top, side="right")
-        np.maximum(guide, 1, out=guide)
-        guide += np.cumsum([0] + [b.size for b in blocks[:-1]])[:, None]
-        self.search = np.concatenate(blocks)
-        self.search_tau = np.concatenate(taus).astype(np.float64)
-        self.guide = guide.reshape(-1)
 
 
 def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
@@ -307,11 +281,13 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
     even = np.linspace(1.0 / (max_down // g), 1.0, max_down // g)
     even = np.r_[0.0, even][np.arange(1, max_down + 1) // g]
 
-    n_entries = len(entries)
-    neg_surv = np.empty((n_entries, n_table + 1), dtype=np.float64)
-    exit_cum = np.zeros((n_entries, n_table + 1, max_down), dtype=np.float64)
-    tail_cum = np.empty((n_entries, max_down), dtype=np.float64)
-    tail_p = np.empty(n_entries, dtype=np.float64)
+    # guess g ≥ 2 takes u in [p·√(N/g), p·√(N/(g - 1))), p = P(τ > N),
+    # and the crossing at its largest u is the earliest; guesses 0 and 1
+    # take u ≥ p·√N, and every u ≤ 1 crosses past row 0
+    top_u = np.sqrt(n_table / np.arange(1.0, n_table))
+    guide = np.ones((len(entries), n_table + 1), dtype=np.int64)
+    tail_p = np.empty(len(entries), dtype=np.float64)
+    blocks, taus, splits = [], [], []
     for e, entry in enumerate(entries):
         r = entry % span
         cells = np.zeros((p_max - r + n_table * max_down) // span + 1, dtype=np.float64)
@@ -340,29 +316,36 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
         # n·max_down + j = max_down + r + span·i
         low = np.zeros((n_table + 1, max_down), dtype=np.float64)
         low.reshape(-1)[max_down + r::span] = cells[:lo]
-        absorb = exit_cum[e]  # mass absorbed per (n, depth - 1), split below
+        # mass absorbed per (n, depth - 1)
+        absorb = np.zeros((n_table + 1, max_down), dtype=np.float64)
         for v, p in zip(values, probs):
             if v < 0:
                 # position j < d = -v lands at j - d, depth d - j
                 absorb[:, :-v] += p * low[:, -v - 1::-1]
-        row_tot = absorb.sum(axis=1, keepdims=True)
-        surv = neg_surv[e]
+        row_tot = absorb.sum(axis=1)
+        surv = np.empty(n_table + 1, dtype=np.float64)
         surv[0] = 1.0
-        surv[1:] = row_tot[1:, 0]
+        surv[1:] = row_tot[1:]
         np.subtract.accumulate(surv, out=surv)  # P(τ > n), summed in step order
         tail_p[e] = surv[n_table]
-        np.negative(surv, out=surv)
+        n = np.flatnonzero(surv[1:] < surv[:-1]) + 1  # the rows where mass leaves
+        blocks.append(np.concatenate(([-1.0], -surv[n], [1.0])))
+        taus.append(np.concatenate(([0], n, [n_table + 1])))
+        guide[e, 2:] = np.searchsorted(blocks[-1], -tail_p[e] * top_u, side="right")
+        split = np.zeros((n.size + 2, max_down), dtype=np.float64)
+        np.cumsum(absorb[n] / row_tot[n, None], axis=1, out=split[1:-1])
         # tail split: absorptions over the second half of the table
         tail_counts = absorb[n_table // 2:].sum(axis=0)
         tot = tail_counts.sum()
-        tail_cum[e] = np.cumsum(tail_counts / tot) if tot > 0 else even
-        # exit split given τ = n (rows with no mass are never sampled)
-        safe = np.where(row_tot > 0, row_tot, 1.0)
-        np.cumsum(absorb / safe, axis=1, out=absorb)
-        absorb[row_tot[:, 0] == 0] = 1.0
+        split[-1] = np.cumsum(tail_counts / tot) if tot > 0 else even
+        splits.append(split)
+    np.maximum(guide, 1, out=guide)
+    guide += np.cumsum([0] + [b.size for b in blocks[:-1]])[:, None]
     return SideTables(entries=entries, exit_values=exit_values,
-                      neg_surv=neg_surv, exit_cum=exit_cum,
-                      tail_cum=tail_cum, tail_p=tail_p, n_table=n_table)
+                      search=np.concatenate(blocks),
+                      search_tau=np.concatenate(taus).astype(np.float64),
+                      exit_cum=np.concatenate(splits), tail_p=tail_p,
+                      guide=guide.reshape(-1), n_table=n_table)
 
 
 @dataclass
@@ -398,11 +381,11 @@ class ExcursionTables:
         return entry
 
     def sample_tau(self, side: str, entry_idx: np.ndarray, u: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Durations for a batch of stretches (float64), plus tail-draw flags.
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Durations for a batch of stretches (float64), their tail-draw
+        flags and the ``search`` slots they landed on.
 
-        τ is the first n with P(τ > n) < u in the entry's row, the index
-        ``searchsorted(neg_surv[e], -u, "right")`` returns.  Every draw's
+        τ is the first n with P(τ > n) < u in the entry's row.  Every draw's
         guess g = ⌈N·(P(τ > N)/u)²⌉ picks its start slot ``guide[e, g]``
         (g clipped at N) in the stacked ``search`` blocks, searched from
         there (the module's Search section): the block's -1 and +1 sentinels
@@ -419,15 +402,16 @@ class ExcursionTables:
         search, neg_u = tables.search, -u
         _step_to_crossing(at, lambda r, i: search[i - 1] > neg_u[r],
                           lambda r, i: search[i] <= neg_u[r])
-        return np.where(tail, guess, tables.search_tau[at]), tail
+        return np.where(tail, guess, tables.search_tau[at]), tail, at
 
-    def sample_exit(self, side: str, entry_idx: np.ndarray, tau: np.ndarray,
-                    tail: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next entry indices (on the opposite side) for a batch of stretches.
+    def sample_exit(self, side: str, slot: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next entry indices (on the opposite side) for a batch of
+        stretches whose durations landed on ``slot``.
 
-        The exit is the first column whose cumulative reaches u.  Only the
-        first K - 1 columns are compared: past them the exit is the last
-        column, also where that column's cumulative rounded below 1.0.
+        The exit is the first column of the slot's split whose cumulative
+        reaches u.  Only the first K - 1 columns are compared: past them the
+        exit is the last column, also where that column's cumulative rounded
+        below 1.0.
         """
         tables = self.pos if side == "pos" else self.neg
         trans = self.exit_entry[side]
@@ -435,12 +419,7 @@ class ExcursionTables:
         if kcols == 1:
             return np.full(u.shape, trans[0])
         head = np.arange(kcols - 1)[:, None]
-        # a tail draw's τ lies past the table: read row 0, then overwrite
-        row = entry_idx * (self.n_table + 1) + np.where(tail, 0, tau).astype(np.int64)
-        cums = tables.exit_cum.reshape(-1)[row * kcols + head]  # (K - 1, n)
-        deep = np.flatnonzero(tail)
-        if deep.size:
-            cums[:, deep] = tables.tail_cum.reshape(-1)[entry_idx[deep] * kcols + head]
+        cums = tables.exit_cum.reshape(-1)[slot * kcols + head]  # (K - 1, n)
         return trans[(u > cums).sum(axis=0)]
 
 

@@ -323,11 +323,10 @@ def _draw(tables, keys, at, k, up, entry, cap_exp, cap):
     sides = ("pos", "neg") if up else ("neg", "pos")  # of the even and odd rows
 
     def draw(rows, side, entries):
-        e = entries.ravel()
-        tau[rows], tail[rows] = (a.reshape(entries.shape) for a in
-                                 tables.sample_tau(side, e, u[rows, 0].ravel()))
-        exits[rows] = tables.sample_exit(side, e, tau[rows].ravel(), tail[rows].ravel(),
-                                         u[rows, 1].ravel()).reshape(entries.shape)
+        shape = entries.shape
+        t, flags, slot = tables.sample_tau(side, entries.ravel(), u[rows, 0].ravel())
+        tau[rows], tail[rows] = t.reshape(shape), flags.reshape(shape)
+        exits[rows] = tables.sample_exit(side, slot, u[rows, 1].ravel()).reshape(shape)
 
     pos_lead = len(tables.pos.entries) == 1
     if pos_lead or len(tables.neg.entries) == 1:

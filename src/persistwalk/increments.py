@@ -270,7 +270,7 @@ def from_config(cfg) -> IncrementDistribution:
     if not isinstance(cfg, dict) or "atoms" not in cfg:
         raise ConfigParse("config must be an object with an 'atoms' field")
     try:
-        atoms = [(int(v), _as_fraction(p)) for v, p in cfg["atoms"]]
+        atoms = [(v, _as_fraction(p)) for v, p in cfg["atoms"]]
     except (TypeError, ValueError) as exc:
         raise ConfigParse(f"bad atoms field: {exc}") from exc
     return validate(atoms, name=cfg.get("name"))

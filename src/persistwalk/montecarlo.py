@@ -27,6 +27,7 @@ from scipy.special import betaincinv, gammaln
 from . import __version__, engine
 from .errors import HorizonOverflow, InsufficientData, OutOfRange
 from .increments import IncrementDistribution
+from .rng import _seed
 from .walk import _grid, _whole
 
 
@@ -114,6 +115,7 @@ def _curve_config(command: str, dist: IncrementDistribution, x: Fraction,
     cfg = {"command": command, "dist": dist.to_config(),
            "x": f"{x.numerator}/{x.denominator}"}
     cfg.update(kw)
+    cfg["seed"] = _seed(cfg["seed"])  # a numpy seed is recorded as its int
     return cfg
 
 
@@ -375,9 +377,10 @@ def write_survival_csv(curve: SurvivalCurve, path, *, extra_comments=()) -> None
 
 def read_survival_csv(path) -> SurvivalCurve:
     """Read a curve written by :func:`write_survival_csv` (or hand-made in
-    the same column format); header comments are optional.  A row with a
-    horizon below 1 or not above the row before it, trials below 1 or unlike
-    the first row's, or survivors outside [0, trials] is
+    the same column format); header comments are optional.  A row that
+    does not start with an integer horizon, a survivor count and integer
+    trials, or with a horizon below 1 or not above the row before it, trials
+    below 1 or unlike the first row's, or survivors outside [0, trials] is
     :class:`InsufficientData`, naming the file and the line."""
     config = {}
     horizons, survivors = [], []
@@ -399,7 +402,11 @@ def read_survival_csv(path) -> SurvivalCurve:
                         f"{path}: unrecognized columns {cols!r}")
                 continue
             parts = line.split(",")
-            h, s, n = int(parts[0]), float(parts[1]), int(parts[2])
+            try:
+                h, s, n = int(parts[0]), float(parts[1]), int(parts[2])
+            except (IndexError, ValueError):
+                raise InsufficientData(f"{path}, line {lineno}: cannot read {line!r} "
+                                       "as horizon,survivors,trials") from None
             trials = n if trials is None else trials
             prev = horizons[-1] if horizons else 0
             problem = (f"horizon {h} is below 1" if h < 1 else

@@ -29,8 +29,11 @@ but are not guaranteed bitwise across paths.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
+
+from .errors import OutOfRange
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -73,14 +76,23 @@ def fmix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _seed(seed) -> int:
+    """The one seed rule: any integer, numpy's included, as a python int
+    (used mod 2**64); anything else is refused with :class:`OutOfRange`."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise OutOfRange(f"seed={seed!r} is not an integer") from None
+
+
 def stream_key(seed: int, stream_id: int) -> int:
     """Key of stream ``stream_id`` under ``seed`` (both taken mod 2**64)."""
-    return fmix64(fmix64(seed + _SEED_TAG) ^ fmix64(stream_id + _STREAM_TAG))
+    return fmix64(fmix64(_seed(seed) + _SEED_TAG) ^ fmix64(stream_id + _STREAM_TAG))
 
 
 def trial_keys(seed: int, stream_ids: np.ndarray) -> np.ndarray:
     """Vectorized :func:`stream_key` for an array of stream ids."""
-    a = np.uint64(fmix64(seed + _SEED_TAG))
+    a = np.uint64(fmix64(_seed(seed) + _SEED_TAG))
     b = fmix64_array(stream_ids.astype(np.uint64) + np.uint64(_STREAM_TAG & _MASK))
     return fmix64_array(a ^ b)
 
@@ -104,7 +116,7 @@ class RandomStream:
     Parameters
     ----------
     seed : int
-        Run-level seed (any python int; used mod 2**64).
+        Run-level seed (any integer, numpy's included; used mod 2**64).
     stream_id : int
         Index of this stream under the seed, typically a trial index.
     position : int

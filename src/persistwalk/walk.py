@@ -162,16 +162,15 @@ def first_violation_time(path: Sequence[int] | Path, x: Fraction,
     """Smallest s ≥ 1 with G_s ≤ x·s (strict mode) or G_s < x·s (weak mode).
 
     Returns ``math.inf`` when the barrier holds along the whole path.  The
-    comparison is exact: q·G_s vs p·s for x = p/q.
+    comparison is exact: q·G_s vs p·s for x = p/q, in Python integers, since
+    either product can pass 2^63 for a fine x.
     """
     p, q = _ratio(x)
-    g = sign_sum(path)[1:]
-    s = np.arange(1, len(g) + 1, dtype=np.int64)
-    lhs = q * g
-    rhs = p * s
-    bad = lhs <= rhs if _is_strict(mode) else lhs < rhs
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) + 1 if hits.size else math.inf
+    strict = _is_strict(mode)
+    for s, g in enumerate(sign_sum(path)[1:].tolist(), 1):
+        if (q * g <= p * s) if strict else (q * g < p * s):
+            return s
+    return math.inf
 
 
 @dataclass

@@ -48,6 +48,11 @@ def test_oracle_dp_output(capsys):
     rc, out2, _ = run_cli(capsys, "oracle-dp", "--dist", "simple", "--x", "0",
                           "--t", "12", "--k", "1", "--t-cap", "9")
     assert rc == 0 and out2 == out
+    # without --k there is no bracket: --t-cap was dropped without a word
+    rc, out, err = run_cli(capsys, "oracle-dp", "--dist", "simple", "--t", "4",
+                           "--t-cap", "10")
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert "persistwalk oracle-dp: ValueError: --t-cap truncates the bracket" in err
     rc, out, _ = run_cli(capsys, "oracle-dp", "--dist", "tg:1/2,3",
                          "--x", "1/2", "--t", "6")
     assert rc == 0 and out.startswith("2894435/11337408 = ")
@@ -376,11 +381,13 @@ def test_bad_sizes_are_refused_or_merged(capsys, argv):
     ("0,40,40\n-2,30,40\n", "line 2: horizon 0 is below 1"),
     ("1,30,40\n4,20,100\n16,10,1000\n", "line 3: trials 100 is not the first row's 40"),
     ("16,10,40\n1,30,40\n4,20,40\n", "line 3: horizon 1 is not above 16"),
+    ("1,30,40\n1,2\n", "line 3: cannot read '1,2' as horizon,survivors,trials"),
 ])
 def test_fit_refuses_malformed_curves(tmp_path, capsys, rows, problem):
     # each used to fit: a slope from 50 survivors of 40 trials, a nan slope
     # after a RuntimeWarning, the first row's trials for every row, a range
-    # from the first and last rows of unsorted horizons
+    # from the first and last rows of unsorted horizons; a short row ended
+    # in an IndexError traceback
     path = tmp_path / "bad.csv"
     path.write_text("horizon,survivors,trials,p_hat,ci_low,ci_high\n" + rows)
     rc, out, err = run_cli(capsys, "fit", "--in", str(path), "--min-survivors", "1")

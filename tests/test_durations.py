@@ -1,9 +1,11 @@
 """Half-excursion duration laws: exact SRW inversion and general tables."""
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,6 +211,26 @@ def test_entry_closure():
         assert durations._entry_closure(dist) == want
 
 
+def dense_tables(st):
+    """The per-row arrays of one side, rebuilt from its slots: per entry,
+    ``neg_surv`` (E, N+1) holds -P(τ > n), which repeats the last slot at or
+    before row n; ``exit_cum`` (E, N+1, K) the slot's split at a row where
+    mass leaves and 1.0 at every other row; and ``tail_cum`` (E, K) the
+    split at the block's +1 sentinel."""
+    n_table = st.n_table
+    ends = np.flatnonzero(st.search == 1.0)
+    starts = np.r_[0, ends[:-1] + 1]
+    neg_surv = np.empty((len(st.entries), n_table + 1))
+    exit_cum = np.ones((len(st.entries), n_table + 1, len(st.exit_values)))
+    for e, (a, b) in enumerate(zip(starts, ends)):
+        rows = st.search_tau[a:b].astype(np.int64)
+        last = np.searchsorted(rows, np.arange(n_table + 1), side="right") - 1
+        neg_surv[e] = st.search[a:b][last]
+        exit_cum[e, rows[1:]] = st.exit_cum[a + 1:b]
+    return SimpleNamespace(neg_surv=neg_surv, exit_cum=exit_cum,
+                           tail_cum=st.exit_cum[ends])
+
+
 # walks whose steps share a factor g > 1
 GCD_WALKS = {
     "+2,-2": validate([(2, Fraction(1, 2)), (-2, Fraction(1, 2))]),
@@ -236,16 +258,14 @@ def test_unreachable_landings_are_never_drawn(name, n_table):
         assert dead.any()
         assert np.array_equal(t.exit_entry[side] == len(other), dead)
         assert all(e % g == 0 for e in tables.entries)
-        # per-depth mass of the rows τ can take (P(τ = n) > 0), and of the tail
-        sampled = np.diff(-tables.neg_surv, axis=1) < 0
-        pmf = np.diff(tables.exit_cum[:, 1:], axis=2, prepend=0.0)
-        assert np.all(pmf[sampled][:, dead] == 0)
-        tail_pmf = np.diff(tables.tail_cum, axis=1, prepend=0.0)
-        assert np.all(tail_pmf[:, dead] == 0)
+        # per-depth mass of every slot: the rows τ can take (P(τ = n) > 0),
+        # the tail at the +1 sentinels and row 0, which holds none
+        pmf = np.diff(tables.exit_cum, axis=1, prepend=0.0)
+        assert np.all(pmf[:, dead] == 0)
         for e in range(len(tables.entries)):
             entry = np.full(uniforms.size, e)
-            tau, tail = t.sample_tau(side, entry, uniforms)
-            nxt = t.sample_exit(side, entry, tau, tail, u_exit)
+            _, _, slot = t.sample_tau(side, entry, uniforms)
+            nxt = t.sample_exit(side, slot, u_exit)
             assert nxt.max() < len(other)
 
 
@@ -256,10 +276,28 @@ def test_tables_cache_and_shape():
     assert t.pos.entries == [1] and t.neg.entries == [1]
     assert t.pos.exit_values == [-1]
     assert durations.DEFAULT_TABLE_SIZE == 1 << 15
-    # arrays are stacked over entries: (E, N+1), (E, N+1, K), (E, K), (E,)
-    assert t.pos.neg_surv.shape == (1, 4097)
-    assert t.pos.exit_cum.shape == (1, 4097, 1)
-    assert t.pos.tail_cum.shape == (1, 1) and t.pos.tail_p.shape == (1,)
+    # only what a draw reads, stacked over entries: per slot τ and the
+    # exit split, per entry P(τ > N), per (entry, guess) a start slot
+    assert [f.name for f in dataclasses.fields(durations.SideTables)] == [
+        "entries", "exit_values", "search", "search_tau", "exit_cum", "tail_p",
+        "guide", "n_table"]
+    assert not hasattr(durations.SideTables, "__post_init__")
+    # the walk's τ is even, so the slots are row 0, rows 2, 4, .., 4096 and
+    # the +1 sentinel
+    slots = 2 + 4096 // 2
+    assert t.pos.search.shape == t.pos.search_tau.shape == (slots,)
+    assert np.array_equal(t.pos.search_tau[1:-1], np.arange(2, 4097, 2))
+    assert t.pos.exit_cum.shape == (slots, 1)
+    assert t.pos.tail_p.shape == (1,) and t.pos.guide.shape == (4097,)
+
+
+def test_tables_hold_no_per_row_copies():
+    # the slots and the guide only: the dense survival rows and per-row
+    # exit splits took this walk's tables to 20.8 MiB at the default N
+    t = durations.excursion_tables(preset("unit-up", negatives=[-17, -2]))
+    arrays = [getattr(side, f.name) for side in (t.pos, t.neg)
+              for f in dataclasses.fields(side)] + list(t.exit_entry.values())
+    assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < 15 * 2 ** 20
 
 
 def test_table_size_refused(monkeypatch):
@@ -309,14 +347,15 @@ def test_tables_and_draws_pinned(name, dist):
     h = hashlib.sha256()
     for side in ("pos", "neg"):
         st = getattr(t, side)
+        rows = dense_tables(st)
         for e in range(len(st.entries)):
-            for a in (st.neg_surv[e], st.exit_cum[e], st.tail_cum[e], st.tail_p[e]):
+            for a in (rows.neg_surv[e], rows.exit_cum[e], rows.tail_cum[e], st.tail_p[e]):
                 h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
         n = 50_000
         ei = (RandomStream(406, 0).uniforms(n) * len(st.entries)).astype(np.int64)
         u = RandomStream(406, 1).uniforms(n) ** 3  # many draws past the table
-        tau, tail = t.sample_tau(side, ei, u)
-        ex = t.sample_exit(side, ei, tau, tail, RandomStream(406, 2).uniforms(n))
+        tau, tail, slot = t.sample_tau(side, ei, u)
+        ex = t.sample_exit(side, slot, RandomStream(406, 2).uniforms(n))
         assert tail.sum() > 10_000
         h.update(np.ascontiguousarray(tau, dtype="<f8").tobytes())
         h.update(np.ascontiguousarray(ex, dtype="<i8").tobytes())
@@ -327,12 +366,13 @@ def reference_sample_tau(tables, side, entry_idx, u):
     """Inversion by a binary search of each entry's whole survival row, one
     entry state at a time, with the √-tail formula past the table."""
     st = getattr(tables, side)
+    neg_surv = dense_tables(st).neg_surv
     tau = np.empty(u.shape, dtype=np.float64)
     tail = np.zeros(u.shape, dtype=bool)
     for e in range(len(st.entries)):
         m = entry_idx == e
         um = u[m]
-        t = np.searchsorted(st.neg_surv[e], -um, side="right").astype(np.float64)
+        t = np.searchsorted(neg_surv[e], -um, side="right").astype(np.float64)
         pt = st.tail_p[e]
         deep = um <= pt
         t[deep] = np.ceil(tables.n_table * (pt / um[deep]) ** 2)
@@ -342,15 +382,17 @@ def reference_sample_tau(tables, side, entry_idx, u):
 
 
 def reference_sample_exit(tables, side, entry_idx, tau, tail, u):
-    """Exit by gathering each draw's whole cumulative row and counting the
-    columns below u (an index past the last column raises)."""
+    """Exit by gathering each draw's whole cumulative row, read by its τ and
+    tail flag, and counting the columns below u (an index past the last
+    column raises)."""
     st = getattr(tables, side)
+    rows = dense_tables(st)
     other = tables.neg_index if side == "pos" else tables.pos_index
     sign = -1 if side == "pos" else 1
     trans = np.array([other[sign * d] for d in range(1, len(st.exit_values) + 1)],
                      dtype=np.int64)
-    cums = st.exit_cum[entry_idx, np.where(tail, 0, tau).astype(np.int64)]
-    cums[tail] = st.tail_cum[entry_idx[tail]]
+    cums = rows.exit_cum[entry_idx, np.where(tail, 0, tau).astype(np.int64)]
+    cums[tail] = rows.tail_cum[entry_idx[tail]]
     return trans[(u > cums.T.copy()).sum(axis=0)]
 
 
@@ -425,9 +467,9 @@ def reference_one_sided_tables(dist, entries, n_table):
         safe = np.where(row_tot > 0, row_tot, 1.0)
         np.cumsum(absorb / safe, axis=1, out=absorb)
         absorb[row_tot[:, 0] == 0] = 1.0
-    return durations.SideTables(entries=entries, exit_values=exit_values,
-                                neg_surv=neg_surv, exit_cum=exit_cum,
-                                tail_cum=tail_cum, tail_p=tail_p, n_table=n_table)
+    return SimpleNamespace(entries=entries, exit_values=exit_values,
+                           neg_surv=neg_surv, exit_cum=exit_cum,
+                           tail_cum=tail_cum, tail_p=tail_p, n_table=n_table)
 
 
 # the sampler walks (steps on lattices of span d = 2, 3, 1, 1, 3) and walks
@@ -447,26 +489,31 @@ TABLE_WALKS = {
 
 
 def reference_search(tables):
-    """The search array, its τ and the guide, rebuilt slot by slot from a
-    side's ``neg_surv`` and ``tail_p``: per entry, row 0 and every row n
-    with P(τ > n) < P(τ > n - 1), then a +1 sentinel; ``guide[e, g]`` for
-    g ≥ 2 is the first slot past row 0 whose -P(τ > n) exceeds
-    -P(τ > N)·√(N/(g - 1)), and the first slot past row 0 for g = 0, 1.
-    The bound rises with g (P(τ > N) > 0), so one pointer moves up only."""
+    """The slot arrays and the guide, compressed slot by slot from a side's
+    reference rows: per entry, row 0 and every row n with
+    P(τ > n) < P(τ > n - 1), then a +1 sentinel, each slot with its τ and
+    exit split (zeros at row 0, the row's split at n, the tail split at the
+    sentinel); ``guide[e, g]`` for g ≥ 2 is the first slot past row 0 whose
+    -P(τ > n) exceeds -P(τ > N)·√(N/(g - 1)), and the first slot past row 0
+    for g = 0, 1.  The bound rises with g (P(τ > N) > 0), so one pointer
+    moves up only."""
     n_table = tables.n_table
-    search, search_tau, guide = [], [], []
+    search, search_tau, exit_cum, guide = [], [], [], []
     for e in range(len(tables.entries)):
         row = tables.neg_surv[e].tolist()
         assert row[0] == -1.0 and tables.tail_p[e] > 0
         first = len(search) + 1
         search.append(row[0])
         search_tau.append(0.0)
+        exit_cum.append(np.zeros(len(tables.exit_values)))
         for n in range(1, n_table + 1):
             if row[n] > row[n - 1]:
                 search.append(row[n])
                 search_tau.append(float(n))
+                exit_cum.append(tables.exit_cum[e, n])
         search.append(1.0)
         search_tau.append(n_table + 1.0)
+        exit_cum.append(tables.tail_cum[e])
         at = first
         guide += [first, first]
         for g in range(2, n_table + 1):
@@ -474,14 +521,16 @@ def reference_search(tables):
             while search[at] <= bound:
                 at += 1
             guide.append(at)
-    return np.array(search), np.array(search_tau), np.array(guide, dtype=np.int64)
+    return (np.array(search), np.array(search_tau), np.array(exit_cum),
+            np.array(guide, dtype=np.int64))
 
 
 @pytest.mark.parametrize("n_table", [1, 2, 3, 64, 2048])
 @pytest.mark.parametrize("name", list(TABLE_WALKS))
 def test_tables_match_position_dp(name, n_table):
-    # every table array bit for bit on both sides, and the search arrays
-    # and guide against a slot-by-slot rebuild from the reference rows
+    # every table array bit for bit on both sides: the per-row arrays
+    # rebuilt from the slots against the reference DP's, and the slot
+    # arrays and guide against the reference rows compressed slot by slot
     dist = TABLE_WALKS[name]
     pos_entries, neg_entries = durations._entry_closure(dist)
     for side, entries in ((dist, pos_entries),
@@ -489,9 +538,12 @@ def test_tables_match_position_dp(name, n_table):
         got = durations._one_sided_tables(side, entries, n_table)
         ref = reference_one_sided_tables(side, entries, n_table)
         assert got.entries == ref.entries and got.exit_values == ref.exit_values
-        for a in ("neg_surv", "exit_cum", "tail_cum", "tail_p"):
-            assert np.array_equal(getattr(got, a), getattr(ref, a)), a
-        for a, want in zip(("search", "search_tau", "guide"), reference_search(ref)):
+        rows = dense_tables(got)
+        for a in ("neg_surv", "exit_cum", "tail_cum"):
+            assert np.array_equal(getattr(rows, a), getattr(ref, a)), a
+        assert np.array_equal(got.tail_p, ref.tail_p)
+        for a, want in zip(("search", "search_tau", "exit_cum", "guide"),
+                           reference_search(ref)):
             have = getattr(got, a)
             assert have.dtype == want.dtype and np.array_equal(have, want), a
 
@@ -507,8 +559,9 @@ def test_samplers_match_full_search(name, n_table):
     for side in ("pos", "neg"):
         st = getattr(t, side)
         us, es = [], []
+        rows = dense_tables(st)
         for e in range(len(st.entries)):
-            s = -st.neg_surv[e]
+            s = -rows.neg_surv[e]
             pt = st.tail_p[e]
             u = np.concatenate([s, np.nextafter(s, 0), np.nextafter(s, 1),
                                 [pt, np.nextafter(pt, 0), np.nextafter(pt, 1),
@@ -517,21 +570,20 @@ def test_samplers_match_full_search(name, n_table):
             us.append(u)
             es.append(np.full(u.size, e, dtype=np.int64))
         u, ei = np.concatenate(us), np.concatenate(es)
-        tau, tail = t.sample_tau(side, ei, u)
+        tau, tail, slot = t.sample_tau(side, ei, u)
         tau_ref, tail_ref = reference_sample_tau(t, side, ei, u)
         np.testing.assert_array_equal(tau, tau_ref)
         np.testing.assert_array_equal(tail, tail_ref)
         assert tail.any() and not tail.all()
 
         kcols = len(st.exit_values)
-        rows = np.where(tail, 0, tau).astype(np.int64)
-        cums = st.exit_cum[ei, rows]
-        cums[tail] = st.tail_cum[ei[tail]]
+        cums = rows.exit_cum[ei, np.where(tail, 0, tau).astype(np.int64)]
+        cums[tail] = rows.tail_cum[ei[tail]]
         k = np.arange(u.size) % kcols
         at = cums[np.arange(u.size), k]
         for ue in (at, np.nextafter(at, 0), np.nextafter(at, 1)):
             ue = np.clip(ue, 2.0 ** -54, 1 - 2.0 ** -53)
-            ex = t.sample_exit(side, ei, tau, tail, ue)
+            ex = t.sample_exit(side, slot, ue)
             ok = ue <= cums[:, -1]
             np.testing.assert_array_equal(
                 ex[ok], reference_sample_exit(t, side, ei[ok], tau[ok], tail[ok],
@@ -569,7 +621,7 @@ def test_searches_land_from_the_worst_start(monkeypatch, last):
     tables = durations.excursion_tables(SAMPLER_WALKS["unit-up:-2,-3"], n)
     st = tables.pos
     ei = np.repeat(np.arange(len(st.entries)), n + 1)
-    u = np.clip(-st.neg_surv.reshape(-1), 2.0 ** -54, 1 - 2.0 ** -53)
+    u = np.clip(-dense_tables(st).neg_surv.reshape(-1), 2.0 ** -54, 1 - 2.0 ** -53)
     u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
     ei = np.tile(ei, 3)
     tau_ref, tail_ref = reference_sample_tau(tables, "pos", ei, u)
@@ -578,7 +630,7 @@ def test_searches_land_from_the_worst_start(monkeypatch, last):
     ends = np.flatnonzero(st.search == 1.0)
     starts = np.r_[0, ends[:-1] + 1]
     rows[:] = [(starts[ei] + 1, ends[ei])]
-    tau, tail = tables.sample_tau("pos", ei, u)
+    tau, tail, _ = tables.sample_tau("pos", ei, u)
     np.testing.assert_array_equal(tau, tau_ref)
     np.testing.assert_array_equal(tail, tail_ref)
     assert tail.any() and not rows
@@ -588,13 +640,14 @@ def test_sample_exit_past_a_last_cumulative_below_one():
     # on unit-up:-2,-3 the pos row e = 0, n = 6 sums to 1 - 2^-52; a u
     # above that once counted one column past the last exit
     t = durations.excursion_tables(preset("unit-up", negatives=[-2, -3]), 2048)
-    assert t.pos.exit_cum[0, 6, -1] == 1 - 2.0 ** -52
-    args = ("pos", np.array([0]), np.array([6.0]), np.array([False]),
-            np.array([1 - 2.0 ** -53]))
-    assert t.sample_exit(*args).tolist() == [t.neg_index[-3]]
+    slot = np.flatnonzero(t.pos.search_tau == 6.0)[:1]  # entry 0's block comes first
+    assert t.pos.exit_cum[slot[0], -1] == 1 - 2.0 ** -52
+    u = np.array([1 - 2.0 ** -53])
+    assert t.sample_exit("pos", slot, u).tolist() == [t.neg_index[-3]]
     with pytest.raises(IndexError):
-        reference_sample_exit(t, *args)
-    assert t.sample_exit(*args[:-1], np.array([1.0])).tolist() == [t.neg_index[-3]]
+        reference_sample_exit(t, "pos", np.array([0]), np.array([6.0]),
+                              np.array([False]), u)
+    assert t.sample_exit("pos", slot, np.array([1.0])).tolist() == [t.neg_index[-3]]
 
 
 def test_srw_table_matches_convolution():
@@ -602,10 +655,10 @@ def test_srw_table_matches_convolution():
     # derivations of the same survival curve
     t = durations.excursion_tables(preset("simple"), 4096)
     n = np.arange(1, 4001)
-    dp = -t.pos.neg_surv[0][n]
+    dp = -dense_tables(t.pos).neg_surv[0][n]
     conv = durations.srw_halfexcursion_survival(n)
     assert np.max(np.abs(dp - conv)) < 1e-12
-    mirrored = -t.neg.neg_surv[0][n]
+    mirrored = -dense_tables(t.neg).neg_surv[0][n]
     assert np.max(np.abs(mirrored - conv)) < 1e-12
 
 
@@ -614,7 +667,7 @@ def test_sample_tau_matches_table_and_tail():
     n = 100_000
     u = RandomStream(404, 0).uniforms(n)
     idx = np.zeros(n, dtype=np.int64)
-    tau, tail = t.sample_tau("pos", idx, u)
+    tau, tail, slot = t.sample_tau("pos", idx, u)
     for h in (2, 10, 100):
         p = float(durations.srw_halfexcursion_survival(np.array([h]))[0])
         sigma = math.sqrt(p * (1 - p) / n)
@@ -628,7 +681,7 @@ def test_sample_tau_matches_table_and_tail():
     frac = np.mean(tau[tail] > 4 * t.n_table)
     assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / max(tail.sum(), 1))
     # simple walk always re-enters at the opposite unit level
-    exits = t.sample_exit("pos", idx, tau, tail, RandomStream(404, 1).uniforms(n))
+    exits = t.sample_exit("pos", slot, RandomStream(404, 1).uniforms(n))
     assert np.all(exits == 0)
 
 
@@ -645,9 +698,10 @@ def test_first_stretch_survival_unit_up_tables_vs_paths():
         first[i] = path[1]
         tau1[i] = dec.durations[0] if dec.durations else horizon + 1
     p_plus = 2 / 3
+    pos, neg = dense_tables(t.pos).neg_surv, dense_tables(t.neg).neg_surv
     for h in (1, 2, 4, 8, 16, 32):
-        mix = (p_plus * -t.pos.neg_surv[t.pos_index[1]][h]
-               + (1 - p_plus) * -t.neg.neg_surv[t.neg_index[-2]][h])
+        mix = (p_plus * -pos[t.pos_index[1]][h]
+               + (1 - p_plus) * -neg[t.neg_index[-2]][h])
         emp = np.mean(tau1 > h)
         sigma = math.sqrt(mix * (1 - mix) / n)
         assert abs(emp - mix) <= 4 * sigma

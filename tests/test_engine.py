@@ -332,7 +332,8 @@ def int_xi_replay(dist, tables, x, n_pairs, keys, cap_exp, record_ns=()):
     draws at the stream positions the engine uses, at one cap: the alive and
     negative counts at record_ns, the final sign and the undecided mask.
     τ is two unit passages (``tables`` None) or comes with the exit from
-    sample_tau and sample_exit, clamped at (4 << cap_exp) + 2."""
+    sample_tau and sample_exit at the slot τ landed on, clamped at
+    (4 << cap_exp) + 2."""
     p, q = x.numerator, x.denominator
     cap = (4 << cap_exp) + 2
 
@@ -342,8 +343,8 @@ def int_xi_replay(dist, tables, x, n_pairs, keys, cap_exp, record_ns=()):
             tau, capped = durations.srw_tau_from_uniform_pairs(u_tau, u_exit,
                                                                cap_exp=cap_exp)
             return tau.astype(object), capped, entry
-        tau, tail = tables.sample_tau(side, entry, u_tau)
-        nxt = tables.sample_exit(side, entry, tau, tail, u_exit)
+        tau, _, slot = tables.sample_tau(side, entry, u_tau)
+        nxt = tables.sample_exit(side, slot, u_exit)
         return np.array([min(int(t), cap) for t in tau], dtype=object), tau > cap, nxt
 
     ctr = np.zeros(keys.size, dtype=np.uint64)

@@ -87,6 +87,14 @@ def test_from_config_errors():
         increments.from_config("not json at all {")
     with pytest.raises(ConfigParse):
         increments.from_config({"nope": 1})
+    # a step value that is not an integer was truncated by int(), so
+    # 1.5 and -1.5 ran the simple walk; validate's integer check now refuses
+    # it, and a whole float, a string or a bool too
+    with pytest.raises(BadProbabilities, match="1.5 is not an integer"):
+        increments.from_config('{"atoms": [[1.5, "1/2"], [-1.5, "1/2"]]}')
+    for v in (1.0, "1", True):
+        with pytest.raises(BadProbabilities, match="is not an integer"):
+            increments.from_config({"atoms": [[v, "1/2"], [-1, "1/2"]]})
 
 
 def test_to_config_round_trip():

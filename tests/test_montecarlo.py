@@ -336,7 +336,10 @@ def test_read_survival_csv_refuses_malformed_curves(tmp_path):
                          ("0,10,40", "horizon 0 is below 1"),
                          ("-2,10,40", "horizon -2 is below 1"),
                          ("1,10,40", "horizon 1 is not above 1"),
-                         ("2,10,100", "trials 100 is not the first row's 40")):
+                         ("2,10,100", "trials 100 is not the first row's 40"),
+                         # an IndexError and a bare ValueError before
+                         ("1,2", "cannot read '1,2' as horizon,survivors,trials"),
+                         ("1.5,2,3", "cannot read '1.5,2,3' as horizon")):
         path = tmp_path / "bad.csv"
         path.write_text(head + row + "\n")
         with pytest.raises(InsufficientData, match=f"bad.csv, line 4: {problem}"):

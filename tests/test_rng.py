@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persistwalk import montecarlo
+from persistwalk.errors import OutOfRange
 from persistwalk.increments import preset, steps_from_uniforms, validate
 from persistwalk.rng import (RandomStream, fmix64, fmix64_array, stream_key,
                              trial_keys, u64_at, uniform_at)
@@ -23,6 +26,34 @@ def test_streams_are_distinct():
     a = RandomStream(123, 0)
     b = RandomStream(123, 1)
     assert [a.next_u64() for _ in range(8)] != [b.next_u64() for _ in range(8)]
+
+
+def test_one_seed_rule():
+    # a numpy integer seed is its int's stream: np.int64 ended in an
+    # OverflowError in trial_keys, np.uint64 warned of overflow in stream_key
+    ids = np.arange(5, dtype=np.uint64)
+    for seed in (1, -1, 2 ** 64 + 3, 2 ** 63):
+        want = RandomStream(seed, 4).uniforms(3), trial_keys(seed, ids)
+        numpy_seeds = [np.uint64(seed % 2 ** 64)]
+        if -2 ** 63 <= seed < 2 ** 63:
+            numpy_seeds += [np.int64(seed), np.int32(seed)]
+        for s in numpy_seeds:
+            assert np.array_equal(RandomStream(s, 4).uniforms(3), want[0])
+            assert np.array_equal(trial_keys(s, ids), want[1])
+    # negative seeds and seeds of 2^64 or more are taken mod 2^64
+    assert stream_key(-1, 0) == stream_key(2 ** 64 - 1, 0)
+    assert stream_key(2 ** 64 + 3, 0) == stream_key(3, 0)
+    simple = preset("simple")
+    curve = montecarlo.survival_atilde(simple, 0, 64, 100, np.int64(1))
+    assert curve.survivors.tolist() == montecarlo.survival_atilde(
+        simple, 0, 64, 100, 1).survivors.tolist()
+    assert type(curve.config["seed"]) is int
+    # a seed that is not an integer is refused (1.5 was a TypeError)
+    for seed in (1.5, 1.0, "1", None, Fraction(1)):
+        with pytest.raises(OutOfRange, match="seed="):
+            RandomStream(seed)
+        with pytest.raises(OutOfRange, match="seed="):
+            trial_keys(seed, ids)
 
 
 def test_seed_changes_everything():

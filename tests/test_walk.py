@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persistwalk import durations, walk
@@ -94,10 +94,17 @@ def brute_first_violation(path, x, mode):
     return math.inf
 
 
+# on the path 0, 1, .., 6 (G_s = s, never at or below x·s for x < 1) the
+# int64 products q·G_s and p·s wrapped at s = 2 for the two finest x
+FINE_X = (Fraction(1, 2 ** 62), Fraction(2 ** 61, 2 ** 62 + 1))
+
+
 @given(steps_strategy,
        st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2),
-                        Fraction(2, 3)]),
+                        Fraction(2, 3), *FINE_X]),
        st.sampled_from(["strict", "weak"]))
+@example([1] * 6, FINE_X[0], "strict")
+@example([1] * 6, FINE_X[1], "weak")
 @settings(max_examples=300)
 def test_first_violation_matches_brute_force(steps, x, mode):
     path = path_of(steps)
