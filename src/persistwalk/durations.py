@@ -42,16 +42,23 @@ Tail draws are counted so consumers can report how much of a run leaned on
 the extension.
 
 The tables drive every general-walk run that moves stretch by stretch:
-the ξ pair runs and both barrier events (the engine's stretch loop), each
-stretch taking one uniform for τ and one for its exit, which is the next
-stretch's entry.
+the ξ pair runs and both barrier events (the engine's stretch loop).
+:meth:`ExcursionTables.stretches` draws a block of stretches per trial,
+signs alternating, each from one uniform for τ and one for its exit, the
+next stretch's entry.  A side with one entry state (the positive side of
+every ``unit-up`` walk, the negative side of ``tg`` and the lazy ±1 walk)
+has every entry known before any draw, so its stretches in the block take
+one ``sample_tau`` and one ``sample_exit`` call, and the other side's one
+more each, entered at its exits; a walk with several entry states on both
+sides draws stretch by stretch.
 
 Sampling has no loop over entry states, and the tables hold only what a
 draw reads: one array per side, stacked over entries, that every draw
 searches.  Each entry's block holds -P(τ > n) at row 0, a -1 sentinel, and
 at the rows where mass leaves (on a lattice walk most rows hold none, and
 P(τ > n) is flat across them), then a +1 sentinel; each slot also holds its
-τ and its exit split (given τ > N, the tail split, at the +1 sentinel).
+τ and its exit split over the landings the walk can reach, the depths g,
+2g, .., max_down (given τ > N, the tail split, at the +1 sentinel).
 The √-law guess picks a start slot from a guide table (Chen & Asau 1974;
 Devroye 1986, §III.2) built with the tables, at or a slot before the
 crossing, and the search below moves it there; a draw past the table stops
@@ -73,7 +80,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -211,43 +218,45 @@ class SideTables:
     in the layout a draw reads.
 
     ``entries`` are entry positions as *distances from zero* (always
-    positive here; the caller mirrors the negative side).  ``search`` stacks
-    one block per entry: -P(τ > n), negated so each block ascends and -u
-    compares against it directly, for row 0 (-1, a sentinel that stops
-    every downward step, since u ≤ 1) and for every row n where mass
-    leaves, P(τ > n) < P(τ > n - 1), then a +1 sentinel that stops every
-    upward step, on which exactly the draws with u ≤ P(τ > N) land.  Each
-    block ascends strictly.  Per slot, ``search_tau`` holds its τ (the +1
-    sentinel's, N + 1, is never returned) and ``exit_cum``, shape
-    (slots, K), the cumulative split over the K ``exit_values``: given
-    τ = n at a row where mass leaves, given τ > N at the +1 sentinel, and
-    zeros at row 0, where no draw lands.  ``tail_p[e] = P(τ > N)``, shape
-    (E,).  ``guide`` is a guide table over the √-tail guess
-    g = ⌈N·(P(τ > N)/u)²⌉ ∈ [0, N]: ``guide[e·(N+1) + g]`` is the index
-    into ``search`` of the first slot past row 0 of entry e's block whose
-    P(τ > n) < u at the largest u whose guess is g, so the draws with that
-    guess start there or a slot or so before their crossing.
+    positive here; the caller mirrors the negative side).  The K landings
+    are the depths the walk can reach, the multiples of its steps' gcd up to
+    max_down; ``exit_entry[k]`` is the other side's entry index of the k-th.
+    ``search`` stacks one block per entry: -P(τ > n), negated so each block
+    ascends and -u compares against it directly, for row 0 (-1, a sentinel
+    that stops every downward step, since u ≤ 1) and for every row n where
+    mass leaves, P(τ > n) < P(τ > n - 1), then a +1 sentinel that stops
+    every upward step, on which exactly the draws with u ≤ P(τ > N) land.
+    Each block ascends strictly.  Per slot, ``search_tau`` holds its τ (the
+    +1 sentinel's, N + 1, is never returned) and ``exit_cum``, shape
+    (slots, K), the cumulative split over the landings: given τ = n at a
+    row where mass leaves, given τ > N at the +1 sentinel, and zeros at row
+    0, where no draw lands.  ``tail_p[e] = P(τ > N)``, shape (E,).
+    ``guide`` is a guide table over the √-tail guess g = ⌈N·(P(τ > N)/u)²⌉
+    ∈ [0, N]: ``guide[e·(N+1) + g]`` is the index into ``search`` of the
+    first slot past row 0 of entry e's block whose P(τ > n) < u at the
+    largest u whose guess is g, so the draws with that guess start there or
+    a slot or so before their crossing.
     """
 
     entries: list[int]
-    exit_values: list[int]  # signed landing positions on the other side
+    exit_entry: np.ndarray
     search: np.ndarray
     search_tau: np.ndarray
     exit_cum: np.ndarray
     tail_p: np.ndarray
     guide: np.ndarray
-    n_table: int
 
 
 def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
-                      n_table: int) -> SideTables:
+                      landings: list[int], n_table: int) -> SideTables:
     """DP tables for stretches on the nonnegative side of ``dist``.
 
     The stretch lives on positions ≥ 0 (zero carries the stretch's sign) and
-    ends the step it lands strictly below 0; the landing position is the
-    next stretch's entry on the other side.  Mass pushed past the padded
-    range p_max is dropped: it cannot come back below zero within the
-    horizon at any relevant rate.
+    ends the step it lands strictly below 0; the landing depth is the next
+    stretch's entry on the other side, whose entries, as distances from
+    zero, are ``landings``.  Mass pushed past the padded range p_max is
+    dropped: it cannot come back below zero within the horizon at any
+    relevant rate.
 
     Every step is the lowest value v0 = -s plus a multiple of the span d,
     the gcd of the gaps between values, so after m steps from entry e the
@@ -268,18 +277,16 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
     values = [int(v) for v in dist.values()]
     probs = [float(p) for p in dist.probabilities()]
     max_down = -min(values)
-    exit_values = [-d for d in range(1, max_down + 1)]  # signed landings -1..-max
     p_max = int(np.ceil(_SIGMA_PAD * float(dist.variance()) ** 0.5 * n_table ** 0.5))
     p_max = max(p_max, max(entries) + 1, dist.max_step + 1)
     span = math.gcd(*(v + max_down for v in values))
     p_low = probs[0]
     # (p_v, k_v) for the values above the lowest, in value order
     ups = [(p, (v + max_down) // span) for v, p in zip(values[1:], probs[1:])]
-    # with no absorption to split, the tail split is even over the depths
-    # the walk can land at, the multiples of the steps' gcd g
+    # the depths the walk can land at, the multiples of the steps' gcd g,
+    # are the absorption columns g - 1, 2g - 1, ..; the others hold no mass
     g = math.gcd(*values)
-    even = np.linspace(1.0 / (max_down // g), 1.0, max_down // g)
-    even = np.r_[0.0, even][np.arange(1, max_down + 1) // g]
+    live = slice(g - 1, None, g)
 
     # guess g ≥ 2 takes u in [p·√(N/g), p·√(N/(g - 1))), p = P(τ > N),
     # and the crossing at its largest u is the earliest; guesses 0 and 1
@@ -332,53 +339,70 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
         blocks.append(np.concatenate(([-1.0], -surv[n], [1.0])))
         taus.append(np.concatenate(([0], n, [n_table + 1])))
         guide[e, 2:] = np.searchsorted(blocks[-1], -tail_p[e] * top_u, side="right")
-        split = np.zeros((n.size + 2, max_down), dtype=np.float64)
-        np.cumsum(absorb[n] / row_tot[n, None], axis=1, out=split[1:-1])
-        # tail split: absorptions over the second half of the table
+        # the totals sum whole rows, the splits only the live columns
+        split = np.zeros((n.size + 2, max_down // g), dtype=np.float64)
+        np.cumsum(absorb[n, live] / row_tot[n, None], axis=1, out=split[1:-1])
+        # tail split: absorptions over the second half of the table, if any
         tail_counts = absorb[n_table // 2:].sum(axis=0)
         tot = tail_counts.sum()
-        split[-1] = np.cumsum(tail_counts / tot) if tot > 0 else even
+        split[-1] = (np.cumsum(tail_counts[live] / tot) if tot > 0 else
+                     np.linspace(1.0 / (max_down // g), 1.0, max_down // g))
         splits.append(split)
     np.maximum(guide, 1, out=guide)
     guide += np.cumsum([0] + [b.size for b in blocks[:-1]])[:, None]
-    return SideTables(entries=entries, exit_values=exit_values,
+    exit_entry = [landings.index(d) for d in range(g, max_down + 1, g)]
+    return SideTables(entries=entries, exit_entry=np.array(exit_entry, dtype=np.int64),
                       search=np.concatenate(blocks),
                       search_tau=np.concatenate(taus).astype(np.float64),
                       exit_cum=np.concatenate(splits), tail_p=tail_p,
-                      guide=guide.reshape(-1), n_table=n_table)
+                      guide=guide.reshape(-1))
 
 
 @dataclass
 class ExcursionTables:
-    """Both sides' tables plus the entry-state indexing for chain sampling."""
+    """Both sides' tables and the block draw of stretches over them."""
 
     dist: IncrementDistribution
     pos: SideTables              # stretches above zero; entries are +values
     neg: SideTables              # stretches below zero, mirrored; entries are |values|
-    pos_index: dict[int, int]    # entry position (> 0) -> index into pos tables
-    neg_index: dict[int, int]    # entry position (< 0) -> index into neg tables
     n_table: int
-    exit_entry: dict[str, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # exit column k of a side (landing depth k + 1) -> entry index on
-        # the other side; a depth that is not a multiple of the steps' gcd
-        # has no mass, is never drawn and maps one past the other side's
-        # entries, so a draw of it would fail on its first table read
-        self.exit_entry = {
-            side: np.array([other.get(sign * d, len(other)) for d in
-                            range(1, len(tables.exit_values) + 1)], dtype=np.int64)
-            for side, tables, other, sign in (("pos", self.pos, self.neg_index, -1),
-                                              ("neg", self.neg, self.pos_index, 1))}
 
     def first_entries(self, first: np.ndarray) -> np.ndarray:
         """Entry index of the stretch each first step opens: a step v ≥ 0 on
         the positive side (0 at height 0), v < 0 on the negative side."""
         entry = np.zeros(first.shape, dtype=np.int64)
         for v in self.dist.values():
-            index = self.pos_index if v >= 0 else self.neg_index
-            entry[first == v] = index[int(v)]
+            entry[first == v] = (self.pos if v >= 0 else self.neg).entries.index(abs(v))
         return entry
+
+    def stretches(self, u: np.ndarray, up: bool, entry: np.ndarray, cap: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A block of stretches per trial, as in the module's General walks
+        section, from uniforms ``u`` shaped (stretch, 2, trial): τ (int64)
+        clamped at ``cap``, the clamp hits and the √-tail draws, shaped
+        (stretch, trial), and the entry after the block.  Stretch 0 is
+        positive if ``up`` and entered at ``entry``."""
+        tau, tail, exits = (np.empty(u[:, 0].shape, t) for t in (float, bool, np.int64))
+        sides = ("pos", "neg") if up else ("neg", "pos")  # of the even and odd rows
+
+        def draw(rows, side, entries):
+            shape = entries.shape
+            t, flags, slot = self.sample_tau(side, entries.ravel(), u[rows, 0].ravel())
+            tau[rows], tail[rows] = t.reshape(shape), flags.reshape(shape)
+            exits[rows] = self.sample_exit(side, slot, u[rows, 1].ravel()).reshape(shape)
+
+        pos_lead = len(self.pos.entries) == 1
+        if pos_lead or len(self.neg.entries) == 1:
+            j0 = int(up != pos_lead)  # the first row of the side with one entry state
+            lead, other = slice(j0, None, 2), slice(1 - j0, None, 2)
+            draw(lead, sides[j0], np.zeros(tau[lead].shape, dtype=np.int64))
+            draw(other, sides[1 - j0], np.concatenate((entry[None], exits[:-1]))[other])
+        else:
+            for j in range(len(u)):
+                draw(j, sides[j % 2], entry)
+                entry = exits[j]
+        capped = tau > cap
+        return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, exits[-1]
 
     def sample_tau(self, side: str, entry_idx: np.ndarray, u: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -414,7 +438,7 @@ class ExcursionTables:
         below 1.0.
         """
         tables = self.pos if side == "pos" else self.neg
-        trans = self.exit_entry[side]
+        trans = tables.exit_entry
         kcols = trans.size
         if kcols == 1:
             return np.full(u.shape, trans[0])
@@ -454,15 +478,12 @@ def excursion_tables(dist: IncrementDistribution, n_table: int = DEFAULT_TABLE_S
     if hit is not None:
         return hit
     pos_entries, neg_entries = _entry_closure(dist)
-    pos_tables = _one_sided_tables(dist, pos_entries, n_table)
+    neg_entries = [-e for e in neg_entries]
     # the negative side is the positive side of the mirrored walk
-    neg_tables = _one_sided_tables(dist.mirrored(), [-e for e in neg_entries], n_table)
     tables = ExcursionTables(
         dist=dist,
-        pos=pos_tables,
-        neg=neg_tables,
-        pos_index={e: i for i, e in enumerate(pos_entries)},
-        neg_index={e: i for i, e in enumerate(neg_entries)},
+        pos=_one_sided_tables(dist, pos_entries, neg_entries, n_table),
+        neg=_one_sided_tables(dist.mirrored(), neg_entries, pos_entries, n_table),
         n_table=n_table,
     )
     _TABLE_CACHE[key] = tables

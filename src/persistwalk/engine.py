@@ -24,9 +24,11 @@ before any draw or process start: a horizon (t_max, k_max, the ξ runs' n),
 step_cap and n_excursions is a whole number ≥ 1, each entry of a grid
 (``grid``, ``record_ns``) one in 1..horizon, run sorted and once each
 (``walk._grid``), or else the run is refused with
-:class:`~.errors.OutOfRange`.  Both run kinds, the survival counts and
-the ξ pair runs, go through ``_run``.  In order, it applies the rule to
-trials and workers, converts x, refuses x outside [0, 1) on every engine
+:class:`~.errors.OutOfRange`; the survival counts also refuse an unknown
+mode (``walk._is_strict``).  Both run kinds, the survival counts and the
+ξ pair runs, go through ``_run``.  In order, it applies the rule to
+trials and workers, refuses a seed that is not an integer (``rng._seed``,
+also OutOfRange), converts x, refuses x outside [0, 1) on every engine
 kind (``walk._ratio``, the check the oracle shares), resolves the engine
 kind (``ENGINE_KINDS``, the CLI's choices), refuses q·(p + q) ≥ 2^63 for
 the exact loops, builds the duration tables once before any fork, and runs
@@ -113,16 +115,10 @@ violation time (t_max + 1 if none) and the crossings before it
     pass of the loop draws the 4·b stream positions of a block of
     b = max(1, ``_DRAWS`` // (4·trials)) pairs per trial in one ``_draw``,
     the block draw the stretch loop uses too, every trial positive-leading:
-    on the passage law one inversion.  On the tables a stretch's entry is
-    the exit before it, but a side with one entry state has every entry
-    known before any draw: the positive side where the only step up is g,
-    the gcd of the steps, and no step is 0 (every ``unit-up`` walk), the
-    negative side where the only step down is −g (``tg``, the lazy ±1
-    walk).  That side's stretches of the block take one sampler call, and
-    the other side's one more, entered at its exits.  A walk with several
-    entry states on both sides draws stretch by stretch.  A chunk's trials, and each retry's, run in tiles of
-    at most ``_DRAWS`` // 4, so a pass draws at most ``_DRAWS`` = 2^15
-    uniforms.  Neither the block nor the tile moves a trial's positions.
+    on the passage law one inversion, on the tables one
+    ``ExcursionTables.stretches``.  A chunk's trials, and each retry's, run
+    in tiles of at most ``_DRAWS`` // 4, so a pass draws at most ``_DRAWS``
+    = 2^15 uniforms; neither block nor tile moves a trial's positions.
 """
 
 from __future__ import annotations
@@ -135,7 +131,7 @@ import numpy as np
 from . import durations as dur
 from .errors import OutOfDomain
 from .increments import IncrementDistribution, preset, steps_from_uniforms
-from .rng import trial_keys, uniform_at
+from .rng import _seed, trial_keys, uniform_at
 from .walk import _grid, _is_strict, _ratio, _whole
 
 _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
@@ -301,45 +297,14 @@ def _draw(tables, keys, at, k, up, entry, cap_exp, cap):
     (``at`` one value for all trials or one per trial), two per stretch: τ
     (int64), its capped and counted flags, shaped (stretch, trial), and the
     entry after the block.  Stretch 0 is positive if ``up`` and entered at
-    ``entry``; signs alternate, and each stretch is entered at the exit
-    before it.
-
-    On the passage law (``tables`` None) a stretch is two unit passages and
-    both flags are the passage cap hits.  On the tables the first uniform
-    draws τ and the second the exit, τ is clamped at ``cap``, a clamp hit is
-    capped and a √-tail draw counted.  A side's stretches are every other
-    row.  A side with one entry state has every entry known before any
-    draw, so all its stretches in the block take one sampler call, and the
-    other side's take one more, entered at the exits; a walk with several
-    entry states on both sides draws stretch by stretch."""
-    u = uniform_at(keys, at + np.arange(2 * k, dtype=np.uint64)[:, None])
-    u = u.reshape(k, 2, -1)
+    ``entry``.  On the passage law (``tables`` None) a stretch is two unit
+    passages and both flags are the passage cap hits; on the tables the
+    block is ``tables.stretches``, τ clamped at ``cap``."""
+    u = uniform_at(keys, at + np.arange(2 * k, dtype=np.uint64)[:, None]).reshape(k, 2, -1)
     if tables is None:
         tau, capped = dur.srw_tau_from_uniform_pairs(u[:, 0], u[:, 1], cap_exp=cap_exp)
         return tau, capped, capped, entry
-    tau = np.empty((k, keys.size))
-    tail = np.empty((k, keys.size), dtype=bool)
-    exits = np.empty((k, keys.size), dtype=np.int64)
-    sides = ("pos", "neg") if up else ("neg", "pos")  # of the even and odd rows
-
-    def draw(rows, side, entries):
-        shape = entries.shape
-        t, flags, slot = tables.sample_tau(side, entries.ravel(), u[rows, 0].ravel())
-        tau[rows], tail[rows] = t.reshape(shape), flags.reshape(shape)
-        exits[rows] = tables.sample_exit(side, slot, u[rows, 1].ravel()).reshape(shape)
-
-    pos_lead = len(tables.pos.entries) == 1
-    if pos_lead or len(tables.neg.entries) == 1:
-        j0 = int(up != pos_lead)  # the first row of the side with one entry state
-        lead, other = slice(j0, None, 2), slice(1 - j0, None, 2)
-        draw(lead, sides[j0], np.zeros(tau[lead].shape, dtype=np.int64))
-        draw(other, sides[1 - j0], np.concatenate((entry[None], exits[:-1]))[other])
-    else:
-        for j in range(k):
-            draw(j, sides[j % 2], entry)
-            entry = exits[j]
-    capped = tau > cap
-    return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, exits[-1]
+    return tables.stretches(u, up, entry, cap)
 
 
 def _open(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
@@ -599,12 +564,12 @@ def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
     """
     n = _whole("n", n)
     record_ns = _grid("record_ns", (n,) if record_ns is None else record_ns, n)
-    return XiRunResult.merge(_run(_xi_worker, dist, x, engine_kind, trials, workers,
-                                  n, seed, record_ns))
+    return XiRunResult.merge(_run(_xi_worker, dist, x, seed, engine_kind, trials,
+                                  workers, n, record_ns))
 
 
 def _xi_worker(args, trials, offset):
-    dist, x, n, seed, record_ns, kind = args
+    dist, x, seed, n, record_ns, kind = args
     if kind == "exact-excursion":
         return _srw_xi_chunk(x, n, trials, seed, record_ns, offset)
     return _table_xi_chunk(dist, x, n, trials, seed, record_ns, offset)
@@ -765,7 +730,7 @@ def _survival_worker(args, trials, offset):
     """Survivors of one chunk over the grid.  The event is set by its
     limits: (t_max, _NO_LIMIT) is the time event, (_NO_LIMIT, 2·k_max) the
     excursion event."""
-    dist, x, t_max, n_stretches, seed, grid, mode, step_cap, kind = args
+    dist, x, seed, t_max, n_stretches, grid, mode, step_cap, kind = args
     timed = n_stretches == _NO_LIMIT
     tail = 0
     if kind == "stepped":
@@ -794,8 +759,9 @@ def atilde_counts(dist: IncrementDistribution, x: Fraction, t_max: int,
                   workers: int = 1) -> SurvivalCounts:
     """Time-event survivors at each horizon of ``grid``, one in 1..t_max."""
     t_max = _whole("t_max", t_max)
-    return SurvivalCounts.merge(_run(_survival_worker, dist, x, engine_kind, trials,
-                                     workers, t_max, _NO_LIMIT, seed,
+    _is_strict(mode)
+    return SurvivalCounts.merge(_run(_survival_worker, dist, x, seed, engine_kind,
+                                     trials, workers, t_max, _NO_LIMIT,
                                      _grid("grid", grid, t_max), mode, _NO_LIMIT))
 
 
@@ -805,9 +771,10 @@ def a_counts(dist: IncrementDistribution, x: Fraction, k_max: int,
              step_cap: int = 10 ** 9, workers: int = 1) -> SurvivalCounts:
     """Excursion-event survivors at each horizon of ``grid``, one in 1..k_max."""
     k_max = _whole("k_max", k_max)
+    _is_strict(mode)
     grid, step_cap = _grid("grid", grid, k_max), _whole("step_cap", step_cap)
-    return SurvivalCounts.merge(_run(_survival_worker, dist, x, engine_kind, trials,
-                                     workers, _NO_LIMIT, 2 * k_max, seed, grid,
+    return SurvivalCounts.merge(_run(_survival_worker, dist, x, seed, engine_kind,
+                                     trials, workers, _NO_LIMIT, 2 * k_max, grid,
                                      mode, step_cap))
 
 
@@ -838,16 +805,16 @@ def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(a, b - a) for a, b in zip(starts, starts[1:])]
 
 
-def _run(worker, dist: IncrementDistribution, x, engine_kind: str, trials: int,
-         workers: int, *args) -> list:
-    """worker((dist, x, *args, kind), count, offset) over contiguous chunks,
-    serial or pooled, once trials, workers, x and the engine kind pass the
-    checks in the module docstring.
+def _run(worker, dist: IncrementDistribution, x, seed, engine_kind: str,
+         trials: int, workers: int, *args) -> list:
+    """worker((dist, x, seed, *args, kind), count, offset) over contiguous
+    chunks, serial or pooled, once the checks in the module docstring pass.
 
     Stream keys depend only on the global trial index, so the merged
     result is independent of the chunking.
     """
     trials, workers = _whole("trials", trials), _whole("workers", workers)
+    seed = _seed(seed)
     x = Fraction(x)
     _ratio(x)
     kind = pick_engine(dist, engine_kind)
@@ -858,7 +825,7 @@ def _run(worker, dist: IncrementDistribution, x, engine_kind: str, trials: int,
                          "stepped is for the barrier events only")
     if kind == "duration-table":
         dur.excursion_tables(dist)  # build once before any fork
-    args = (dist, x, *args, kind)
+    args = (dist, x, seed, *args, kind)
     bounds = chunk_bounds(trials, workers)
     if len(bounds) == 1:
         return [worker(args, cnt, off) for off, cnt in bounds]

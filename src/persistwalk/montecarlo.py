@@ -381,7 +381,8 @@ def read_survival_csv(path) -> SurvivalCurve:
     does not start with an integer horizon, a survivor count and integer
     trials, or with a horizon below 1 or not above the row before it, trials
     below 1 or unlike the first row's, or survivors outside [0, trials] is
-    :class:`InsufficientData`, naming the file and the line."""
+    :class:`InsufficientData`, naming the file and the line; so is a
+    ``# config:`` comment that is not a JSON object."""
     config = {}
     horizons, survivors = [], []
     trials = None
@@ -393,7 +394,13 @@ def read_survival_csv(path) -> SurvivalCurve:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("config:"):
-                    config = json.loads(body[len("config:"):].strip())
+                    try:
+                        config = json.loads(body[len("config:"):])
+                    except ValueError:
+                        config = None
+                    if not isinstance(config, dict):
+                        raise InsufficientData(f"{path}, line {lineno}: the config "
+                                               "comment is not a JSON object")
                 continue
             if line[0].isalpha():  # header row
                 cols = [c.strip() for c in line.split(",")]

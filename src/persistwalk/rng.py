@@ -76,18 +76,20 @@ def fmix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _seed(seed) -> int:
-    """The one seed rule: any integer, numpy's included, as a python int
-    (used mod 2**64); anything else is refused with :class:`OutOfRange`."""
+def _seed(value, name: str = "seed") -> int:
+    """The one seed rule, for seeds, stream ids and positions alike: any
+    integer, numpy's included, as a python int (used mod 2**64); anything
+    else is refused with :class:`OutOfRange`."""
     try:
-        return operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        raise OutOfRange(f"seed={seed!r} is not an integer") from None
+        raise OutOfRange(f"{name}={value!r} is not an integer") from None
 
 
 def stream_key(seed: int, stream_id: int) -> int:
     """Key of stream ``stream_id`` under ``seed`` (both taken mod 2**64)."""
-    return fmix64(fmix64(_seed(seed) + _SEED_TAG) ^ fmix64(stream_id + _STREAM_TAG))
+    return fmix64(fmix64(_seed(seed) + _SEED_TAG)
+                  ^ fmix64(_seed(stream_id, "stream_id") + _STREAM_TAG))
 
 
 def trial_keys(seed: int, stream_ids: np.ndarray) -> np.ndarray:
@@ -118,18 +120,19 @@ class RandomStream:
     seed : int
         Run-level seed (any integer, numpy's included; used mod 2**64).
     stream_id : int
-        Index of this stream under the seed, typically a trial index.
+        Index of this stream under the seed, typically a trial index (any
+        integer, used mod 2**64).
     position : int
-        Starting counter, 0 by default.
+        Starting counter, 0 by default (any integer, used mod 2**64).
     """
 
     __slots__ = ("seed", "stream_id", "key", "position")
 
     def __init__(self, seed: int, stream_id: int = 0, position: int = 0):
         self.seed = seed
-        self.stream_id = stream_id
-        self.key = stream_key(seed, stream_id)
-        self.position = position
+        self.stream_id = _seed(stream_id, "stream_id")
+        self.key = stream_key(seed, self.stream_id)
+        self.position = _seed(position, "position")
 
     def next_u64(self) -> int:
         h = fmix64(self.key + self.position * GOLDEN)
@@ -147,7 +150,8 @@ class RandomStream:
     def uniforms(self, n: int) -> np.ndarray:
         """Block of ``n`` uniforms, bit-identical to ``n`` calls of uniform()."""
         keys = np.full(n, np.uint64(self.key), dtype=np.uint64)
-        counters = np.arange(self.position, self.position + n, dtype=np.uint64)
+        # wraps mod 2**64, as next_u64 does
+        counters = np.arange(n, dtype=np.uint64) + np.uint64(self.position & _MASK)
         self.position += n
         return uniform_at(keys, counters)
 

@@ -382,12 +382,13 @@ def test_bad_sizes_are_refused_or_merged(capsys, argv):
     ("1,30,40\n4,20,100\n16,10,1000\n", "line 3: trials 100 is not the first row's 40"),
     ("16,10,40\n1,30,40\n4,20,40\n", "line 3: horizon 1 is not above 16"),
     ("1,30,40\n1,2\n", "line 3: cannot read '1,2' as horizon,survivors,trials"),
+    ("# config: [1, 2]\n1,30,40\n", "line 2: the config comment is not a JSON object"),
 ])
 def test_fit_refuses_malformed_curves(tmp_path, capsys, rows, problem):
     # each used to fit: a slope from 50 survivors of 40 trials, a nan slope
     # after a RuntimeWarning, the first row's trials for every row, a range
-    # from the first and last rows of unsorted horizons; a short row ended
-    # in an IndexError traceback
+    # from the first and last rows of unsorted horizons; a short row and a
+    # config comment that is not a JSON object ended in a traceback
     path = tmp_path / "bad.csv"
     path.write_text("horizon,survivors,trials,p_hat,ci_low,ci_high\n" + rows)
     rc, out, err = run_cli(capsys, "fit", "--in", str(path), "--min-survivors", "1")

@@ -217,11 +217,11 @@ def dense_tables(st):
     before row n; ``exit_cum`` (E, N+1, K) the slot's split at a row where
     mass leaves and 1.0 at every other row; and ``tail_cum`` (E, K) the
     split at the block's +1 sentinel."""
-    n_table = st.n_table
+    n_table = int(st.search_tau[-1]) - 1  # the +1 sentinel's τ is N + 1
     ends = np.flatnonzero(st.search == 1.0)
     starts = np.r_[0, ends[:-1] + 1]
     neg_surv = np.empty((len(st.entries), n_table + 1))
-    exit_cum = np.ones((len(st.entries), n_table + 1, len(st.exit_values)))
+    exit_cum = np.ones((len(st.entries), n_table + 1, st.exit_entry.size))
     for e, (a, b) in enumerate(zip(starts, ends)):
         rows = st.search_tau[a:b].astype(np.int64)
         last = np.searchsorted(rows, np.arange(n_table + 1), side="right") - 1
@@ -243,30 +243,30 @@ GCD_WALKS = {
 @pytest.mark.parametrize("n_table", [1, 2, 64, 2048])
 @pytest.mark.parametrize("name", list(GCD_WALKS))
 def test_unreachable_landings_are_never_drawn(name, n_table):
-    # a landing depth that is not a multiple of g maps to a placeholder
-    # one past the other side's entries; it has no mass in any exit row
-    # that τ can take or in the tail split, so no draw returns it
+    # the walk lands only at the depths g, 2g, .., max_down: a side keeps
+    # an exit column for each of them and no other, each maps to a real
+    # entry of the other side, those columns hold all the mass (every split
+    # past row 0 ends at 1), and every draw returns one
     dist = GCD_WALKS[name]
     t = durations.excursion_tables(dist, n_table)
     g = math.gcd(*(int(v) for v in dist.values()))
     uniforms = RandomStream(611, 0).uniforms(20_000)
     edges = np.array([2.0 ** -54, 0.5, 1 - 2.0 ** -53])  # the smallest and largest u
     u_exit = np.r_[uniforms[edges.size:], edges]
-    for side, tables, other in (("pos", t.pos, t.neg_index), ("neg", t.neg, t.pos_index)):
-        depth = np.arange(1, len(tables.exit_values) + 1)
-        dead = depth % g != 0
-        assert dead.any()
-        assert np.array_equal(t.exit_entry[side] == len(other), dead)
+    for side, tables, other, walk_side in (("pos", t.pos, t.neg, dist),
+                                           ("neg", t.neg, t.pos, dist.mirrored())):
+        max_down = -int(min(walk_side.values()))
+        assert tables.exit_cum.shape[1] == tables.exit_entry.size == max_down // g
+        assert [other.entries[i] for i in tables.exit_entry] == list(
+            range(g, max_down + 1, g))
         assert all(e % g == 0 for e in tables.entries)
-        # per-depth mass of every slot: the rows τ can take (P(τ = n) > 0),
-        # the tail at the +1 sentinels and row 0, which holds none
-        pmf = np.diff(tables.exit_cum, axis=1, prepend=0.0)
-        assert np.all(pmf[:, dead] == 0)
+        split_end = tables.exit_cum[tables.search_tau > 0, -1]
+        np.testing.assert_allclose(split_end, 1.0, rtol=0, atol=1e-12)
         for e in range(len(tables.entries)):
             entry = np.full(uniforms.size, e)
             _, _, slot = t.sample_tau(side, entry, uniforms)
             nxt = t.sample_exit(side, slot, u_exit)
-            assert nxt.max() < len(other)
+            assert np.isin(nxt, tables.exit_entry).all()
 
 
 def test_tables_cache_and_shape():
@@ -274,14 +274,20 @@ def test_tables_cache_and_shape():
     t = durations.excursion_tables(d, 4096)
     assert durations.excursion_tables(d, 4096) is t
     assert t.pos.entries == [1] and t.neg.entries == [1]
-    assert t.pos.exit_values == [-1]
+    assert t.pos.exit_entry.tolist() == [0] and t.neg.exit_entry.tolist() == [0]
     assert durations.DEFAULT_TABLE_SIZE == 1 << 15
-    # only what a draw reads, stacked over entries: per slot τ and the
-    # exit split, per entry P(τ > N), per (entry, guess) a start slot
+    # only what a draw reads, stacked over entries: per landing the other
+    # side's entry, per slot τ and the exit split, per entry P(τ > N), per
+    # (entry, guess) a start slot; the horizon is kept once, for both
+    # sides, and both classes are plain data with no index dicts or
+    # post-init map
     assert [f.name for f in dataclasses.fields(durations.SideTables)] == [
-        "entries", "exit_values", "search", "search_tau", "exit_cum", "tail_p",
-        "guide", "n_table"]
-    assert not hasattr(durations.SideTables, "__post_init__")
+        "entries", "exit_entry", "search", "search_tau", "exit_cum", "tail_p",
+        "guide"]
+    assert [f.name for f in dataclasses.fields(durations.ExcursionTables)] == [
+        "dist", "pos", "neg", "n_table"]
+    for cls in (durations.SideTables, durations.ExcursionTables):
+        assert not hasattr(cls, "__post_init__")
     # the walk's τ is even, so the slots are row 0, rows 2, 4, .., 4096 and
     # the +1 sentinel
     slots = 2 + 4096 // 2
@@ -296,7 +302,7 @@ def test_tables_hold_no_per_row_copies():
     # exit splits took this walk's tables to 20.8 MiB at the default N
     t = durations.excursion_tables(preset("unit-up", negatives=[-17, -2]))
     arrays = [getattr(side, f.name) for side in (t.pos, t.neg)
-              for f in dataclasses.fields(side)] + list(t.exit_entry.values())
+              for f in dataclasses.fields(side)]
     assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < 15 * 2 ** 20
 
 
@@ -381,16 +387,22 @@ def reference_sample_tau(tables, side, entry_idx, u):
     return tau, tail
 
 
+def reference_landings(tables, side):
+    """The other side's entry index of each of a side's exit columns, from
+    the entries: column k is the landing depth (k + 1)·g, g the gcd of the
+    steps."""
+    g = math.gcd(*(int(v) for v in tables.dist.values()))
+    other = tables.neg if side == "pos" else tables.pos
+    k = getattr(tables, side).exit_cum.shape[1]
+    return np.array([other.entries.index(g * (j + 1)) for j in range(k)])
+
+
 def reference_sample_exit(tables, side, entry_idx, tau, tail, u):
     """Exit by gathering each draw's whole cumulative row, read by its τ and
     tail flag, and counting the columns below u (an index past the last
     column raises)."""
-    st = getattr(tables, side)
-    rows = dense_tables(st)
-    other = tables.neg_index if side == "pos" else tables.pos_index
-    sign = -1 if side == "pos" else 1
-    trans = np.array([other[sign * d] for d in range(1, len(st.exit_values) + 1)],
-                     dtype=np.int64)
+    rows = dense_tables(getattr(tables, side))
+    trans = reference_landings(tables, side)
     cums = rows.exit_cum[entry_idx, np.where(tail, 0, tau).astype(np.int64)]
     cums[tail] = rows.tail_cum[entry_idx[tail]]
     return trans[(u > cums.T.copy()).sum(axis=0)]
@@ -413,7 +425,6 @@ def reference_one_sided_tables(dist, entries, n_table):
     values = [int(v) for v in dist.values()]
     probs = [float(p) for p in dist.probabilities()]
     max_down = -min(values)
-    exit_values = [-d for d in range(1, max_down + 1)]  # signed landings -1..-max
     p_max = int(np.ceil(durations._SIGMA_PAD * float(dist.variance()) ** 0.5
                         * n_table ** 0.5))
     p_max = max(p_max, max(entries) + 1, dist.max_step + 1)
@@ -452,6 +463,8 @@ def reference_one_sided_tables(dist, entries, n_table):
             if v < 0:
                 # position j < d = -v lands at j - d, depth d - j
                 absorb[:, :-v] += p * low[:, -v - 1::-1]
+        # the walk never lands at a depth that is not a multiple of g
+        assert not absorb[:, np.arange(1, max_down + 1) % g != 0].any()
         row_tot = absorb.sum(axis=1, keepdims=True)
         surv = neg_surv[e]
         surv[0] = 1.0
@@ -467,16 +480,18 @@ def reference_one_sided_tables(dist, entries, n_table):
         safe = np.where(row_tot > 0, row_tot, 1.0)
         np.cumsum(absorb / safe, axis=1, out=absorb)
         absorb[row_tot[:, 0] == 0] = 1.0
-    return SimpleNamespace(entries=entries, exit_values=exit_values,
-                           neg_surv=neg_surv, exit_cum=exit_cum,
-                           tail_cum=tail_cum, tail_p=tail_p, n_table=n_table)
+    # the reachable landings' columns: the depths g, 2g, .., max_down
+    return SimpleNamespace(entries=entries, depths=list(range(g, max_down + 1, g)),
+                           neg_surv=neg_surv, exit_cum=exit_cum[..., g - 1::g],
+                           tail_cum=tail_cum[:, g - 1::g], tail_p=tail_p,
+                           n_table=n_table)
 
 
 # the sampler walks (steps on lattices of span d = 2, 3, 1, 1, 3) and walks
-# of span 1, 7, 4, 4 and 3; {+2, -2} and the lazy {+3, 0, -3} step by a
-# common factor g = 2 and 3 and land only at its multiples (at N = 1 the
-# entry 2 of {+2, -2} absorbs nothing, so its tail split is the even one),
-# and the lazy walks hold the entry 0
+# of span 1, 7, 4, 4, 3 and 6; {+2, -2}, the lazy {+3, 0, -3} and {+4, -2}
+# step by a common factor g = 2, 3 and 2 and land only at its multiples (at
+# N = 1 the entry 2 of {+2, -2} absorbs nothing, so its tail split is the
+# even one), and the lazy walks hold the entry 0
 TABLE_WALKS = {
     **SAMPLER_WALKS,
     "tg:1/2,3": preset("truncated-geometric", p="1/2", cutoff=3),
@@ -485,6 +500,7 @@ TABLE_WALKS = {
     "+2,-2": validate([(2, Fraction(1, 2)), (-2, Fraction(1, 2))]),
     "lazy:+3,0,-3": validate([(3, Fraction(1, 4)), (0, Fraction(1, 2)),
                               (-3, Fraction(1, 4))]),
+    "+4,-2": GCD_WALKS["+4,-2"],
 }
 
 
@@ -505,7 +521,7 @@ def reference_search(tables):
         first = len(search) + 1
         search.append(row[0])
         search_tau.append(0.0)
-        exit_cum.append(np.zeros(len(tables.exit_values)))
+        exit_cum.append(np.zeros(len(tables.depths)))
         for n in range(1, n_table + 1):
             if row[n] > row[n - 1]:
                 search.append(row[n])
@@ -533,11 +549,13 @@ def test_tables_match_position_dp(name, n_table):
     # arrays and guide against the reference rows compressed slot by slot
     dist = TABLE_WALKS[name]
     pos_entries, neg_entries = durations._entry_closure(dist)
-    for side, entries in ((dist, pos_entries),
-                          (dist.mirrored(), [-e for e in neg_entries])):
-        got = durations._one_sided_tables(side, entries, n_table)
+    neg_entries = [-e for e in neg_entries]
+    for side, entries, landings in ((dist, pos_entries, neg_entries),
+                                    (dist.mirrored(), neg_entries, pos_entries)):
+        got = durations._one_sided_tables(side, entries, landings, n_table)
         ref = reference_one_sided_tables(side, entries, n_table)
-        assert got.entries == ref.entries and got.exit_values == ref.exit_values
+        assert got.entries == ref.entries
+        assert [landings[i] for i in got.exit_entry] == ref.depths
         rows = dense_tables(got)
         for a in ("neg_surv", "exit_cum", "tail_cum"):
             assert np.array_equal(getattr(rows, a), getattr(ref, a)), a
@@ -576,7 +594,7 @@ def test_samplers_match_full_search(name, n_table):
         np.testing.assert_array_equal(tail, tail_ref)
         assert tail.any() and not tail.all()
 
-        kcols = len(st.exit_values)
+        kcols = st.exit_cum.shape[1]
         cums = rows.exit_cum[ei, np.where(tail, 0, tau).astype(np.int64)]
         cums[tail] = rows.tail_cum[ei[tail]]
         k = np.arange(u.size) % kcols
@@ -589,7 +607,7 @@ def test_samplers_match_full_search(name, n_table):
                 ex[ok], reference_sample_exit(t, side, ei[ok], tau[ok], tail[ok],
                                               ue[ok]))
             # past a last cumulative that rounded below 1.0: the last exit
-            assert np.all(ex[~ok] == t.exit_entry[side][-1])
+            assert np.all(ex[~ok] == reference_landings(t, side)[-1])
 
 
 @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
@@ -643,11 +661,11 @@ def test_sample_exit_past_a_last_cumulative_below_one():
     slot = np.flatnonzero(t.pos.search_tau == 6.0)[:1]  # entry 0's block comes first
     assert t.pos.exit_cum[slot[0], -1] == 1 - 2.0 ** -52
     u = np.array([1 - 2.0 ** -53])
-    assert t.sample_exit("pos", slot, u).tolist() == [t.neg_index[-3]]
+    assert t.sample_exit("pos", slot, u).tolist() == [t.neg.entries.index(3)]
     with pytest.raises(IndexError):
         reference_sample_exit(t, "pos", np.array([0]), np.array([6.0]),
                               np.array([False]), u)
-    assert t.sample_exit("pos", slot, np.array([1.0])).tolist() == [t.neg_index[-3]]
+    assert t.sample_exit("pos", slot, np.array([1.0])).tolist() == [t.neg.entries.index(3)]
 
 
 def test_srw_table_matches_convolution():
@@ -700,8 +718,8 @@ def test_first_stretch_survival_unit_up_tables_vs_paths():
     p_plus = 2 / 3
     pos, neg = dense_tables(t.pos).neg_surv, dense_tables(t.neg).neg_surv
     for h in (1, 2, 4, 8, 16, 32):
-        mix = (p_plus * -pos[t.pos_index[1]][h]
-               + (1 - p_plus) * -neg[t.neg_index[-2]][h])
+        mix = (p_plus * -pos[t.pos.entries.index(1)][h]
+               + (1 - p_plus) * -neg[t.neg.entries.index(2)][h])
         emp = np.mean(tau1 > h)
         sigma = math.sqrt(mix * (1 - mix) / n)
         assert abs(emp - mix) <= 4 * sigma

@@ -946,6 +946,59 @@ def test_runs_reach_the_benchmark_spans(monkeypatch):
     assert calls[2:] == ["_table_xi_chunk"]
 
 
+def test_table_runs_draw_through_the_tables_block_draw(monkeypatch):
+    # the table time event and the table ξ run draw every block of
+    # stretches through ExcursionTables.stretches: the opening's one
+    # stretch, then the blocks (here one of 2·20 stretches for the ξ run)
+    calls = []
+    stretches = durations.ExcursionTables.stretches
+
+    def counted(self, u, *args):
+        calls.append(u.shape[0])
+        return stretches(self, u, *args)
+
+    def runs():
+        return (engine.atilde_counts(UNIT_UP, Fraction(1, 3), 1000, 50, 3, (10, 1000)),
+                engine.run_xi_trials(UNIT_UP, Fraction(1, 5), 20, 50, 3))
+
+    want = runs()
+    monkeypatch.setattr(durations.ExcursionTables, "stretches", counted)
+    atilde = engine.atilde_counts(UNIT_UP, Fraction(1, 3), 1000, 50, 3, (10, 1000))
+    assert calls[0] == 1 and len(calls) > 1
+    calls.clear()
+    xi = engine.run_xi_trials(UNIT_UP, Fraction(1, 5), 20, 50, 3)
+    assert calls == [1, 40]
+    assert atilde.survivors.tolist() == want[0].survivors.tolist()
+    assert _xi_digest(xi) == _xi_digest(want[1])
+
+
+def test_runs_check_seed_and_mode_before_tables_or_pool(monkeypatch):
+    # an unknown mode and a seed that is not an integer started a 2-process
+    # pool before the refusal, and the ξ run built the tables first; every
+    # run kind now refuses both before either
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(durations, "_one_sided_tables", None)
+    fresh = validate([(5, Fraction(1, 6)), (-1, Fraction(5, 6))])  # no tables cached
+    for dist in (SIMPLE, fresh):
+        for run, error, match in (
+                (lambda: engine.atilde_counts(dist, 0, 10, 100, 1, (5,), mode="bogus",
+                                              workers=2), ValueError, "mode"),
+                (lambda: montecarlo.survival_a(dist, 0, 5, 100, 1, mode="Weak",
+                                               workers=2), ValueError, "mode"),
+                (lambda: engine.atilde_counts(dist, 0, 10, 100, 1.5, (5,), workers=2),
+                 OutOfRange, "seed="),
+                (lambda: engine.a_counts(dist, 0, 5, 100, 1.5, (5,), workers=2),
+                 OutOfRange, "seed="),
+                (lambda: engine.run_xi_trials(dist, 0, 10, 100, 1.5), OutOfRange,
+                 "seed="),
+                (lambda: engine.run_xi_trials(dist, 0, 10, 100, "1", workers=2),
+                 OutOfRange, "seed=")):
+            with pytest.raises(error, match=match):
+                run()
+    assert _InProcessPool.sizes == []
+
+
 # ---------------------------------------------------------------------------
 # the stretch loop on the duration tables (every walk but the simple one)
 # ---------------------------------------------------------------------------

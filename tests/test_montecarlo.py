@@ -347,6 +347,13 @@ def test_read_survival_csv_refuses_malformed_curves(tmp_path):
     path.write_text("1,0,0\n")
     with pytest.raises(InsufficientData, match="line 1: trials 0 is below 1"):
         mc.read_survival_csv(path)
+    # a config comment that is not a JSON object: an AttributeError and an
+    # untyped JSONDecodeError before
+    for config in ("[1, 2]", "{bad"):
+        path.write_text(f"# persistwalk 0\n# config: {config}\n1,30,40\n")
+        with pytest.raises(InsufficientData, match="bad.csv, line 2: the config "
+                                                   "comment is not a JSON object"):
+            mc.read_survival_csv(path)
     # the edges stay readable: every trial alive, none alive, one horizon
     path.write_text(head + "2,0,40\n")
     assert mc.read_survival_csv(path).survivors.tolist() == [30, 0]

@@ -56,6 +56,33 @@ def test_one_seed_rule():
             trial_keys(seed, ids)
 
 
+def test_stream_ids_and_positions_follow_the_seed_rule():
+    # under the seed rule too: np.int64 ids and positions ended in an
+    # OverflowError, an np.uint64 id warned of overflow and 1.5 was a
+    # TypeError; every integer is its int's, taken mod 2^64
+    want = RandomStream(1, 3).uniforms(4)
+    for sid in (np.int64(3), np.uint64(3), np.int32(3), 3 + 2 ** 64):
+        assert np.array_equal(RandomStream(1, sid).uniforms(4), want)
+        assert stream_key(1, sid) == stream_key(1, 3)
+    for position in (np.int64(2), np.uint64(2), 2 + 2 ** 64):
+        stream = RandomStream(1, 3, position)
+        assert stream.uniform() == want[2]
+        assert np.array_equal(stream.uniforms(1), want[3:])
+    # position -1 is 2^64 - 1, and a block runs on past it as draws one by
+    # one do
+    stream = RandomStream(1, 3, -1)
+    block = stream.uniforms(3)
+    assert block[0] == RandomStream(1, 3, 2 ** 64 - 1).uniform()
+    assert np.array_equal(block[1:], want[:2]) and stream.uniform() == want[2]
+    for bad in (1.5, 1.0, "3", None, Fraction(3)):
+        with pytest.raises(OutOfRange, match="stream_id="):
+            RandomStream(1, bad)
+        with pytest.raises(OutOfRange, match="stream_id="):
+            stream_key(1, bad)
+        with pytest.raises(OutOfRange, match="position="):
+            RandomStream(1, 3, bad)
+
+
 def test_seed_changes_everything():
     a = RandomStream(1, 0).uniforms(100)
     b = RandomStream(2, 0).uniforms(100)
