@@ -21,6 +21,13 @@ expansion past it.  Draws are capped at j = 2^39
 (T = 2^40 + 1) with capped draws flagged — their probability per draw is
 about 7.6e-7, and callers account for them explicitly.
 
+Duration sources
+----------------
+The engine's exact loops read durations from one of two sources with the
+same members (``name``, ``longest``, ``n_table``, ``first_entries``,
+``stretches`` and ``at_cap``): :class:`PassageLaw`, this law at a passage
+cap, on the simple walk, and :class:`ExcursionTables` on any walk.
+
 General walks (tables)
 ----------------------
 For other step laws the duration of a stretch depends on its entry position
@@ -41,9 +48,9 @@ of the table, which has converged to the tail limit at the table's accuracy.
 Tail draws are counted so consumers can report how much of a run leaned on
 the extension.
 
-The tables drive every general-walk run that moves stretch by stretch:
-the ξ pair runs and both barrier events (the engine's stretch loop).
-:meth:`ExcursionTables.stretches` draws a block of stretches per trial,
+The tables are the duration source of every general-walk run that moves
+stretch by stretch: the ξ pair runs and both barrier events (the engine's
+stretch loop).  :meth:`ExcursionTables.stretches` draws a block of stretches per trial,
 signs alternating, each from one uniform for τ and one for its exit, the
 next stretch's entry.  A side with one entry state (the positive side of
 every ``unit-up`` walk, the negative side of ``tg`` and the lazy ±1 walk)
@@ -179,10 +186,40 @@ def srw_tau_from_uniform_pairs(u1: np.ndarray, u2: np.ndarray, *,
     return t1 + t2, c1 | c2
 
 
-def srw_tau_cap(cap_exp: int) -> int:
-    """The longest τ :func:`srw_tau_from_uniform_pairs` returns at
-    ``cap_exp``: two capped passages of 2^(cap_exp + 1) + 1 steps each."""
-    return (4 << cap_exp) + 2
+@dataclass(frozen=True)
+class PassageLaw:
+    """The simple walk's duration source, with the members of
+    :class:`ExcursionTables` that the engine's exact loops read: a stretch
+    is two unit passages, each capped at j = 2^cap_exp, and its flagged
+    draws are its cap hits."""
+
+    cap_exp: int = DEFAULT_PASSAGE_CAP_EXP
+    name = "exact-excursion"
+    # no draw is extrapolated, so every cap hit counts: the stretch loop
+    # keeps a flag only at starts below t_max - n_table - 1, here t_max, and
+    # every stretch it counts starts below t_max
+    n_table = -1
+
+    @property
+    def longest(self) -> int:
+        """The longest τ a draw returns: two capped passages of
+        2^(cap_exp + 1) + 1 steps each."""
+        return (4 << self.cap_exp) + 2
+
+    def at_cap(self, cap_exp: int) -> PassageLaw:
+        """This law with its passages capped at j = 2^cap_exp."""
+        return PassageLaw(cap_exp)
+
+    def first_entries(self, first: np.ndarray) -> np.ndarray:
+        """Every stretch is entered one unit past zero, entry 0."""
+        return np.zeros_like(first)
+
+    def stretches(self, u: np.ndarray, up: bool, entry: np.ndarray) -> tuple:
+        """τ = T + T' per stretch from uniforms ``u`` shaped (stretch, 2,
+        trial), its cap hits twice, as the capped and the flagged draws, and
+        ``entry``, which no stretch changes; ``up`` changes nothing either."""
+        tau, capped = srw_tau_from_uniform_pairs(u[:, 0], u[:, 1], cap_exp=self.cap_exp)
+        return tau, capped, capped, entry
 
 
 def srw_halfexcursion_survival(n) -> np.ndarray:
@@ -360,12 +397,20 @@ def _one_sided_tables(dist: IncrementDistribution, entries: list[int],
 
 @dataclass
 class ExcursionTables:
-    """Both sides' tables and the block draw of stretches over them."""
+    """Both sides' tables and the block draw of stretches over them: the
+    duration source of every walk but the simple one, with the members of
+    :class:`PassageLaw`."""
 
     dist: IncrementDistribution
     pos: SideTables              # stretches above zero; entries are +values
     neg: SideTables              # stretches below zero, mirrored; entries are |values|
     n_table: int
+    name = "duration-table"
+    longest = 1 << 62  # a √-tail τ is clamped here
+
+    def at_cap(self, cap_exp: int) -> ExcursionTables:
+        """The tables have no passage cap: themselves."""
+        return self
 
     def first_entries(self, first: np.ndarray) -> np.ndarray:
         """Entry index of the stretch each first step opens: a step v ≥ 0 on
@@ -375,11 +420,11 @@ class ExcursionTables:
             entry[first == v] = (self.pos if v >= 0 else self.neg).entries.index(abs(v))
         return entry
 
-    def stretches(self, u: np.ndarray, up: bool, entry: np.ndarray, cap: int
+    def stretches(self, u: np.ndarray, up: bool, entry: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """A block of stretches per trial, as in the module's General walks
         section, from uniforms ``u`` shaped (stretch, 2, trial): τ (int64)
-        clamped at ``cap``, the clamp hits and the √-tail draws, shaped
+        clamped at ``longest``, the clamp hits and the √-tail draws, shaped
         (stretch, trial), and the entry after the block.  Stretch 0 is
         positive if ``up`` and entered at ``entry``."""
         tau, tail, exits = (np.empty(u[:, 0].shape, t) for t in (float, bool, np.int64))
@@ -401,8 +446,8 @@ class ExcursionTables:
             for j in range(len(u)):
                 draw(j, sides[j % 2], entry)
                 entry = exits[j]
-        capped = tau > cap
-        return np.minimum(tau, cap, out=tau).astype(np.int64), capped, tail, exits[-1]
+        capped = tau > self.longest
+        return np.minimum(tau, self.longest, out=tau).astype(np.int64), capped, tail, exits[-1]
 
     def sample_tau(self, side: str, entry_idx: np.ndarray, u: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

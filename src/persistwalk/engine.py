@@ -28,14 +28,29 @@ step_cap and n_excursions is a whole number ≥ 1, each entry of a grid
 mode (``walk._is_strict``).  Both run kinds, the survival counts and the
 ξ pair runs, go through ``_run``.  In order, it applies the rule to
 trials and workers, refuses a seed that is not an integer (``rng._seed``,
-also OutOfRange), converts x, refuses x outside [0, 1) on every engine
-kind (``walk._ratio``, the check the oracle shares), resolves the engine
+also OutOfRange), converts x and refuses one that is no finite rational in
+[0, 1) on every engine kind (``walk._slope``, the one conversion the
+oracle, the curves and the q estimator share), resolves the engine
 kind (``ENGINE_KINDS``, the CLI's choices), refuses q·(p + q) ≥ 2^63 for
 the exact loops, builds the duration tables once before any fork, and runs
 the chunks, on a pool of one process per chunk.  The chunk entry points
 ``srw_excursion_first_violation``, ``_srw_xi_chunk`` and ``_table_xi_chunk``
 stay on that path, and ``stepped_first_violation`` stays beside it: the
 benchmark times each as a span.
+
+Duration sources
+----------------
+Both exact loops read stretch durations from one duration source, chosen
+once per run: ``durations.PassageLaw`` (the exact passage law, only on the
+simple walk) or ``durations.ExcursionTables`` (the duration tables of any
+walk).  Each has the same members, and the loops read only those: ``name``
+(the run's engine label), ``longest`` (the longest τ a draw returns),
+``n_table`` (past which a flagged draw was extrapolated: a table's √-tail;
+-1 on the passage law, whose cap hits always count), ``first_entries``,
+``stretches`` (a block of draws from (stretch, 2, trial) uniforms: τ, its
+capped and flagged draws, the entry after the block) and ``at_cap`` (the
+source at a ξ cap; the tables are their own).  The engine never asks which
+source it holds.
 
 Engines
 -------
@@ -60,9 +75,9 @@ violation time (t_max + 1 if none) and the crossings before it
 
     Consumption: one uniform for the first step (``steps_from_uniforms``;
     v ≥ 0 opens a positive stretch, at height 0 for v = 0), then two per
-    stretch (``_draw``): two unit passages of the exact passage law on the
-    simple walk, or τ and the exit entry from the duration tables on any
-    other walk.  The loop opens with ``_open``, as the ξ pair loop does: a
+    stretch (``_draw``), τ and the flagged draw from the duration source:
+    two unit passages on the passage law, or τ and the exit entry on the
+    tables.  The loop opens with ``_open``, as the ξ pair loop does: a
     negative start's stretch, from positions 1 and 2, ends it at s = 1
     (G_1 = −1 fails the barrier for every x in [0, 1)), its flag counted as
     a stretch's from t = 0.  The positive starts then run in lockstep.  A
@@ -71,10 +86,9 @@ violation time (t_max + 1 if none) and the crossings before it
     once: start times and heights are cumulative sums of τ, and a trial's
     stretches count (towards tstar, kstar, censored and the flagged draws)
     up to the first that ends it; the rest of its block is drawn and never
-    used.  A table τ is a float whose √-tail can pass 2^63; every τ is
-    clamped at min(t_max, step_cap) + 1, which decides what a longer τ
-    would, and a stretch longer
-    than step_cap ends its trial as a censored survivor unless the barrier
+    used.  A source returns τ up to its ``longest``; every τ is clamped at
+    min(t_max, step_cap) + 1, which decides what a longer τ would, and a
+    stretch longer than step_cap ends its trial as a censored survivor unless the barrier
     or the horizon came first.  A block is short enough that no start time
     in it reaches 2^62, so no cumulative sum wraps, past a trial's last
     stretch too.  Products with p or q are formed only of remainders, below
@@ -103,20 +117,19 @@ violation time (t_max + 1 if none) and the crossings before it
     carried as integers D = Σ τ⁺ - τ⁻ and S = Σ τ⁺ + τ⁻ with q·W = q·D - p·S,
     and its sign is exact for x in [0, 1) with q·(p + q) < 2^63; a larger
     q·(p + q) is refused.  A stretch is one draw from two uniforms, as in the
-    stretch loop (``_draw``), with a table τ clamped at the passage cap
-    ``dur.srw_tau_cap(cap_exp)`` and a clamp hit flagged as capped.  A
-    capped τ is a lower bound, so it leaves a trial undecided where it
-    opposes the final sign; a cap retry reruns the loop on the undecided
-    trials at cap_exp + 2r, on either source, and they get the uniforms they
-    had in the full batch.
+    stretch loop (``_draw``), with every τ clamped at the passage cap, the
+    ``longest`` of ``PassageLaw(cap_exp)``, and a clamp hit flagged as
+    capped.  A capped τ is a lower bound, so it leaves a trial undecided
+    where it opposes the final sign; a cap retry reruns the loop on the
+    undecided trials at cap_exp + 2r, on the source's ``at_cap``, and they
+    get the uniforms they had in the full batch.
     Consumption: one uniform for the first step, two for a leading negative
     stretch (drawn for its exit only, never paired), both in ``_open``, the
     opening the stretch loop shares; then two per stretch; retries alike.  A
     pass of the loop draws the 4·b stream positions of a block of
     b = max(1, ``_DRAWS`` // (4·trials)) pairs per trial in one ``_draw``,
     the block draw the stretch loop uses too, every trial positive-leading:
-    on the passage law one inversion, on the tables one
-    ``ExcursionTables.stretches``.  A chunk's trials, and each retry's, run
+    one ``stretches`` of the source.  A chunk's trials, and each retry's, run
     in tiles of at most ``_DRAWS`` // 4, so a pass draws at most ``_DRAWS``
     = 2^15 uniforms; neither block nor tile moves a trial's positions.
 """
@@ -132,11 +145,12 @@ from . import durations as dur
 from .errors import OutOfDomain
 from .increments import IncrementDistribution, preset, steps_from_uniforms
 from .rng import _seed, trial_keys, uniform_at
-from .walk import _grid, _is_strict, _ratio, _whole
+from .walk import _grid, _is_strict, _ratio, _slope, _whole
 
 _SENTINEL_STREAM = 1 << 61  # stream-id base for non-trial streams
 _NO_LIMIT = 1 << 62  # no horizon, stretch count or step cap; t stays below it
 _SIMPLE = preset("simple")
+_PASSAGE = dur.PassageLaw()  # the simple walk's durations at the default cap
 _XI_RETRIES = 3  # cap retries of the ξ pair loop
 _DRAWS = 1 << 15  # uniforms a pass of either loop draws, or 2 a live trial if more
 _LANES = 2048  # most walks the lane collector steps side by side
@@ -292,51 +306,44 @@ def _down_first_violation(g, t, p, q, strict):
     return np.maximum(sstar, t + 1)
 
 
-def _draw(tables, keys, at, k, up, entry, cap_exp, cap):
+def _draw(source, keys, at, k, up, entry):
     """A block of k stretches per trial from stream positions at .. at + 2k - 1
-    (``at`` one value for all trials or one per trial), two per stretch: τ
-    (int64), its capped and counted flags, shaped (stretch, trial), and the
-    entry after the block.  Stretch 0 is positive if ``up`` and entered at
-    ``entry``.  On the passage law (``tables`` None) a stretch is two unit
-    passages and both flags are the passage cap hits; on the tables the
-    block is ``tables.stretches``, τ clamped at ``cap``."""
+    (``at`` one value for all trials or one per trial), two per stretch, as
+    ``source.stretches`` draws them: τ (int64), its capped and flagged
+    draws, shaped (stretch, trial), and the entry after the block.  Stretch
+    0 is positive if ``up`` and entered at ``entry``."""
     u = uniform_at(keys, at + np.arange(2 * k, dtype=np.uint64)[:, None]).reshape(k, 2, -1)
-    if tables is None:
-        tau, capped = dur.srw_tau_from_uniform_pairs(u[:, 0], u[:, 1], cap_exp=cap_exp)
-        return tau, capped, capped, entry
-    return tables.stretches(u, up, entry, cap)
+    return source.stretches(u, up, entry)
 
 
-def _open(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
-          keys: np.ndarray, cap_exp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _open(dist: IncrementDistribution, source: dur.PassageLaw | dur.ExcursionTables,
+          keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every trial's first step, from stream position 0, and for the trials it
     takes below zero their leading negative stretch, from positions 1 and 2:
     the mask of those trials, every trial's entry into its first positive
-    stretch and the counted flags of the negative stretches."""
+    stretch and the flagged draws of the negative stretches."""
     first = steps_from_uniforms(dist, uniform_at(keys, np.zeros(keys.size, np.uint64)))
-    entry = np.zeros_like(first) if tables is None else tables.first_entries(first)
+    entry = source.first_entries(first)
     down = first < 0
-    _, _, flag, entry[down] = _draw(tables, keys[down], 1, 1, False, entry[down],
-                                    cap_exp, _NO_LIMIT)
+    _, _, flag, entry[down] = _draw(source, keys[down], 1, 1, False, entry[down])
     return down, entry, flag[0]
 
 
 def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
                mode: str, trial_offset: int, t_max: int, n_stretches: int, *,
-               tables: dur.ExcursionTables | None = None,
-               cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP,
+               source: dur.PassageLaw | dur.ExcursionTables = _PASSAGE,
                step_cap: int = _NO_LIMIT) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Both events on the passage law (``tables`` None) or on ``tables``:
-    (tstar, kstar, censored) as in the module docstring, and the flagged
-    draws: capped passage draws, or tail draws that could end before t_max.
-    The horizon t_max is at least 1.
+    """Both events on a duration source, the passage law or the tables of
+    ``dist``: (tstar, kstar, censored) as in the module docstring, and the
+    flagged draws: the passage cap hits, or the √-tail draws that could end
+    before t_max.  The horizon t_max is at least 1.
 
     ``_open`` settles the negative starts.  A pass then settles a block of
     b = max(1, _DRAWS // (2·live)) stretches per live trial, drawn by one
     ``_draw``; a trial's stretches count up to the first that ends it."""
     p, q = _exact_ratio(x, _STRETCH_REFUSAL)
     strict = _is_strict(mode)
-    longest = min(step_cap, dur.srw_tau_cap(cap_exp) if tables is None else _NO_LIMIT)
+    longest = min(step_cap, source.longest)
     reach = min(t_max + 1, n_stretches * (longest + 1))
     if reach >= _NO_LIMIT:  # bounds every t
         raise OutOfDomain("a horizon of 2^62 steps is beyond the stretch loop's "
@@ -352,10 +359,9 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
         return tstar, kstar, 0, 0
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
-    down, entry, flag = _open(dist, tables, keys, cap_exp)
+    down, entry, flag = _open(dist, source, keys)
     tstar[down], kstar[down] = 1, 0  # G_1 = -1 fails the barrier at s = 1
-    if tables is not None:
-        flag &= 0 < t_max - tables.n_table - 1  # the rule below, at start 0
+    flag &= 0 < t_max - source.n_table - 1  # the rule below, at start 0
     flagged = int(np.count_nonzero(flag))
     idx = np.flatnonzero(~down)
     keys, entry = keys[idx], entry[idx]
@@ -364,8 +370,7 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     stretch = 0  # every live trial's next stretch, positive when even
     while idx.size and stretch < n_stretches:
         b = min(max(1, _DRAWS // (2 * idx.size)), n_stretches - stretch, block_cap)
-        tau, _, flag, entry = _draw(tables, keys, 1 + 2 * stretch, b, stretch % 2 == 0,
-                                    entry, cap_exp, _NO_LIMIT)
+        tau, _, flag, entry = _draw(source, keys, 1 + 2 * stretch, b, stretch % 2 == 0, entry)
         np.minimum(tau, clamp, out=tau)
         ups = (np.arange(stretch, stretch + b) % 2 == 0)[:, None]
         # the stretches' start times and heights, from the moves before each
@@ -386,8 +391,7 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
         done = np.logical_or.accumulate(ends, axis=0)  # ended at stretch j or before
         ending = ends.copy()  # the stretch that ends the trial
         ending[1:] &= ~done[:-1]
-        if tables is not None:
-            flag &= start < t_max - tables.n_table - 1  # else τ > N decides nothing
+        flag &= start < t_max - source.n_table - 1  # else τ > N decides nothing
         flagged += int(np.count_nonzero(flag & (ending | ~done)))  # up to the ending one
         censored += int(np.count_nonzero(over & ending))
         jk, ck = np.nonzero(dead & ending)
@@ -462,14 +466,15 @@ def _w_negative(d, s, p, q):
     return d < p * s1 - (-(p * s0) // q)
 
 
-def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
-              keys: np.ndarray, n_pairs: int, p: int, q: int, cap_exp: int,
+def _xi_pairs(dist: IncrementDistribution, source: dur.PassageLaw | dur.ExcursionTables,
+              keys: np.ndarray, n_pairs: int, p: int, q: int, cap: int,
               record_ns: tuple[int, ...] = ()
               ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Exact W_m for m = 1 .. n_pairs, one trial per key: the final sign
-    mask, the mask of trials whose final sign a capped τ leaves undecided,
-    the number of counted draws and, per n in ``record_ns``, the counts of
-    trials with W_m ≥ 0 for every m ≤ n and of those with W_n < 0.
+    """Exact W_m for m = 1 .. n_pairs on a duration source, one trial per
+    key, every τ clamped at ``cap``: the final sign mask, the mask of trials
+    whose final sign a capped τ leaves undecided, the number of flagged
+    draws and, per n in ``record_ns``, the counts of trials with W_m ≥ 0
+    for every m ≤ n and of those with W_n < 0.
 
     ``_open`` takes the first step and a leading negative stretch's exit.  A
     pass then takes a block of b = max(1, _DRAWS // (4·trials)) pairs: one
@@ -477,8 +482,7 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     uniform, trial) so that each row over the trials is contiguous, and
     takes the block's 2·b stretches, every trial positive-leading.  W is
     then updated pair by pair."""
-    cap = dur.srw_tau_cap(cap_exp)
-    down, entry, _ = _open(dist, tables, keys, cap_exp)
+    down, entry, _ = _open(dist, source, keys)
     at = np.where(down, 3, 1).astype(np.uint64)  # past the leading negative stretch
     d, s = np.zeros((2, keys.size), dtype=np.int64)  # Σ τ⁺ - τ⁻ and Σ τ⁺ + τ⁻
     cap_pos, cap_neg = np.zeros((2, keys.size), dtype=bool)
@@ -488,9 +492,10 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     block = max(1, _DRAWS // (4 * max(1, keys.size)))
     for m0 in range(0, n_pairs, block):
         b = min(block, n_pairs - m0)
-        tau, capped, flag, entry = _draw(tables, keys, at + 4 * m0, 2 * b, True, entry,
-                                         cap_exp, cap)
+        tau, capped, flag, entry = _draw(source, keys, at + 4 * m0, 2 * b, True, entry)
         counted += int(np.count_nonzero(flag))
+        capped |= tau > cap
+        np.minimum(tau, cap, out=tau)
         tau, capped = tau.reshape(b, 2, -1), capped.reshape(b, 2, -1)
         for i in range(b):
             (tp, tm), (cp, cm) = tau[i], capped[i]
@@ -506,23 +511,25 @@ def _xi_pairs(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
     return neg, (neg & cap_pos) | (~neg & cap_neg), counted, counts
 
 
-def _xi_chunk(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
+def _xi_chunk(dist: IncrementDistribution, source: dur.PassageLaw | dur.ExcursionTables,
               x: Fraction, n_pairs: int, trials: int, seed: int,
               record_ns: tuple[int, ...], trial_offset: int,
               cap_exp: int = dur.DEFAULT_PASSAGE_CAP_EXP) -> XiRunResult:
-    """The pair loop on one chunk of trials on the passage law (``tables``
-    None) or on ``tables``, then the cap retries: retry r reruns it on the
-    undecided trials at cap_exp + 2r, with the uniforms they had before.
-    Each run goes over tiles of at most _DRAWS // 4 trials, so that no
-    pass draws more than _DRAWS uniforms."""
+    """The pair loop on one chunk of trials on a duration source, the
+    passage law or the tables of ``dist``, then the cap retries: run r
+    draws from ``source.at_cap(cap_exp + 2r)`` and clamps every τ at that
+    passage law's longest, on the undecided trials of the runs before it,
+    with the uniforms they had before.  Each run goes over tiles of at most
+    _DRAWS // 4 trials, so that no pass draws more than _DRAWS uniforms."""
     p, q = _exact_ratio(x, _XI_REFUSAL)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     tile = _DRAWS // 4
 
     def tiled(keys, cap_exp, record_ns=()):
-        parts = [_xi_pairs(dist, tables, keys[i:i + tile], n_pairs, p, q, cap_exp,
-                           record_ns) for i in range(0, max(1, keys.size), tile)]
+        at_cap, cap = source.at_cap(cap_exp), dur.PassageLaw(cap_exp).longest
+        parts = [_xi_pairs(dist, at_cap, keys[i:i + tile], n_pairs, p, q, cap, record_ns)
+                 for i in range(0, max(1, keys.size), tile)]
         neg, undecided, counted, counts = zip(*parts)
         return np.concatenate(neg), np.concatenate(undecided), sum(counted), sum(counts)
 
@@ -537,13 +544,12 @@ def _xi_chunk(dist: IncrementDistribution, tables: dur.ExcursionTables | None,
         record_ns=record_ns, trials=trials, alive_counts=alive_counts,
         neg_counts=neg_counts, decided=int(decided.sum()),
         negative_final=int((neg & decided).sum()), undecided=int(undecided.sum()),
-        capped_draws=counted, retries_used=retries,
-        engine="exact-excursion" if tables is None else "duration-table")
+        capped_draws=counted, retries_used=retries, engine=source.name)
 
 
 def _srw_xi_chunk(x: Fraction, n_pairs: int, trials: int, seed: int,
                   record_ns: tuple[int, ...], trial_offset: int) -> XiRunResult:
-    return _xi_chunk(_SIMPLE, None, x, n_pairs, trials, seed, record_ns,
+    return _xi_chunk(_SIMPLE, _PASSAGE, x, n_pairs, trials, seed, record_ns,
                      trial_offset)
 
 
@@ -625,11 +631,10 @@ def collect_duration_pairs(dist: IncrementDistribution, n_excursions: int,
     n_excursions, step_cap = _whole("n_excursions", n_excursions), _whole("step_cap", step_cap)
     if dist.is_simple:
         ids = np.arange(n_excursions, dtype=np.uint64) + np.uint64(_SENTINEL_STREAM)
-        (tau_p, tau_m), (cp, cm), _, _ = _draw(None, trial_keys(seed, ids), 0, 2, True,
-                                               None, dur.DEFAULT_PASSAGE_CAP_EXP, None)
-        info = {"engine": "exact-excursion", "censored_pos": int(cp.sum()),
-                "censored_neg": int(cm.sum()),
-                "cap": dur.srw_tau_cap(dur.DEFAULT_PASSAGE_CAP_EXP),
+        (tau_p, tau_m), (cp, cm), _, _ = _draw(_PASSAGE, trial_keys(seed, ids), 0, 2,
+                                               True, None)
+        info = {"engine": _PASSAGE.name, "censored_pos": int(cp.sum()),
+                "censored_neg": int(cm.sum()), "cap": _PASSAGE.longest,
                 "lanes": 0, "restarts": 0}
         return tau_p, tau_m, info
 
@@ -739,7 +744,7 @@ def _survival_worker(args, trials, offset):
     elif kind == "duration-table":
         tstar, kstar, capped, tail = _stretches(
             dist, x, trials, seed, mode, offset, t_max, n_stretches,
-            tables=dur.excursion_tables(dist), step_cap=step_cap)
+            source=dur.excursion_tables(dist), step_cap=step_cap)
     elif timed:  # in its own entry point, which the bench times as one span
         tstar, capped = srw_excursion_first_violation(x, t_max, trials, seed, mode=mode,
                                                       trial_offset=offset)
@@ -815,8 +820,7 @@ def _run(worker, dist: IncrementDistribution, x, seed, engine_kind: str,
     """
     trials, workers = _whole("trials", trials), _whole("workers", workers)
     seed = _seed(seed)
-    x = Fraction(x)
-    _ratio(x)
+    x = _slope(x)
     kind = pick_engine(dist, engine_kind)
     if kind != "stepped":
         _exact_ratio(x, _XI_REFUSAL if worker is _xi_worker else _STRETCH_REFUSAL)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import InsufficientTail, OutOfDomain, Unattainable
 from .increments import IncrementDistribution
 # trial_keys is never called here: the benchmark's tracer wraps it by this name
 from .rng import RandomStream, trial_keys, uniform_at
+from .walk import _slope
 
 
 def _check_domain(x: float, b: float) -> None:
@@ -268,7 +268,7 @@ def estimate_b_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int,
     horizon provides the estimate and the difference is reported (and folded
     into the stderr) as the finite-n drift allowance.
     """
-    x = Fraction(x)
+    x = _slope(x)
     q_short = estimate_q(dist, x, n, trials, seed, workers=workers)
     q_long = estimate_q(dist, x, 4 * n, trials, seed + 1, workers=workers)
     q_hat = q_long.q_hat

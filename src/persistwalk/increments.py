@@ -50,6 +50,14 @@ def _as_fraction(p, what: str = "probability") -> Fraction:
         raise BadProbabilities(f"cannot read {what} {p!r} as a rational") from exc
 
 
+def _integer(what: str, value, error: type = BadProbabilities) -> int:
+    """``value`` as an int if it is an integer of Python or numpy (a bool is
+    not), else ``error``: a float such as 2.0 or 2.5 is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class IncrementDistribution:
     """A validated finite-support zero-mean integer step law.
@@ -132,9 +140,7 @@ def validate(atoms: Iterable, name: str | None = None) -> IncrementDistribution:
             v_raw, p_raw = entry
         except (TypeError, ValueError) as exc:
             raise BadProbabilities(f"atom {entry!r} is not a (value, prob) pair") from exc
-        if isinstance(v_raw, bool) or not isinstance(v_raw, (int, np.integer)):
-            raise BadProbabilities(f"increment value {v_raw!r} is not an integer")
-        v = int(v_raw)
+        v = _integer("increment value", v_raw)
         if abs(v) > _I64_MAX:
             raise BadProbabilities(f"increment value {v} outside the 64-bit signed range")
         p = _as_fraction(p_raw)
@@ -163,12 +169,12 @@ def validate(atoms: Iterable, name: str | None = None) -> IncrementDistribution:
 def _negatives_with_weights(negatives: Sequence) -> list[tuple[int, Fraction]]:
     out = []
     for entry in negatives:
-        if isinstance(entry, (int, np.integer)):
-            v, w = int(entry), Fraction(1)
-        else:
-            v, w = entry
-            v = int(v)
-            w = _as_fraction(w, "weight")
+        try:
+            v, w = (entry, 1) if isinstance(entry, (int, np.integer)) else entry
+        except (TypeError, ValueError):
+            raise InfeasibleBalance(f"negative-side entry {entry!r} is neither an "
+                                    "integer nor a (value, weight) pair") from None
+        v, w = _integer("negative-side atom", v, InfeasibleBalance), _as_fraction(w, "weight")
         if v >= 0:
             raise InfeasibleBalance(f"negative-side atom {v} is not < 0")
         if w <= 0:
@@ -211,7 +217,7 @@ def preset(kind: str, **params) -> IncrementDistribution:
 
     if kind == "truncated-geometric":
         p = _as_fraction(params.pop("p"), "p")
-        cutoff = int(params.pop("cutoff"))
+        cutoff = _integer("cutoff", params.pop("cutoff"), InfeasibleBalance)
         neg = _negatives_with_weights(params.pop("negatives", [-1]))
         if params:
             raise InfeasibleBalance(f"unexpected params {sorted(params)}")

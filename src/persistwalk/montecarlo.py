@@ -28,7 +28,7 @@ from . import __version__, engine
 from .errors import HorizonOverflow, InsufficientData, OutOfRange
 from .increments import IncrementDistribution
 from .rng import _seed
-from .walk import _grid, _whole
+from .walk import _grid, _slope, _whole
 
 
 def geometric_grid(h_max: int, ratio: float = 2 ** 0.25, h_min: int = 1
@@ -131,7 +131,7 @@ def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
     simple walk and from the duration tables on any other walk;
     `engine_kind="stepped"` forces the step-by-step reference engine.
     """
-    x, t_max = Fraction(x), _whole("t_max", t_max)
+    x, t_max = _slope(x), _whole("t_max", t_max)
     if t_max < 2:
         raise OutOfRange(f"t_max={t_max} < 2")
     counts = engine.atilde_counts(dist, x, t_max, trials, seed,
@@ -164,7 +164,7 @@ def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
     then counts those capped draws.  `on_cap="raise"` turns any capped
     trial or draw into :class:`HorizonOverflow` instead.
     """
-    x = Fraction(x)
+    x = _slope(x)
     if on_cap not in ("count", "raise"):
         raise ValueError(f"on_cap must be 'count' or 'raise', not {on_cap!r}")
     counts = engine.a_counts(dist, x, k_max, trials, seed,

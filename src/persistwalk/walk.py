@@ -148,12 +148,22 @@ def _grid(name: str, grid, top: int | None) -> tuple[int, ...]:
     return hs
 
 
-def _ratio(x) -> tuple[int, int]:
-    """(p, q) of a barrier slope x = p/q; φ is built from √(1 - x), so any x
-    outside [0, 1) is refused with :class:`~.errors.OutOfDomain`."""
-    x = Fraction(x)
+def _slope(x) -> Fraction:
+    """A barrier slope x as an exact rational, the one conversion of every
+    entry point: φ is built from √(1 - x), so an x that is not a finite
+    rational in [0, 1) is refused with :class:`~.errors.OutOfDomain`."""
+    try:
+        x = Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):  # None, nan, inf, ...
+        raise OutOfDomain(f"x={x!r} is not a finite rational") from None
     if not 0 <= x < 1:
         raise OutOfDomain(f"x={x} outside [0, 1)")
+    return x
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) of a barrier slope x = p/q, refused as by :func:`_slope`."""
+    x = _slope(x)
     return x.numerator, x.denominator
 
 

@@ -454,6 +454,20 @@ def test_console_script_entry_point(tmp_path):
     assert "phi=" in res.stdout
 
 
+def test_code_lines_script(tmp_path):
+    # docstrings, comments and blank lines are not code; a line of any other
+    # string or inside brackets is
+    (tmp_path / "a.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nX = """two\nlines"""\n\n\n'
+        'def f(a,\n      b):  # trailing\n    """Doc."""\n    return (a +\n\n            b)\n')
+    (tmp_path / "b.py").write_text("class C:\n    'doc'\n    y = 1\n")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py"
+    res = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["6", "a.py", "2", "b.py", "8", "total"]
+
+
 def test_exponent_surface_script(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "exponent_surface.py"
     res = subprocess.run([sys.executable, str(script), "--x-points", "3",

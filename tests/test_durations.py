@@ -166,6 +166,33 @@ def test_tau_is_even_sum_of_two_passages():
     assert capped[0] and tau[0] > 1 << 40
 
 
+@pytest.mark.parametrize("make", [
+    lambda: durations.PassageLaw(), lambda: durations.PassageLaw(6),
+    lambda: durations.excursion_tables(preset("unit-up", negatives=[-2]))],
+    ids=["passage", "passage-cap-6", "unit-up-tables"])
+def test_duration_sources_share_one_draw_contract(make):
+    # the engine's exact loops read a source only through these members,
+    # from (stretch, 2, trial) uniforms; u = 2^-60 caps both passages, and
+    # on the tables takes a √-tail τ past 2^62, the tables' clamp
+    source = make()
+    u = RandomStream(403, 0).uniforms(5 * 2 * 64).reshape(5, 2, 64)
+    u[0, :, :4] = 2.0 ** -60
+    entry = source.first_entries(np.ones(64, dtype=np.int64))
+    tau, capped, flagged, after = source.stretches(u, True, entry)
+    assert tau.shape == capped.shape == flagged.shape == (5, 64)
+    assert after.shape == (64,)
+    assert tau.dtype == np.int64 and ((1 <= tau) & (tau <= source.longest)).all()
+    assert (tau[0, :4] == source.longest).all() and capped[0, :4].all()
+    if isinstance(source, durations.PassageLaw):
+        want = durations.srw_tau_from_uniform_pairs(u[:, 0], u[:, 1],
+                                                    cap_exp=source.cap_exp)
+        for got, w in zip((tau, capped, flagged), (*want, want[1])):
+            np.testing.assert_array_equal(got, w)
+        assert after is entry and source.at_cap(4) == durations.PassageLaw(4)
+    else:
+        assert source.at_cap(4) is source
+
+
 def test_halfexcursion_survival_small_values():
     surv = durations.srw_halfexcursion_survival(np.array([2, 4, 10]))
     assert abs(surv[0] - 3 / 4) < 1e-15          # 1 - P(T=1)^2

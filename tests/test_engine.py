@@ -327,13 +327,14 @@ def test_exact_excursion_int64_range(monkeypatch):
 CAP_EXP = durations.DEFAULT_PASSAGE_CAP_EXP
 
 
-def int_xi_replay(dist, tables, x, n_pairs, keys, cap_exp, record_ns=()):
+def int_xi_replay(dist, source, x, n_pairs, keys, cap_exp, record_ns=()):
     """One pass of the ξ pair loop with W summed in Python integers, from the
     draws at the stream positions the engine uses, at one cap: the alive and
     negative counts at record_ns, the final sign and the undecided mask.
-    τ is two unit passages (``tables`` None) or comes with the exit from
-    sample_tau and sample_exit at the slot τ landed on, clamped at
-    (4 << cap_exp) + 2."""
+    τ is two unit passages (``source`` the passage law) or comes with the
+    exit from the tables' sample_tau and sample_exit at the slot τ landed
+    on, clamped at (4 << cap_exp) + 2."""
+    tables = None if isinstance(source, durations.PassageLaw) else source
     p, q = x.numerator, x.denominator
     cap = (4 << cap_exp) + 2
 
@@ -375,18 +376,18 @@ def int_xi_replay(dist, tables, x, n_pairs, keys, cap_exp, record_ns=()):
     return alive_counts, neg_counts, neg, (neg & cap_pos) | (~neg & cap_neg)
 
 
-def int_xi_result(dist, tables, x, n_pairs, keys, cap_exp, record_ns):
+def int_xi_result(dist, source, x, n_pairs, keys, cap_exp, record_ns):
     """(alive_counts, neg_counts, negative_final, undecided, retries) of the
     ξ pair loop with its cap retries, from :func:`int_xi_replay`: retry r
     settles a trial left undecided by the rounds before it from its whole
     replay at cap_exp + 2r.  Every trial is replayed at every cap, and only
     the undecided ones take it."""
     alive_counts, neg_counts, neg, undecided = int_xi_replay(
-        dist, tables, x, n_pairs, keys, cap_exp, record_ns)
+        dist, source, x, n_pairs, keys, cap_exp, record_ns)
     retries = 0
     while undecided.any() and retries < 3:
         retries += 1
-        _, _, neg_r, undecided_r = int_xi_replay(dist, tables, x, n_pairs, keys,
+        _, _, neg_r, undecided_r = int_xi_replay(dist, source, x, n_pairs, keys,
                                                  cap_exp + 2 * retries)
         neg = np.where(undecided, neg_r, neg)
         undecided &= undecided_r
@@ -404,7 +405,7 @@ def test_srw_xi_w_is_exact(x):
     # (q ± p)·τ passed 2^63 for x = 1/3037000000 at seed 1 and flipped signs
     res = engine._srw_xi_chunk(x, 50, 2000, 1, (10, 50), 0)
     keys = trial_keys(1, np.arange(2000, dtype=np.uint64))
-    want = int_xi_result(SIMPLE, None, x, 50, keys, CAP_EXP, (10, 50))
+    want = int_xi_result(SIMPLE, durations.PassageLaw(), x, 50, keys, CAP_EXP, (10, 50))
     assert _xi_fields(res) == want
 
 
@@ -641,8 +642,8 @@ def test_engines_refuse_unknown_mode():
 def test_srw_xi_cap_retry_resolution():
     # a tiny passage cap forces many censored draws; retries must resolve
     # most final signs and what remains is flagged, not guessed
-    res = engine._xi_chunk(SIMPLE, None, Fraction(1, 2), 10, 4000, 571, (10,), 0,
-                           cap_exp=12)
+    res = engine._xi_chunk(SIMPLE, durations.PassageLaw(), Fraction(1, 2), 10, 4000, 571,
+                           (10,), 0, cap_exp=12)
     assert res.capped_draws > 0
     assert res.decided + res.undecided == 4000
     assert res.retries_used >= 1
@@ -657,14 +658,14 @@ def test_srw_xi_retry_matches_integer_replay():
     # most of them: on the passage law at cap_exp = 12, on the tables at
     # cap_exp = 6, where every τ past 258 steps is clamped
     x, n_pairs, seed = Fraction(1, 2), 10, 571
-    for dist, tables, trials, cap_exp in (
-            (SIMPLE, None, 4000, 12),
+    for dist, source, trials, cap_exp in (
+            (SIMPLE, durations.PassageLaw(), 4000, 12),
             (UNIT_UP, durations.excursion_tables(UNIT_UP), 2000, 6),
             (LAZY, durations.excursion_tables(LAZY), 2000, 6)):
         keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
-        want = int_xi_result(dist, tables, x, n_pairs, keys, cap_exp, (10,))
-        first_pass = int_xi_replay(dist, tables, x, n_pairs, keys, cap_exp)[3]
-        res = engine._xi_chunk(dist, tables, x, n_pairs, trials, seed, (10,), 0,
+        want = int_xi_result(dist, source, x, n_pairs, keys, cap_exp, (10,))
+        first_pass = int_xi_replay(dist, source, x, n_pairs, keys, cap_exp)[3]
+        res = engine._xi_chunk(dist, source, x, n_pairs, trials, seed, (10,), 0,
                                cap_exp)
         assert _xi_fields(res) == want
         assert first_pass.sum() > res.undecided > 0 and res.retries_used == 3
@@ -874,11 +875,13 @@ def test_exact_stretch_engines_pinned(x, mode):
 def test_exact_stretch_engines_pinned_with_caps():
     # a tiny passage cap makes capped draws common; their count is pinned too
     tstar, _, _, capped = engine._stretches(SIMPLE, Fraction(1, 2), 2000, 593, "strict",
-                                            77, 3000, engine._NO_LIMIT, cap_exp=6)
+                                            77, 3000, engine._NO_LIMIT,
+                                            source=durations.PassageLaw(6))
     assert capped > 0
     assert _digest(tstar, capped) == STRETCH_DIGESTS["time", "cap", "strict"]
     _, kstar, _, capped = engine._stretches(SIMPLE, Fraction(1, 2), 2000, 594, "weak",
-                                            77, engine._NO_LIMIT, 120, cap_exp=6)
+                                            77, engine._NO_LIMIT, 120,
+                                            source=durations.PassageLaw(6))
     assert capped > 0
     assert _digest(kstar // 2, capped) == STRETCH_DIGESTS["excursion", "cap", "weak"]
 
@@ -890,8 +893,8 @@ def test_srw_xi_chunk_pinned(x):
 
 
 def test_srw_xi_chunk_retry_pinned():
-    res = engine._xi_chunk(SIMPLE, None, Fraction(1, 2), 10, 4000, 571, (10,), 0,
-                           cap_exp=12)
+    res = engine._xi_chunk(SIMPLE, durations.PassageLaw(), Fraction(1, 2), 10, 4000, 571,
+                           (10,), 0, cap_exp=12)
     assert res.retries_used >= 1 and res.undecided > 0
     assert _xi_digest(res) == XI_DIGESTS["retry"]
 
@@ -1122,6 +1125,25 @@ def test_table_stretches_refuse_wrapping_inputs():
                         step_cap=2 ** 30)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, "abc", None, "1/0"],
+                         ids=repr)
+def test_every_entry_refuses_an_x_that_is_no_finite_rational(x):
+    # Fraction(x) ran before the range check: nan ended in ValueError, ±inf
+    # in OverflowError, "abc" and None in untyped errors
+    runs = (lambda: montecarlo.survival_atilde(SIMPLE, x, 10, 10, 1),
+            lambda: montecarlo.survival_a(UNIT_UP, x, 2, 10, 1),
+            lambda: engine.run_xi_trials(SIMPLE, x, 5, 10, 1),
+            lambda: engine.atilde_counts(UNIT_UP, x, 10, 10, 1, (5,)),
+            lambda: engine.a_counts(SIMPLE, x, 2, 10, 1, (1,)),
+            lambda: exponent.estimate_q(UNIT_UP, x, 5, 10, 1),
+            lambda: exponent.estimate_b_q(SIMPLE, x, 5, 10, 1),
+            lambda: oracle.exact_atilde(SIMPLE, x, 4),
+            lambda: oracle.exact_a(SIMPLE, x, 1, 4))
+    for run in runs:
+        with pytest.raises(OutOfDomain, match="not a finite rational"):
+            run()
+
+
 # digests of (violation time, stretch index, censored, tail draws) of the
 # stretch loop on the duration tables, both events, caps and tails included
 TABLE_STRETCH_DIGESTS = {
@@ -1136,9 +1158,9 @@ def test_table_stretches_pinned(name):
     dist = TABLE_WALKS[name]
     tables = durations.excursion_tables(dist)
     time_ = engine._stretches(dist, Fraction(1, 3), 2000, 661, "strict", 1234,
-                              3000, engine._NO_LIMIT, tables=tables)
+                              3000, engine._NO_LIMIT, source=tables)
     exc = engine._stretches(dist, Fraction(1, 3), 2000, 662, "weak", 1234,
-                            engine._NO_LIMIT, 120, tables=tables, step_cap=1000)
+                            engine._NO_LIMIT, 120, source=tables, step_cap=1000)
     assert exc[2] > 0 and exc[3] > 0
     assert _digest(*time_, *exc) == TABLE_STRETCH_DIGESTS[name]
 
@@ -1170,9 +1192,9 @@ def test_lattice_walk_runs_pinned(name):
     tables = durations.excursion_tables(dist)
     x = Fraction(1, 3)
     time_ = engine._stretches(dist, x, 2000, 663, "strict", 1234, 3000,
-                              engine._NO_LIMIT, tables=tables)
+                              engine._NO_LIMIT, source=tables)
     exc = engine._stretches(dist, x, 2000, 664, "weak", 1234, engine._NO_LIMIT,
-                            120, tables=tables, step_cap=1000)
+                            120, source=tables, step_cap=1000)
     assert exc[2] > 0 and exc[3] > 0
     xi = engine._xi_chunk(dist, tables, x, 30, 2000, 665, (10, 30), 321)
     retried = engine._xi_chunk(dist, tables, x, 30, 2000, 665, (10, 30), 321, 6)
@@ -1193,15 +1215,15 @@ def test_xi_blocks_and_tiles_keep_every_count(monkeypatch, name, dist, cap_exp):
     # negative side on lazy and tg, and ±1, ±2 draws stretch by stretch.  At
     # cap_exp = 6 table τ are clamped and the cap retries run.
     x, n_pairs, trials, seed, record_ns = Fraction(1, 3), 10, 17, 597, (1, 3, 4, 10)
-    tables = (None if dist.is_simple else
+    source = (durations.PassageLaw() if dist.is_simple else
               durations.excursion_tables(dist, 2 ** 11) if dist is PM12 else
               durations.excursion_tables(dist))
     keys = trial_keys(seed, np.arange(trials, dtype=np.uint64))
-    want = int_xi_result(dist, tables, x, n_pairs, keys, cap_exp, record_ns)
+    want = int_xi_result(dist, source, x, n_pairs, keys, cap_exp, record_ns)
     runs = []
     for draws in (4, 12 * trials, 28, engine._DRAWS):
         monkeypatch.setattr(engine, "_DRAWS", draws)
-        res = engine._xi_chunk(dist, tables, x, n_pairs, trials, seed, record_ns, 0,
+        res = engine._xi_chunk(dist, source, x, n_pairs, trials, seed, record_ns, 0,
                                cap_exp)
         assert _xi_fields(res) == want
         runs.append([np.asarray(getattr(res, f.name)).tolist() for f in fields(res)])
@@ -1237,14 +1259,14 @@ def test_stretch_blocks_keep_every_count(monkeypatch, name, dist):
     # so its last block is partial, and at a cap of 20 steps it censors; the
     # third run has a horizon, a stretch limit and a cap; then the edges
     trials = 300
-    tables = (None if dist.is_simple else
+    source = (durations.PassageLaw() if dist.is_simple else
               durations.excursion_tables(dist, 2 ** 11) if dist is PM12 else
               durations.excursion_tables(dist))
     runs = {}
     for draws in (2, 6 * trials, engine._DRAWS):
         monkeypatch.setattr(engine, "_DRAWS", draws)
         runs[draws] = [engine._stretches(dist, Fraction(1, 3), trials, 598, mode, 0,
-                                         t_max, n_stretches, tables=tables,
+                                         t_max, n_stretches, source=source,
                                          step_cap=step_cap)
                        for mode in ("strict", "weak")
                        for t_max, n_stretches, step_cap in (
@@ -1289,14 +1311,14 @@ def test_stretch_block_sums_never_wrap(monkeypatch):
     tables = durations.excursion_tables(UNIT_UP)
     runs = (lambda: engine._stretches(UNIT_UP, Fraction(1, 3), 300, 599, "weak", 0,
                                       engine._NO_LIMIT - 2, engine._NO_LIMIT,
-                                      tables=tables),
+                                      source=tables),
             lambda: engine._stretches(UNIT_UP, Fraction(1, 3), 300, 599, "weak", 0,
-                                      engine._NO_LIMIT, 10, tables=tables,
+                                      engine._NO_LIMIT, 10, source=tables,
                                       step_cap=2 ** 58),
             lambda: engine._stretches(SIMPLE, X_WIDE[0], 20_000, 5, "weak", 0,
                                       engine._NO_LIMIT, 400),
             lambda: engine._stretches(UNIT_UP, Fraction(1, 3), 300, 599, "strict", 0,
-                                      2 ** 60, engine._NO_LIMIT, tables=tables))
+                                      2 ** 60, engine._NO_LIMIT, source=tables))
     default = engine._DRAWS
     results = []
     for i, run in enumerate(runs):

@@ -58,6 +58,21 @@ def test_unit_up_infeasible_balance():
         increments.preset("unit-up", negatives=[])
 
 
+def test_presets_refuse_non_integer_values():
+    # a float value was truncated without a word: (-2.5, 1) built
+    # unit-up(-2) and cutoff 2.7 a cutoff of 2; a bare -2.0 ended in an
+    # untyped TypeError.  They meet validate's integer rule instead
+    for params in (dict(negatives=[(-2.5, 1)]), dict(negatives=[-2.0]),
+                   dict(negatives=[(-2.0, 1)]), dict(negatives=[True])):
+        with pytest.raises(InfeasibleBalance, match="integer"):
+            increments.preset("unit-up", **params)
+    with pytest.raises(InfeasibleBalance, match="cutoff 2.7 is not an integer"):
+        increments.preset("truncated-geometric", p="1/2", cutoff=2.7)
+    assert (increments.preset("unit-up", negatives=[(np.int64(-2), 1)]).atoms
+            == increments.preset("unit-up", negatives=[-2]).atoms)
+    assert increments.preset("truncated-geometric", p="1/2", cutoff=np.int32(3)).max_step == 3
+
+
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4,
                 unique=True),
        st.lists(st.integers(min_value=-9, max_value=-1), min_size=1,
