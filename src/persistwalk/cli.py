@@ -23,17 +23,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, engine, montecarlo, oracle, reproduce, stable, svg, walk
+from . import __version__, montecarlo, oracle, reproduce, stable, svg, walk
 from .errors import PersistWalkError
 from .exponent import estimate_b, model
 from .increments import parse_dist_spec, parse_rational
 from .rng import RandomStream
 
 _SEED_ENV = "PERSIST_WALK_SEED"
-
-
-def _env_seed() -> int:
-    return int(os.environ.get(_SEED_ENV, "0"))
 
 
 def _g(v: float) -> str:
@@ -45,16 +41,15 @@ def _add_common(sp, *, trials_default=100_000):
                     help="preset name, inline JSON, or config file path")
     sp.add_argument("--x", default="0", help="barrier slope as a rational p/q")
     sp.add_argument("--trials", type=int, default=trials_default)
-    sp.add_argument("--seed", type=int, default=_env_seed(),
-                    help=f"run seed (default ${_SEED_ENV} or 0)")
+    _add_seed(sp)
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--engine", default="auto",
-                    choices=engine.ENGINE_KINDS,
-                    help="simulation engine: auto runs exact stretches, on the "
-                    "passage law for the simple walk and on the duration "
-                    "tables (table, on any walk) for any other walk; stepped "
-                    "is the step-by-step reference for the barrier events "
-                    "only (estimate-atilde, estimate-a)")
+
+
+def _add_seed(sp):
+    # argparse parses a string default with ``type`` only when --seed is
+    # absent, so a bad $PERSIST_WALK_SEED is a usage error of that run alone
+    sp.add_argument("--seed", type=int, default=os.environ.get(_SEED_ENV, "0"),
+                    help=f"run seed (default ${_SEED_ENV} or 0)")
 
 
 def _add_curve_out(sp):
@@ -124,8 +119,7 @@ def _cmd_estimate_atilde(args) -> int:
     x = parse_rational(args.x)
     curve = montecarlo.survival_atilde(
         dist, x, args.t_max, args.trials, args.seed,
-        grid_ratio=args.grid_ratio, mode=args.mode,
-        engine_kind=args.engine, workers=args.workers)
+        grid_ratio=args.grid_ratio, mode=args.mode, workers=args.workers)
     if args.dump_path:
         path = walk.simulate_path(dist, args.t_max, RandomStream(args.seed))
         with open(args.dump_path, "w") as fh:
@@ -141,8 +135,7 @@ def _cmd_estimate_a(args) -> int:
     x = parse_rational(args.x)
     curve = montecarlo.survival_a(
         dist, x, args.k_max, args.trials, args.seed,
-        grid_ratio=args.grid_ratio, mode=args.mode,
-        engine_kind=args.engine, step_cap=args.step_cap,
+        grid_ratio=args.grid_ratio, mode=args.mode, step_cap=args.step_cap,
         on_cap=args.on_cap, workers=args.workers)
     _emit_curve(args, curve, f"P(excursion event, slope {x})")
     return 0
@@ -172,8 +165,7 @@ def _cmd_diagnose_skew(args) -> int:
     x = parse_rational(args.x)
     n_grid = tuple(int(tok) for tok in args.n_grid.split(",") if tok)
     diag = montecarlo.skew_diagnostic(
-        dist, x, n_grid, args.trials, args.seed,
-        engine_kind=args.engine, workers=args.workers,
+        dist, x, n_grid, args.trials, args.seed, workers=args.workers,
         printed_sign=args.printed_sign)
     for i, n in enumerate(diag.n_grid):
         print(f"n={n}: D={diag.d[i]:.4f} +- {diag.d_err[i]:.4f} "
@@ -271,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa", type=float, required=True)
     sp.add_argument("--scale", type=float, default=1.0)
     sp.add_argument("--n", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=_env_seed())
+    _add_seed(sp)
     sp.add_argument("--summary", action="store_true",
                     help="print quantiles and sign fraction instead of draws")
     sp.add_argument("--out", help="write draws to a file (one per line)")
@@ -303,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("estimate-b", help="estimate the relative asymmetry b")
     sp.add_argument("--dist", required=True)
     sp.add_argument("--method", required=True, choices=("tail", "q"))
-    sp.add_argument("--seed", type=int, default=_env_seed())
+    _add_seed(sp)
     sp.add_argument("--excursions", type=int,
                     help="duration pairs, ≥ 1 (tail method; default 50000)")
     sp.add_argument("--step-cap", type=int, dest="step_cap",

@@ -92,6 +92,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import OutOfRange
 from .increments import IncrementDistribution
 from .walk import _whole
 
@@ -223,18 +224,21 @@ class PassageLaw:
 
 
 def srw_halfexcursion_survival(n) -> np.ndarray:
-    """Exact P(τ > n) for the simple walk (n within the table range).
+    """Exact P(τ > n) for the simple walk, 1.0 for n < 2; an n that is nan,
+    infinite or past the table range is refused with :class:`OutOfRange`.
 
     τ = T + T' with the unit-passage law above; computed by convolving the
     exact pmf, for use as a reference curve in tests and diagnostics.
     """
-    n = np.asarray(n, dtype=np.int64)
-    nmax = int(n.max())
     q = _q_table()
-    if nmax // 2 + 2 >= len(q):
-        raise ValueError("n beyond the exact table range")
+    top = 2 * len(q) - 5  # the largest n with q_{⌊n/2⌋ + 1} in the table
+    n = np.asarray(n)
+    ok = np.isfinite(n) & (n <= top)
+    if not ok.all():
+        raise OutOfRange(f"n={n[~ok].flat[0]} must be finite and at most {top}")
+    n = n.astype(np.int64)
     # pmf of T at odd arguments: P(T = 2j+1) = q_j - q_{j+1}
-    jmax = nmax // 2 + 1
+    jmax = max(int(n.max()), 0) // 2 + 1
     pmf_t = q[:jmax + 1] - q[1:jmax + 2]
     # τ = T + T' is even; P(τ = 2m+2) = Σ_j pmf_t[j]·pmf_t[m-j]
     pmf_tau = np.convolve(pmf_t, pmf_t)[:jmax + 1]

@@ -29,14 +29,14 @@ mode (``walk._is_strict``).  Both run kinds, the survival counts and the
 ξ pair runs, go through ``_run``.  In order, it applies the rule to
 trials and workers, refuses a seed that is not an integer (``rng._seed``,
 also OutOfRange), converts x and refuses one that is no finite rational in
-[0, 1) on every engine kind (``walk._slope``, the one conversion the
-oracle, the curves and the q estimator share), resolves the engine
-kind (``ENGINE_KINDS``, the CLI's choices), refuses q·(p + q) ≥ 2^63 for
-the exact loops, builds the duration tables once before any fork, and runs
-the chunks, on a pool of one process per chunk.  The chunk entry points
-``srw_excursion_first_violation``, ``_srw_xi_chunk`` and ``_table_xi_chunk``
-stay on that path, and ``stepped_first_violation`` stays beside it: the
-benchmark times each as a span.
+[0, 1) (``walk._slope``, the one conversion the oracle, the curves and the
+q estimator share) or has q·(p + q) ≥ 2^63 (``_exact_ratio``, OutOfDomain),
+builds the duration tables once before any fork, and runs the chunks, on a
+pool of one process per chunk.  The walk picks the duration source: the
+passage law on the simple walk, the tables on any other.  The chunk entry
+points ``srw_excursion_first_violation``, ``_srw_xi_chunk`` and
+``_table_xi_chunk`` stay on that path, and ``stepped_first_violation``
+stays beside it: the benchmark times each as a span.
 
 Duration sources
 ----------------
@@ -98,9 +98,9 @@ violation time (t_max + 1 if none) and the crossings before it
     :class:`~.errors.OutOfDomain`.
 
 ``_stepped``
-    The stepped reference the tests compare the stretch loop against,
-    selected only by ``engine_kind="stepped"`` (``stepped_first_violation``
-    wraps it for the time event).  One vector pass advances every
+    The stepped reference the tests compare the stretch loop against; no
+    run of the package takes it (``stepped_first_violation`` wraps it for
+    the time event).  One vector pass advances every
     live trial by a block of min(64, max(1, trials // live)) steps, never
     past t_max, so a pass holds at most ``trials`` elements.  The block
     comes from ``_step_block``, the one block stepper, as positions, carried
@@ -263,19 +263,15 @@ def stepped_first_violation(dist: IncrementDistribution, x: Fraction, t_max: int
 # the exact stretch loop (any walk)
 # ---------------------------------------------------------------------------
 
-_STRETCH_REFUSAL = ("the stretch engines; the stepped reference "
-                    "(--engine stepped) accepts it")
-_XI_REFUSAL = "the ξ pair runs, which have no stepped engine"
-
-
-def _exact_ratio(x: Fraction, where: str) -> tuple[int, int]:
-    """(p, q) of x, refused as by ``_ratio`` and where the exact engines'
+def _exact_ratio(x: Fraction) -> tuple[int, int]:
+    """(p, q) of x, refused as by ``_ratio`` and where the exact loops'
     int64 products could wrap: they form p·b₀ with b₀ < q and q·a₀ with
-    a₀ < p + q, both below q·(p + q).  ``where`` names the engine."""
+    a₀ < p + q, both below q·(p + q)."""
     p, q = _ratio(x)
     if q * (p + q) >= 1 << 63:
-        raise OutOfDomain(f"x={x}: q·(p+q) ≥ 2^63 is beyond exact int64 "
-                          f"arithmetic in {where}")
+        raise OutOfDomain(f"x={x}: q·(p+q) ≥ 2^63 is beyond the Monte Carlo "
+                          "loops' exact int64 arithmetic; the rational DP "
+                          "(oracle-dp) takes it")
     return p, q
 
 
@@ -341,7 +337,7 @@ def _stretches(dist: IncrementDistribution, x: Fraction, trials: int, seed: int,
     ``_open`` settles the negative starts.  A pass then settles a block of
     b = max(1, _DRAWS // (2·live)) stretches per live trial, drawn by one
     ``_draw``; a trial's stretches count up to the first that ends it."""
-    p, q = _exact_ratio(x, _STRETCH_REFUSAL)
+    p, q = _exact_ratio(x)
     strict = _is_strict(mode)
     longest = min(step_cap, source.longest)
     reach = min(t_max + 1, n_stretches * (longest + 1))
@@ -521,7 +517,7 @@ def _xi_chunk(dist: IncrementDistribution, source: dur.PassageLaw | dur.Excursio
     passage law's longest, on the undecided trials of the runs before it,
     with the uniforms they had before.  Each run goes over tiles of at most
     _DRAWS // 4 trials, so that no pass draws more than _DRAWS uniforms."""
-    p, q = _exact_ratio(x, _XI_REFUSAL)
+    p, q = _exact_ratio(x)
     keys = trial_keys(seed, np.arange(trial_offset, trial_offset + trials,
                                       dtype=np.uint64))
     tile = _DRAWS // 4
@@ -562,21 +558,20 @@ def _table_xi_chunk(dist: IncrementDistribution, x: Fraction, n_pairs: int,
 
 def run_xi_trials(dist: IncrementDistribution, x: Fraction, n: int, trials: int,
                   seed: int, *, record_ns: tuple[int, ...] | None = None,
-                  engine_kind: str = "auto", workers: int = 1) -> XiRunResult:
+                  workers: int = 1) -> XiRunResult:
     """Simulate `trials` excursion-pair sequences of length n.
 
-    Returns merged counts; bit-identical for any `workers` split.  Stepped
-    is for the barrier events only: ``engine_kind="stepped"`` is refused.
+    Returns merged counts; bit-identical for any `workers` split.
     """
     n = _whole("n", n)
     record_ns = _grid("record_ns", (n,) if record_ns is None else record_ns, n)
-    return XiRunResult.merge(_run(_xi_worker, dist, x, seed, engine_kind, trials,
-                                  workers, n, record_ns))
+    return XiRunResult.merge(_run(_xi_worker, dist, x, seed, trials, workers, n,
+                                  record_ns))
 
 
 def _xi_worker(args, trials, offset):
-    dist, x, seed, n, record_ns, kind = args
-    if kind == "exact-excursion":
+    dist, x, seed, n, record_ns = args
+    if dist.is_simple:
         return _srw_xi_chunk(x, n, trials, seed, record_ns, offset)
     return _table_xi_chunk(dist, x, n, trials, seed, record_ns, offset)
 
@@ -735,70 +730,53 @@ def _survival_worker(args, trials, offset):
     """Survivors of one chunk over the grid.  The event is set by its
     limits: (t_max, _NO_LIMIT) is the time event, (_NO_LIMIT, 2·k_max) the
     excursion event."""
-    dist, x, seed, t_max, n_stretches, grid, mode, step_cap, kind = args
+    dist, x, seed, t_max, n_stretches, grid, mode, step_cap = args
     timed = n_stretches == _NO_LIMIT
+    source = _PASSAGE if dist.is_simple else dur.excursion_tables(dist)
     tail = 0
-    if kind == "stepped":
-        tstar, kstar, capped = _stepped(dist, x, trials, seed, mode, offset, t_max,
-                                        n_stretches, step_cap)
-    elif kind == "duration-table":
-        tstar, kstar, capped, tail = _stretches(
-            dist, x, trials, seed, mode, offset, t_max, n_stretches,
-            source=dur.excursion_tables(dist), step_cap=step_cap)
+    if not dist.is_simple:
+        tstar, kstar, capped, tail = _stretches(dist, x, trials, seed, mode, offset,
+                                                t_max, n_stretches, source=source,
+                                                step_cap=step_cap)
     elif timed:  # in its own entry point, which the bench times as one span
         tstar, capped = srw_excursion_first_violation(x, t_max, trials, seed, mode=mode,
                                                       trial_offset=offset)
-    else:
+    else:  # the passage law ignores step_cap; its cap hits are the capped count
         tstar, kstar, _, capped = _stretches(_SIMPLE, x, trials, seed, mode, offset,
                                              t_max, n_stretches)
     # survivors: violation times past t, or at least k complete excursions
     survivors = (_counts_from_times(tstar, grid) if timed else
                  _counts_from_times(kstar // 2, tuple(k - 1 for k in grid)))
     return SurvivalCounts(grid=grid, trials=trials, survivors=survivors,
-                          capped=capped, engine=kind, tail_draws=tail)
+                          capped=capped, engine=source.name, tail_draws=tail)
 
 
 def atilde_counts(dist: IncrementDistribution, x: Fraction, t_max: int,
                   trials: int, seed: int, grid: tuple[int, ...], *,
-                  mode: str = "strict", engine_kind: str = "auto",
-                  workers: int = 1) -> SurvivalCounts:
+                  mode: str = "strict", workers: int = 1) -> SurvivalCounts:
     """Time-event survivors at each horizon of ``grid``, one in 1..t_max."""
     t_max = _whole("t_max", t_max)
     _is_strict(mode)
-    return SurvivalCounts.merge(_run(_survival_worker, dist, x, seed, engine_kind,
-                                     trials, workers, t_max, _NO_LIMIT,
-                                     _grid("grid", grid, t_max), mode, _NO_LIMIT))
+    return SurvivalCounts.merge(_run(_survival_worker, dist, x, seed, trials, workers,
+                                     t_max, _NO_LIMIT, _grid("grid", grid, t_max),
+                                     mode, _NO_LIMIT))
 
 
 def a_counts(dist: IncrementDistribution, x: Fraction, k_max: int,
              trials: int, seed: int, grid: tuple[int, ...], *,
-             mode: str = "weak", engine_kind: str = "auto",
-             step_cap: int = 10 ** 9, workers: int = 1) -> SurvivalCounts:
+             mode: str = "weak", step_cap: int = 10 ** 9,
+             workers: int = 1) -> SurvivalCounts:
     """Excursion-event survivors at each horizon of ``grid``, one in 1..k_max."""
     k_max = _whole("k_max", k_max)
     _is_strict(mode)
     grid, step_cap = _grid("grid", grid, k_max), _whole("step_cap", step_cap)
-    return SurvivalCounts.merge(_run(_survival_worker, dist, x, seed, engine_kind,
-                                     trials, workers, _NO_LIMIT, 2 * k_max, grid,
-                                     mode, step_cap))
+    return SurvivalCounts.merge(_run(_survival_worker, dist, x, seed, trials, workers,
+                                     _NO_LIMIT, 2 * k_max, grid, mode, step_cap))
 
 
 # ---------------------------------------------------------------------------
-# the front door: every run of either kind, on every engine
+# the front door: every run of either kind, on the walk's duration source
 # ---------------------------------------------------------------------------
-
-ENGINE_KINDS = ("auto", "table", "stepped")
-
-
-def pick_engine(dist: IncrementDistribution, engine_kind: str = "auto") -> str:
-    """The engine that ``engine_kind``, one of :data:`ENGINE_KINDS`, runs on
-    ``dist``: auto is the passage law on the simple walk, else the tables."""
-    if engine_kind not in ENGINE_KINDS:
-        raise ValueError(f"unknown engine kind: {engine_kind!r}")
-    if engine_kind == "auto":
-        return "exact-excursion" if dist.is_simple else "duration-table"
-    return "duration-table" if engine_kind == "table" else "stepped"
-
 
 def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous (offset, count) chunks covering range(trials), one per
@@ -810,9 +788,9 @@ def chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(a, b - a) for a, b in zip(starts, starts[1:])]
 
 
-def _run(worker, dist: IncrementDistribution, x, seed, engine_kind: str,
-         trials: int, workers: int, *args) -> list:
-    """worker((dist, x, seed, *args, kind), count, offset) over contiguous
+def _run(worker, dist: IncrementDistribution, x, seed, trials: int, workers: int,
+         *args) -> list:
+    """worker((dist, x, seed, *args), count, offset) over contiguous
     chunks, serial or pooled, once the checks in the module docstring pass.
 
     Stream keys depend only on the global trial index, so the merged
@@ -821,15 +799,10 @@ def _run(worker, dist: IncrementDistribution, x, seed, engine_kind: str,
     trials, workers = _whole("trials", trials), _whole("workers", workers)
     seed = _seed(seed)
     x = _slope(x)
-    kind = pick_engine(dist, engine_kind)
-    if kind != "stepped":
-        _exact_ratio(x, _XI_REFUSAL if worker is _xi_worker else _STRETCH_REFUSAL)
-    elif worker is _xi_worker:
-        raise ValueError("the ξ pair runs have no stepped engine; "
-                         "stepped is for the barrier events only")
-    if kind == "duration-table":
+    _exact_ratio(x)
+    if not dist.is_simple:
         dur.excursion_tables(dist)  # build once before any fork
-    args = (dist, x, seed, *args, kind)
+    args = (dist, x, seed, *args)
     bounds = chunk_bounds(trials, workers)
     if len(bounds) == 1:
         return [worker(args, cnt, off) for off, cnt in bounds]

@@ -121,23 +121,20 @@ def _curve_config(command: str, dist: IncrementDistribution, x: Fraction,
 
 def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
                     seed: int, *, grid_ratio: float = 2 ** 0.25,
-                    grid=None, mode: str = "strict", engine_kind: str = "auto",
-                    workers: int = 1) -> SurvivalCurve:
+                    grid=None, mode: str = "strict", workers: int = 1) -> SurvivalCurve:
     """Survival curve of the time event up to t_max.
 
     Each trial runs to its first violation (or t_max); survivors at horizon
-    t are the trials with violation time > t.  The default engine advances
-    whole stretches, with durations from the exact passage-time law on the
-    simple walk and from the duration tables on any other walk;
-    `engine_kind="stepped"` forces the step-by-step reference engine.
+    t are the trials with violation time > t.  The engine advances whole
+    stretches, with durations from the exact passage-time law on the simple
+    walk and from the duration tables on any other walk.
     """
     x, t_max = _slope(x), _whole("t_max", t_max)
     if t_max < 2:
         raise OutOfRange(f"t_max={t_max} < 2")
     counts = engine.atilde_counts(dist, x, t_max, trials, seed,
                                   geometric_grid(t_max, grid_ratio) if grid is None
-                                  else grid, mode=mode, engine_kind=engine_kind,
-                                  workers=workers)
+                                  else grid, mode=mode, workers=workers)
     cfg = _curve_config("estimate-atilde", dist, x, t_max=t_max, trials=trials,
                         seed=seed, grid_ratio=grid_ratio, mode=mode,
                         engine=counts.engine, workers=workers)
@@ -149,8 +146,7 @@ def survival_atilde(dist: IncrementDistribution, x, t_max: int, trials: int,
 
 def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
                seed: int, *, grid_ratio: float = 2 ** 0.25, grid=None,
-               mode: str = "weak", engine_kind: str = "auto",
-               step_cap: int = 10 ** 9, on_cap: str = "count",
+               mode: str = "weak", step_cap: int = 10 ** 9, on_cap: str = "count",
                workers: int = 1) -> SurvivalCurve:
     """Survival curve of the excursion event up to k_max excursions.
 
@@ -158,19 +154,19 @@ def survival_a(dist: IncrementDistribution, x, k_max: int, trials: int,
     one step past it, leaves the trial's outcome unknown; such trials are
     counted as survivors at every horizon (an upward bias of at most
     capped/trials) and the count is carried on the curve.  The cap applies
-    to the duration tables (the default on every walk but the simple one)
-    and to the stepped reference.  On the simple walk the exact passage law
-    ignores it and caps a unit passage at 2^40 + 1 steps instead; `capped`
-    then counts those capped draws.  `on_cap="raise"` turns any capped
-    trial or draw into :class:`HorizonOverflow` instead.
+    to the duration tables, which run every walk but the simple one.  On
+    the simple walk the exact passage law ignores it and caps a unit
+    passage at 2^40 + 1 steps instead; `capped` then counts those capped
+    draws.  `on_cap="raise"` turns any capped trial or draw into
+    :class:`HorizonOverflow` instead.
     """
     x = _slope(x)
     if on_cap not in ("count", "raise"):
         raise ValueError(f"on_cap must be 'count' or 'raise', not {on_cap!r}")
     counts = engine.a_counts(dist, x, k_max, trials, seed,
                              geometric_grid(k_max, grid_ratio) if grid is None
-                             else grid, mode=mode, engine_kind=engine_kind,
-                             step_cap=step_cap, workers=workers)
+                             else grid, mode=mode, step_cap=step_cap,
+                             workers=workers)
     if counts.capped and on_cap == "raise":
         raise HorizonOverflow(
             f"{counts.capped} of {trials} trials exceeded {step_cap} steps "
@@ -302,7 +298,7 @@ def _skew_from_counts(n_grid, alive, neg, trials, printed_sign) -> SkewDiagnosti
 
 
 def skew_diagnostic(dist: IncrementDistribution, x, n_grid, trials: int,
-                    seed: int, *, engine_kind: str = "auto", workers: int = 1,
+                    seed: int, *, workers: int = 1,
                     printed_sign: bool = False) -> SkewDiagnostic:
     """Estimate the power-skew defect D_n of the walk's ξ sequence.
 
@@ -315,7 +311,7 @@ def skew_diagnostic(dist: IncrementDistribution, x, n_grid, trials: int,
     if n_grid[0] < 2:
         raise OutOfRange("n_grid entries must be >= 2")
     res = engine.run_xi_trials(dist, x, n_grid[-1], trials, seed, record_ns=n_grid,
-                               engine_kind=engine_kind, workers=workers)
+                               workers=workers)
     if res.alive_counts[-1] < 30:
         raise InsufficientData(
             f"only {int(res.alive_counts[-1])} of {trials} trials survive to "

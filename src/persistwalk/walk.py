@@ -196,8 +196,9 @@ class XiSequence:
 
 
 def xi_sequence(dec: ExcursionDecomposition, x) -> XiSequence:
-    """Pair the stretches of a decomposition into ξ values (exact rationals)."""
-    x = Fraction(x)
+    """Pair the stretches of a decomposition into ξ values (exact rationals);
+    x is converted, or refused, by :func:`_slope`."""
+    x = _slope(x)
     if dec.complete_excursions < 1:
         raise ValueError("decomposition has no complete excursion")
     if dec.first_stretch_sign == -1:

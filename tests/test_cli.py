@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import persistwalk
-from persistwalk import cli, montecarlo as mc
+from persistwalk import cli, engine, montecarlo as mc
 from persistwalk.exponent import phi
+from persistwalk.increments import preset
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +205,50 @@ def test_env_seed_default(monkeypatch, capsys):
     assert envd != default
 
 
+@pytest.mark.parametrize("bad", ["abc", "1.5"])
+def test_unusable_env_seed_fails_only_the_runs_that_read_it(monkeypatch, capsys, bad):
+    # the variable was read while the parser was built, so every subcommand,
+    # --version and phi too, ended in a traceback
+    monkeypatch.setenv("PERSIST_WALK_SEED", bad)
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["--version"])
+    assert ei.value.code == 0
+    assert capsys.readouterr().out.startswith("persistwalk ")
+    rc, out, _ = run_cli(capsys, "phi", "--x", "0")
+    assert rc == 0 and "phi=0.5 " in out
+    argv = ["estimate-atilde", "--dist", "simple", "--t-max", "10", "--trials", "10"]
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert ei.value.code == 2
+    assert f"argument --seed: invalid int value: '{bad}'" in err
+    assert "Traceback" not in err
+    rc, out, _ = run_cli(capsys, *argv, "--seed", "3")
+    assert rc == 0 and "trials=10" in out
+
+
+def test_the_walk_picks_the_engine(capsys):
+    # no entry point takes an engine choice: the passage law runs the simple
+    # walk and the duration tables every other walk
+    simple = preset("simple")
+    for run in (lambda **kw: engine.atilde_counts(simple, 0, 10, 10, 1, (10,), **kw),
+                lambda **kw: engine.a_counts(simple, 0, 2, 10, 1, (2,), **kw),
+                lambda **kw: engine.run_xi_trials(simple, 0, 10, 10, 1, **kw),
+                lambda **kw: mc.survival_atilde(simple, 0, 10, 10, 1, **kw),
+                lambda **kw: mc.survival_a(simple, 0, 2, 10, 1, **kw),
+                lambda **kw: mc.skew_diagnostic(simple, 0, (2, 10), 10, 1, **kw)):
+        with pytest.raises(TypeError, match="engine_kind"):
+            run(engine_kind="auto")
+    for argv in (("estimate-atilde", "--t-max", "10"), ("estimate-a", "--k-max", "2"),
+                 ("diagnose-skew", "--n-grid", "4")):
+        for choice in ("auto", "table", "stepped"):
+            with pytest.raises(SystemExit) as ei:
+                cli.main([*argv, "--dist", "simple", "--trials", "10",
+                          "--engine", choice])
+            assert ei.value.code == 2, argv
+            assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
 def test_estimate_b_commands(capsys):
     rc, out, _ = run_cli(capsys, "estimate-b", "--dist", "simple",
                          "--method", "tail", "--excursions", "30000",
@@ -268,11 +313,10 @@ def test_estimate_a_general_walk_runs_on_tables(capsys):
     wide = f"{2 ** 40 - 1}/{2 ** 41}"
     rc, _, err = run_cli(capsys, "estimate-atilde", "--dist", "unit-up:-2",
                          "--x", wide, "--t-max", "10", "--trials", "10")
-    assert rc == 1 and "OutOfDomain" in err and "--engine stepped" in err
-    rc, out, _ = run_cli(capsys, "estimate-atilde", "--dist", "unit-up:-2",
-                         "--x", wide, "--t-max", "10", "--trials", "10",
-                         "--engine", "stepped")
-    assert rc == 0 and "engine=stepped" in out
+    assert rc == 1 and "OutOfDomain" in err and "oracle-dp" in err
+    rc, out, _ = run_cli(capsys, "oracle-dp", "--dist", "unit-up:-2",
+                         "--x", wide, "--t", "10")
+    assert rc == 0 and " = " in out
 
 
 def test_diagnose_skew_command(tmp_path, capsys):
@@ -291,18 +335,13 @@ def test_diagnose_skew_command(tmp_path, capsys):
     back = mc.read_survival_csv(out_csv)
     assert back.trials == 3000
     assert len(back.horizons) == 2
-    # the ξ pair runs have no stepped engine; the option used to run the
-    # duration tables and report them
-    rc, _, err = run_cli(capsys, "diagnose-skew", "--dist", "simple",
-                         "--n-grid", "4", "--trials", "100", "--engine", "stepped")
-    assert rc == 1 and "ValueError" in err and "no stepped engine" in err
-    # an x beyond exact int64 W is refused on both walks, with no pointer to
-    # the stepped engine; the tables used to run it with W in floats
+    # an x beyond exact int64 W is refused on both walks; the tables used to
+    # run it with W in floats
     for dist in ("simple", "unit-up:-2"):
         rc, _, err = run_cli(capsys, "diagnose-skew", "--dist", dist,
                              "--x", f"{2 ** 40 - 1}/{2 ** 41}", "--n-grid", "4",
                              "--trials", "100")
-        assert rc == 1 and "OutOfDomain" in err and "--engine stepped" not in err
+        assert rc == 1 and "OutOfDomain" in err and "2^63" in err
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -327,11 +366,10 @@ def test_error_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["definitely-not-a-command"])
     assert ei.value.code == 2
-    # x outside [0, 1) is refused by every Monte Carlo command, on every engine
+    # x outside [0, 1) is refused by every Monte Carlo command, on every walk
     for x in ("-1/2", "1", "1099511627776"):
         for argv in (("estimate-atilde", "--dist", "simple", "--t-max", "10"),
-                     ("estimate-atilde", "--dist", "unit-up:-2", "--t-max", "10",
-                      "--engine", "stepped"),
+                     ("estimate-atilde", "--dist", "unit-up:-2", "--t-max", "10"),
                      ("estimate-a", "--dist", "simple", "--k-max", "2"),
                      ("diagnose-skew", "--dist", "unit-up:-2", "--n-grid", "4"),
                      ("estimate-b", "--dist", "simple", "--method", "q")):
@@ -340,11 +378,6 @@ def test_error_exit_codes(tmp_path, capsys):
         for argv in (("phi",), ("oracle-dp", "--dist", "simple")):
             rc, _, err = run_cli(capsys, *argv, "--x", x)
             assert rc == 1 and f"persistwalk {argv[0]}: OutOfDomain" in err, argv
-    # "exact" is no engine kind: auto runs the passage law on the simple walk
-    with pytest.raises(SystemExit) as ei:
-        cli.main(["estimate-atilde", "--dist", "simple", "--t-max", "10",
-                  "--engine", "exact"])
-    assert ei.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -200,6 +200,18 @@ def test_halfexcursion_survival_small_values():
     assert abs(surv[2] - 231 / 512) < 1e-15      # enumeration over 2^9 paths
 
 
+def test_halfexcursion_survival_refuses_what_the_table_cannot_answer():
+    # n = -3 crashed in np.convolve, nan and n past the table ended in an
+    # untyped ValueError
+    assert durations.srw_halfexcursion_survival(-3) == 1.0
+    np.testing.assert_array_equal(
+        durations.srw_halfexcursion_survival(np.array([-3, 0, 1])), 1.0)
+    top = 2 * len(durations._q_table()) - 5  # the largest n the table answers
+    for n in (math.nan, math.inf, top + 1, np.array([4, math.nan])):
+        with pytest.raises(OutOfRange, match="n="):
+            durations.srw_halfexcursion_survival(n)
+
+
 def test_halfexcursion_survival_matches_sampler():
     n = 200_000
     s = RandomStream(403, 0)

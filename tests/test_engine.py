@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,24 +22,6 @@ SIMPLE = preset("simple")
 UNIT_UP = preset("unit-up", negatives=[-2])
 TG = preset("truncated-geometric", p="1/2", cutoff=3)
 LAZY = validate([(-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4))])
-
-
-def test_pick_engine():
-    assert engine.pick_engine(SIMPLE) == "exact-excursion"
-    assert engine.pick_engine(UNIT_UP) == "duration-table"
-    assert engine.pick_engine(UNIT_UP, "table") == "duration-table"
-    assert engine.pick_engine(UNIT_UP, "stepped") == "stepped"
-    assert engine.ENGINE_KINDS == ("auto", "table", "stepped")
-    # "exact" did what auto does on the only walk it accepted
-    for dist in (SIMPLE, UNIT_UP):
-        with pytest.raises(ValueError):
-            engine.pick_engine(dist, "exact")
-    with pytest.raises(ValueError):
-        engine.pick_engine(SIMPLE, "warp")
-    # the reported engine names are not input spellings
-    for name in ("exact-excursion", "duration-table"):
-        with pytest.raises(ValueError):
-            engine.pick_engine(SIMPLE, name)
 
 
 def test_chunk_bounds():
@@ -423,6 +406,26 @@ def test_table_xi_matches_integer_replay(name, dist, x):
     assert _xi_fields(res) == want
 
 
+def stepped_counts(dist, x, horizon, trials, seed, grid, *, excursions=False,
+                   mode=None, step_cap=engine._NO_LIMIT, workers=1):
+    """The stepped reference's survivors at each horizon of ``grid``, counted
+    as the survival counts count them: the time event to t_max = horizon, or
+    the excursion event to k_max = horizon; ``capped`` holds the censored
+    trials.  The run is split into the chunks of ``workers`` workers by
+    ``trial_offset`` and merged."""
+    mode = mode or ("weak" if excursions else "strict")
+    t_max, n_stretches = ((engine._NO_LIMIT, 2 * horizon) if excursions
+                          else (horizon, engine._NO_LIMIT))
+    parts = []
+    for offset, count in engine.chunk_bounds(trials, workers):
+        tstar, kstar, censored = engine._stepped(dist, x, count, seed, mode, offset,
+                                                 t_max, n_stretches, step_cap)
+        survivors = (engine._counts_from_times(kstar // 2, tuple(k - 1 for k in grid))
+                     if excursions else engine._counts_from_times(tstar, grid))
+        parts.append(engine.SurvivalCounts(grid, count, survivors, censored, "stepped"))
+    return engine.SurvivalCounts.merge(parts)
+
+
 def _proportions_close(c1, c2, z=3.0):
     p1 = c1.survivors / c1.trials
     p2 = c2.survivors / c2.trials
@@ -437,11 +440,9 @@ def _proportions_close(c1, c2, z=3.0):
                                     (Fraction(0), "weak")])
 def test_exact_excursion_agrees_with_stepped(x, mode):
     grid = (8, 64, 512)
-    fast = engine.atilde_counts(SIMPLE, x, 512, 30_000, 515, grid,
-                                mode=mode, engine_kind="auto")
-    slow = engine.atilde_counts(SIMPLE, x, 512, 30_000, 516, grid,
-                                mode=mode, engine_kind="stepped")
-    assert fast.engine == "exact-excursion" and slow.engine == "stepped"
+    fast = engine.atilde_counts(SIMPLE, x, 512, 30_000, 515, grid, mode=mode)
+    slow = stepped_counts(SIMPLE, x, 512, 30_000, 516, grid, mode=mode)
+    assert fast.engine == "exact-excursion"
     assert _proportions_close(fast, slow)
 
 
@@ -451,11 +452,10 @@ def test_a_counts_exact_vs_stepped():
     # and small k; capped trials are counted as survivors (documented upward
     # bias), so caps must stay rare next to the comparison tolerance.
     grid = (1, 2)
-    fast = engine.a_counts(SIMPLE, Fraction(1, 2), 2, 6000, 525, grid,
-                           engine_kind="auto")
-    slow = engine.a_counts(SIMPLE, Fraction(1, 2), 2, 6000, 526, grid,
-                           engine_kind="stepped", step_cap=100_000)
-    assert fast.engine == "exact-excursion" and slow.engine == "stepped"
+    fast = engine.a_counts(SIMPLE, Fraction(1, 2), 2, 6000, 525, grid)
+    slow = stepped_counts(SIMPLE, Fraction(1, 2), 2, 6000, 526, grid,
+                          excursions=True, step_cap=100_000)
+    assert fast.engine == "exact-excursion"
     assert slow.capped <= 0.008 * slow.trials
     assert _proportions_close(fast, slow, z=4.0)
     # survivors can only decrease along the grid
@@ -463,28 +463,25 @@ def test_a_counts_exact_vs_stepped():
 
 
 def test_worker_splits_are_bit_identical():
-    for kind in ("auto", "stepped"):
-        one = engine.atilde_counts(SIMPLE, Fraction(1, 2), 200, 5000, 531,
-                                   (10, 200), engine_kind=kind, workers=1)
-        many = engine.atilde_counts(SIMPLE, Fraction(1, 2), 200, 5000, 531,
-                                    (10, 200), engine_kind=kind, workers=3)
+    # the stepped reference is split by trial_offset, as the workers split a run
+    for run in (engine.atilde_counts, stepped_counts):
+        one = run(SIMPLE, Fraction(1, 2), 200, 5000, 531, (10, 200), workers=1)
+        many = run(SIMPLE, Fraction(1, 2), 200, 5000, 531, (10, 200), workers=3)
         np.testing.assert_array_equal(one.survivors, many.survivors)
         assert one.capped == many.capped
     # each chunk picks its own block lengths (stepped reference) or its own
-    # pass sizes (duration tables, the default); the counts must not move
-    for kind, engine_name, w_time, w_exc in (("stepped", "stepped", 2, 4),
-                                             ("auto", "duration-table", 3, 3)):
-        one = engine.atilde_counts(UNIT_UP, Fraction(0), 2000, 3000, 533,
-                                   (10, 100, 2000), engine_kind=kind, workers=1)
-        two = engine.atilde_counts(UNIT_UP, Fraction(0), 2000, 3000, 533,
-                                   (10, 100, 2000), engine_kind=kind,
-                                   workers=w_time)
+    # pass sizes (duration tables); the counts must not move
+    for atilde, a, engine_name, w_time, w_exc in (
+            (stepped_counts, partial(stepped_counts, excursions=True), "stepped", 2, 4),
+            (engine.atilde_counts, engine.a_counts, "duration-table", 3, 3)):
+        one = atilde(UNIT_UP, Fraction(0), 2000, 3000, 533, (10, 100, 2000), workers=1)
+        two = atilde(UNIT_UP, Fraction(0), 2000, 3000, 533, (10, 100, 2000),
+                     workers=w_time)
         assert one.engine == two.engine == engine_name
         np.testing.assert_array_equal(one.survivors, two.survivors)
-        kw = dict(step_cap=20_000, engine_kind=kind)  # short stepped runs
-        one = engine.a_counts(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4), **kw)
-        many = engine.a_counts(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4),
-                               workers=w_exc, **kw)
+        kw = dict(step_cap=20_000)  # short stepped runs
+        one = a(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4), **kw)
+        many = a(UNIT_UP, Fraction(0), 4, 1500, 532, (2, 4), workers=w_exc, **kw)
         np.testing.assert_array_equal(one.survivors, many.survivors)
         assert (one.capped, one.tail_draws) == (many.capped, many.tail_draws)
 
@@ -547,9 +544,8 @@ def test_pool_is_sized_by_its_chunks(monkeypatch):
     assert _InProcessPool.sizes == [2, 3, 3]
 
 
-@pytest.mark.parametrize("dist,kind", [(SIMPLE, "auto"), (UNIT_UP, "auto"),
-                                       (UNIT_UP, "stepped"), (SIMPLE, "table")])
-def test_atilde_counts_refuses_horizons_below_1(monkeypatch, dist, kind):
+@pytest.mark.parametrize("dist", [SIMPLE, UNIT_UP])
+def test_atilde_counts_refuses_horizons_below_1(monkeypatch, dist):
     # every size is refused before any draw; these used to run, and gave
     # survivors [42, 0, 100] at horizons 5, 50 and -3 of a run to t_max = 10,
     # [0] at k_max = -1 and 0 at k = 50 of a run to k_max = 2
@@ -557,12 +553,10 @@ def test_atilde_counts_refuses_horizons_below_1(monkeypatch, dist, kind):
     monkeypatch.setattr(engine, "trial_keys", None)
 
     def atilde(t_max=10, grid=(1,)):
-        return engine.atilde_counts(dist, Fraction(0), t_max, 100, 1, grid,
-                                    engine_kind=kind)
+        return engine.atilde_counts(dist, Fraction(0), t_max, 100, 1, grid)
 
     def a(k_max=2, grid=(1,), step_cap=30):
-        return engine.a_counts(dist, Fraction(0), k_max, 10, 1, grid, engine_kind=kind,
-                               step_cap=step_cap)
+        return engine.a_counts(dist, Fraction(0), k_max, 10, 1, grid, step_cap=step_cap)
 
     for run, match in [*((lambda t=t: atilde(t_max=t), "t_max") for t in (0, -3, 10.5)),
                        (lambda: atilde(grid=(5, 50, -3)), r"grid\[1\]=50"),
@@ -580,10 +574,9 @@ def test_atilde_counts_refuses_horizons_below_1(monkeypatch, dist, kind):
 def test_xi_exact_vs_table_on_simple_walk():
     # the two engines implement the same event with independent machinery
     ns = (10, 100)
-    ex = engine.run_xi_trials(SIMPLE, Fraction(1, 2), 100, 20_000, 551,
-                              record_ns=ns, engine_kind="auto")
-    tb = engine.run_xi_trials(SIMPLE, Fraction(1, 2), 100, 20_000, 552,
-                              record_ns=ns, engine_kind="table")
+    ex = engine.run_xi_trials(SIMPLE, Fraction(1, 2), 100, 20_000, 551, record_ns=ns)
+    tb = engine._xi_chunk(SIMPLE, durations.excursion_tables(SIMPLE), Fraction(1, 2),
+                          100, 20_000, 552, ns, 0)
     assert ex.engine == "exact-excursion" and tb.engine == "duration-table"
     for j in range(len(ns)):
         p1, p2 = ex.alive_counts[j] / ex.trials, tb.alive_counts[j] / tb.trials
@@ -614,13 +607,6 @@ def test_xi_record_ns_validation():
     r = engine.run_xi_trials(SIMPLE, Fraction(0), 10, 500, 561,
                              record_ns=(1, 10))
     assert r.alive_counts[0] >= r.alive_counts[1] == ref.alive_counts[0] > 0
-
-
-def test_xi_runs_refuse_stepped():
-    # the stepped kind used to run the duration tables, even on the simple walk
-    for dist in (SIMPLE, UNIT_UP):
-        with pytest.raises(ValueError, match="no stepped engine"):
-            engine.run_xi_trials(dist, Fraction(0), 10, 100, 1, engine_kind="stepped")
 
 
 def test_engines_refuse_unknown_mode():
@@ -1030,8 +1016,7 @@ def test_table_time_event_matches_stepped(name):
     grid = tuple(int(g) for g in 2 ** np.arange(12))
     for x, mode in ((Fraction(0), "strict"), (Fraction(1, 2), "weak")):
         tb = engine.atilde_counts(dist, x, 2048, 10_000, 621, grid, mode=mode)
-        st = engine.atilde_counts(dist, x, 2048, 10_000, 622, grid, mode=mode,
-                                  engine_kind="stepped")
+        st = stepped_counts(dist, x, 2048, 10_000, 622, grid, mode=mode)
         assert (tb.engine, st.engine) == ("duration-table", "stepped")
         assert _proportions_close(tb, st, z=4.0)
 
@@ -1047,8 +1032,7 @@ def test_table_excursion_event_matches_stepped_and_dp(name):
         for step_cap in (3, 2000):
             kw = dict(mode=mode, step_cap=step_cap)
             tb = engine.a_counts(dist, x, 4, 8000, 631, grid, **kw)
-            st = engine.a_counts(dist, x, 4, 8000, 632, grid,
-                                 engine_kind="stepped", **kw)
+            st = stepped_counts(dist, x, 4, 8000, 632, grid, excursions=True, **kw)
             assert tb.capped > 0 and st.capped > 0
             assert _proportions_close(tb, st, z=4.0)
             assert abs(tb.capped - st.capped) <= 4 * math.sqrt(tb.capped + st.capped)
@@ -1077,14 +1061,12 @@ X_OUTSIDE = [Fraction(-1, 2), Fraction(1), Fraction(2 ** 40)]
 
 
 def test_xi_runs_refuse_wrapping_inputs():
-    # the tables used to run this x with W in floats; the ξ runs have no
-    # stepped engine, so the refusal must not send the user to one
+    # the tables used to run this x with W in floats
     x = Fraction(2 ** 40 - 1, 2 ** 41)
     for dist in (SIMPLE, UNIT_UP):
-        with pytest.raises(OutOfDomain, match="ξ pair runs") as err:
+        with pytest.raises(OutOfDomain, match="2\\^63"):
             engine.run_xi_trials(dist, x, 10, 50, 1)
-        assert "--engine stepped" not in str(err.value)
-    with pytest.raises(OutOfDomain, match="ξ pair runs"):
+    with pytest.raises(OutOfDomain, match="2\\^63"):
         engine._table_xi_chunk(UNIT_UP, x, 10, 50, 1, (10,), 0)
     runs = (lambda x: engine.run_xi_trials(SIMPLE, x, 50, 500, 3, record_ns=(1, 50)),
             lambda x: engine.run_xi_trials(UNIT_UP, x, 10, 50, 1),
@@ -1097,23 +1079,24 @@ def test_xi_runs_refuse_wrapping_inputs():
 
 
 def test_table_stretches_refuse_wrapping_inputs():
-    # x = (2^40 - 1)/2^41 passes q·(p + q) ≥ 2^63; the tables refuse it on
-    # auto, and only the stepped reference runs it
+    # x = (2^40 - 1)/2^41 passes q·(p + q) ≥ 2^63; the tables refuse it and
+    # point to the rational DP, and only the stepped reference runs it
     x = Fraction(2 ** 40 - 1, 2 ** 41)
-    with pytest.raises(OutOfDomain, match="--engine stepped"):
+    with pytest.raises(OutOfDomain, match="oracle-dp"):
         engine.atilde_counts(UNIT_UP, x, 100, 50, 651, (100,))
     with pytest.raises(OutOfDomain):
         engine.a_counts(UNIT_UP, x, 2, 50, 651, (2,))
-    c = engine.atilde_counts(UNIT_UP, x, 100, 50, 651, (100,), engine_kind="stepped")
-    assert c.engine == "stepped"
-    # outside [0, 1) every engine refuses, the stepped reference too
+    c = stepped_counts(UNIT_UP, x, 100, 50, 651, (100,))
+    assert 0 <= c.survivors[0] <= c.trials == 50
+    # outside [0, 1) every run refuses, the stepped reference too
     for x in X_OUTSIDE:
-        for kind in ("auto", "table", "stepped"):
-            for dist in (SIMPLE, UNIT_UP):
-                with pytest.raises(OutOfDomain, match="outside"):
-                    montecarlo.survival_atilde(dist, x, 100, 50, 651, engine_kind=kind)
-                with pytest.raises(OutOfDomain, match="outside"):
-                    montecarlo.survival_a(dist, x, 2, 50, 651, engine_kind=kind)
+        for dist in (SIMPLE, UNIT_UP):
+            with pytest.raises(OutOfDomain, match="outside"):
+                montecarlo.survival_atilde(dist, x, 100, 50, 651)
+            with pytest.raises(OutOfDomain, match="outside"):
+                montecarlo.survival_a(dist, x, 2, 50, 651)
+            with pytest.raises(OutOfDomain, match="outside"):
+                stepped_counts(dist, x, 100, 50, 651, (100,))
         with pytest.raises(OutOfDomain, match="outside"):
             walk.first_violation_time([0, 1, 2], x)
     # t could pass 2^62 steps: a horizon that long, or 2·k_max stretches of

@@ -99,15 +99,16 @@ def test_survival_atilde_matches_exact_dp():
 
 def test_survival_atilde_stepped_dist_matches_exact_dp():
     grid = (1, 3, 6)
-    # the stepped reference, then the duration tables that auto picks
-    for kind, engine in (("stepped", "stepped"), ("auto", "duration-table")):
-        curve = mc.survival_atilde(TG, F(1, 2), 6, 8000, seed=702, grid=grid,
-                                   engine_kind=kind)
-        assert curve.engine == engine
+    # the stepped reference, then the duration tables the walk runs on
+    tstar = engine._stepped(TG, F(1, 2), 8000, 702, "strict", 0, 6, engine._NO_LIMIT)[0]
+    curve = mc.survival_atilde(TG, F(1, 2), 6, 8000, seed=702, grid=grid)
+    assert curve.engine == "duration-table"
+    for kind, p_hat in (("stepped", engine._counts_from_times(tstar, grid) / 8000),
+                        ("tables", curve.p_hat)):
         for i, t in enumerate(grid):
             p = float(oracle.exact_atilde(TG, F(1, 2), t))
-            sigma = math.sqrt(p * (1 - p) / curve.trials)
-            assert abs(curve.p_hat[i] - p) <= 3 * sigma, f"{kind} t={t}"
+            sigma = math.sqrt(p * (1 - p) / 8000)
+            assert abs(p_hat[i] - p) <= 3 * sigma, f"{kind} t={t}"
 
 
 def test_survival_a_within_certified_bracket():
@@ -121,7 +122,7 @@ def test_survival_a_within_certified_bracket():
 
 
 def test_survival_a_cap_handling():
-    kw = dict(grid=(1, 2), step_cap=64, engine_kind="stepped")
+    kw = dict(grid=(1, 2), step_cap=64)
     curve = mc.survival_a(UNIT_UP, 0, 2, 500, seed=704, **kw)
     assert curve.capped > 0  # upward-bias convention, carried on the curve
     with pytest.raises(HorizonOverflow):

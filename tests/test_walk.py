@@ -156,6 +156,17 @@ def test_xi_sequence_identity():
     assert xi.partial_sums[1] == xi.values[0] + xi.values[1]
 
 
+def test_xi_sequence_converts_x_as_every_entry_point_does():
+    # nan and None ended in untyped errors; 1.5 and -3 returned partial sums
+    # -6 and 12 for slopes outside the domain [0, 1) of φ
+    dec = walk.decompose([0, 1, 0, -1, 0, 1, 2])
+    for x, match in ((math.nan, "finite rational"), (None, "finite rational"),
+                     (1.5, "outside"), (-3, "outside")):
+        with pytest.raises(OutOfDomain, match=match):
+            walk.xi_sequence(dec, x)
+    assert walk.xi_sequence(dec, 0.5).partial_sums == [Fraction(-2)]
+
+
 def test_xi_sequence_rejects_negative_start():
     dec = walk.decompose([0, -1, 0, 1, 0, -1])
     with pytest.raises(ValueError):
