@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-pairs", type=int, dest="n_pairs",
                     help="excursion pairs per trial, ≥ 1 (q method; default 250)")
     sp.add_argument("--trials", type=int, help="trials (q method; default 50000)")
-    sp.add_argument("--workers", type=int, help="worker processes (q method; default 1)")
+    sp.add_argument("--workers", type=int,
+                    help="worker chunks, on at most one process per CPU (q method; default 1)")
     sp.set_defaults(func=_cmd_estimate_b)
 
     sp = sub.add_parser("diagnose-skew",

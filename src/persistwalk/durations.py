@@ -154,9 +154,10 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
     u = u.reshape(-1)
     q = _q_table()
     jmax = 1 << cap_exp
-    # q_j² ≈ 1/(π(j + 1/4)) puts the crossing at j ≈ 1/(πu²) − 1/4
-    guess = np.floor(1.0 / (np.pi * u * u) - 0.25)
-    j = np.clip(guess, 0, _TABLE_LEN).astype(np.int64)
+    # q_j² ≈ 1/(π(j + 1/4)) puts the crossing at j ≈ 1/(πu²) − 1/4, which is
+    # above 0 for every u ≤ 1, so truncation takes its floor
+    guess = 1.0 / (np.pi * u * u) - 0.25
+    j = np.minimum(guess, _TABLE_LEN).astype(np.int64)
     # largest j ≤ 2^19 with q_j ≥ u; q_0 = 1 stops the downward steps, and
     # searching for u raised above q_{2^19} stops the upward ones before
     # they read past the table, so each draw with u ≤ q_{2^19} goes on to
@@ -166,6 +167,7 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
                       lambda r, i: q[i + 1] >= above[r])
 
     tail = np.flatnonzero(u <= q[-1])
+    capped = np.zeros(u.shape, dtype=bool)
     if tail.size:
         log_ut = np.log(u[tail])
         # largest j in [2^19, jmax] with ln q_j ≥ ln u (jmax for a cap below
@@ -174,17 +176,22 @@ def unit_passage_from_uniforms(u: np.ndarray, *, cap_exp: int = DEFAULT_PASSAGE_
         _step_to_crossing(jt, lambda r, i: (i > _TABLE_LEN) & (_log_q(i) < log_ut[r]),
                           lambda r, i: (i < jmax) & (_log_q(i + 1) >= log_ut[r]))
         j[tail] = jt
-    return (2 * np.minimum(j, jmax) + 1).reshape(shape), (j >= jmax).reshape(shape)
+        capped[tail] = jt == jmax
+    if jmax < _TABLE_LEN:  # else only the tail reaches the cap
+        capped |= j >= jmax
+        np.minimum(j, jmax, out=j)
+    j *= 2
+    j += 1
+    return j.reshape(shape), capped.reshape(shape)
 
 
 def srw_tau_from_uniform_pairs(u1: np.ndarray, u2: np.ndarray, *,
                                cap_exp: int = DEFAULT_PASSAGE_CAP_EXP
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Half-excursion durations τ = T + T' from two uniform banks of one
-    shape, returned in that shape."""
-    t1, c1 = unit_passage_from_uniforms(u1, cap_exp=cap_exp)
-    t2, c2 = unit_passage_from_uniforms(u2, cap_exp=cap_exp)
-    return t1 + t2, c1 | c2
+    shape, returned in that shape; both banks are inverted in one call."""
+    t, c = unit_passage_from_uniforms(np.stack((u1, u2)), cap_exp=cap_exp)
+    return t[0] + t[1], c[0] | c[1]
 
 
 @dataclass(frozen=True)
@@ -515,6 +522,14 @@ def _entry_closure(dist: IncrementDistribution) -> tuple[list[int], list[int]]:
 _TABLE_CACHE: dict = {}
 
 
+def keep_tables(*tables: ExcursionTables) -> None:
+    """Put built tables in this process's cache, where
+    :func:`excursion_tables` finds them: a pool worker's initializer, so
+    that no worker builds the tables its parent built."""
+    for t in tables:
+        _TABLE_CACHE[(t.dist.atoms, t.n_table)] = t
+
+
 def excursion_tables(dist: IncrementDistribution, n_table: int = DEFAULT_TABLE_SIZE
                      ) -> ExcursionTables:
     """Build (or fetch cached) duration tables for a general walk.
@@ -522,8 +537,7 @@ def excursion_tables(dist: IncrementDistribution, n_table: int = DEFAULT_TABLE_S
     ``n_table``, the table horizon N, follows :func:`~.walk._whole`.
     """
     n_table = _whole("n_table", n_table)
-    key = (dist.atoms, n_table)
-    hit = _TABLE_CACHE.get(key)
+    hit = _TABLE_CACHE.get((dist.atoms, n_table))
     if hit is not None:
         return hit
     pos_entries, neg_entries = _entry_closure(dist)
@@ -535,5 +549,5 @@ def excursion_tables(dist: IncrementDistribution, n_table: int = DEFAULT_TABLE_S
         neg=_one_sided_tables(dist.mirrored(), neg_entries, pos_entries, n_table),
         n_table=n_table,
     )
-    _TABLE_CACHE[key] = tables
+    keep_tables(tables)
     return tables

@@ -31,8 +31,11 @@ trials and workers, refuses a seed that is not an integer (``rng._seed``,
 also OutOfRange), converts x and refuses one that is no finite rational in
 [0, 1) (``walk._slope``, the one conversion the oracle, the curves and the
 q estimator share) or has q·(p + q) ≥ 2^63 (``_exact_ratio``, OutOfDomain),
-builds the duration tables once before any fork, and runs the chunks, on a
-pool of one process per chunk.  The walk picks the duration source: the
+builds the duration tables once, and runs the chunks, one per worker, on a
+pool of at most one process per CPU.  The pool's initializer,
+``durations.keep_tables``, hands each worker the tables, so no worker builds
+them: under fork nothing is pickled, under spawn and forkserver the tables
+are pickled once per process.  The walk picks the duration source: the
 passage law on the simple walk, the tables on any other.  The chunk entry
 points ``srw_excursion_first_violation``, ``_srw_xi_chunk`` and
 ``_table_xi_chunk`` stay on that path, and ``stepped_first_violation``
@@ -136,6 +139,7 @@ violation time (t_max + 1 if none) and the crossings before it
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -800,15 +804,17 @@ def _run(worker, dist: IncrementDistribution, x, seed, trials: int, workers: int
     seed = _seed(seed)
     x = _slope(x)
     _exact_ratio(x)
-    if not dist.is_simple:
-        dur.excursion_tables(dist)  # build once before any fork
+    # built once here, and handed to each worker by its initializer
+    tables = () if dist.is_simple else (dur.excursion_tables(dist),)
     args = (dist, x, seed, *args)
     bounds = chunk_bounds(trials, workers)
     if len(bounds) == 1:
         return [worker(args, cnt, off) for off, cnt in bounds]
     from concurrent.futures import ProcessPoolExecutor
-    # under fork the pool starts all its processes at the first submit
-    with ProcessPoolExecutor(max_workers=len(bounds)) as ex:
+    # under fork the pool starts all its processes at the first submit, so
+    # it has at most one per CPU; the chunks stay one per worker
+    with ProcessPoolExecutor(max_workers=min(len(bounds), os.cpu_count() or 1),
+                             initializer=dur.keep_tables, initargs=tables) as ex:
         futs = [ex.submit(worker, args, cnt, off)
                 for off, cnt in bounds]
         return [f.result() for f in futs]

@@ -11,6 +11,11 @@ The estimation surface for both persistence events:
 One simulation per trial yields a first-violation horizon; every grid
 point is then served from the empirical survival function, so the grid is
 free.  Counts are exact integers and merge across workers by addition.
+
+scipy is imported only inside the two functions that call it,
+:func:`clopper_pearson` (a curve's ``ci``) and :func:`gamma_ratio`, so
+importing this module, the counts, the fits and the skew diagnostic never
+load it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import betaincinv, gammaln
 
 from . import __version__, engine
 from .errors import HorizonOverflow, InsufficientData, OutOfRange
@@ -60,6 +64,8 @@ def clopper_pearson(k, n: int) -> tuple[np.ndarray, np.ndarray]:
     k = n mirrors it, so a curve of all-survivors / no-survivors still
     carries an honest interval.
     """
+    from scipy.special import betaincinv
+
     alpha = 1.0 - 0.95  # 95 %; not 0.05, which differs from it in the last bit
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))
     lo = np.zeros(k.shape)
@@ -192,6 +198,8 @@ def gamma_ratio(k, phi_val: float):
     k = np.asarray(k, dtype=np.float64)
     if np.any(k < 0):
         raise OutOfRange("k must be >= 0")
+    from scipy.special import gammaln
+
     out = np.exp(gammaln(k + 1 - phi_val) - gammaln(k + 1) - gammaln(1 - phi_val))
     return float(out) if out.ndim == 0 else out
 

@@ -24,6 +24,9 @@ the prefactored form passes.  The flag exists for auditing that comparison.
 
 Per-draw stream consumption is fixed (uniform first, then exponential) so
 a draw is reproducible from its stream position alone.
+
+Only :func:`levy_cdf` calls scipy (``erfc``), and it imports it when
+called, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import NonPositiveArgument, OutOfRange
 from .rng import RandomStream
@@ -147,6 +149,8 @@ def levy_cdf(tval):
     t = np.asarray(tval, dtype=np.float64)
     if np.any(t <= 0):
         raise NonPositiveArgument("levy_cdf needs t > 0")
+    from scipy.special import erfc
+
     out = erfc(1.0 / np.sqrt(2.0 * t))
     return float(out) if out.ndim == 0 else out
 

@@ -487,6 +487,31 @@ def test_console_script_entry_point(tmp_path):
     assert "phi=" in res.stdout
 
 
+_SCIPY_GUARD = """
+import sys
+from fractions import Fraction
+import persistwalk, persistwalk.cli, persistwalk.reproduce
+from persistwalk import engine, montecarlo, oracle
+simple = persistwalk.preset("simple")
+engine.atilde_counts(simple, Fraction(0), 20, 50, 1, (10, 20))
+engine.run_xi_trials(simple, Fraction(0), 10, 50, 1)
+oracle.exact_atilde(simple, Fraction(0), 8)
+persistwalk.phi(0.5, 1.0)
+curve = montecarlo.survival_atilde(simple, 0, 20, 50, 1)
+assert "scipy" not in sys.modules, "scipy loaded before a call that needs it"
+curve.ci
+assert "scipy" in sys.modules, "a curve's interval did not load scipy"
+"""
+
+
+def test_scipy_loads_only_where_it_is_called(tmp_path):
+    # imports, the counts, the ξ pair runs, the oracle and phi never call
+    # scipy, so a fresh process pays for it only at a confidence interval
+    res = subprocess.run([sys.executable, "-c", _SCIPY_GUARD], capture_output=True,
+                         text=True, env=_checkout_env(), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+
+
 def test_code_lines_script(tmp_path):
     # docstrings, comments and blank lines are not code; a line of any other
     # string or inside brackets is

@@ -4,9 +4,14 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,12 +506,17 @@ def test_xi_workers_bit_identical():
 
 
 class _InProcessPool:
-    """A stand-in for ProcessPoolExecutor that records its size and runs
-    each submission in this process."""
+    """A stand-in for ProcessPoolExecutor that records its size and its
+    initializer's arguments, runs the initializer and runs each submission
+    in this process."""
     sizes: list = []
+    initargs: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        self.initargs.append(initargs)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -526,6 +536,8 @@ def test_pool_is_sized_by_its_chunks(monkeypatch):
     # the serial run's
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(_InProcessPool, "initargs", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     serial = engine.atilde_counts(SIMPLE, Fraction(0), 50, 2, 1, (10, 50))
     pooled = engine.atilde_counts(SIMPLE, Fraction(0), 50, 2, 1, (10, 50), workers=500)
     np.testing.assert_array_equal(pooled.survivors, serial.survivors)
@@ -542,6 +554,81 @@ def test_pool_is_sized_by_its_chunks(monkeypatch):
             with pytest.raises(OutOfRange, match="workers"):
                 run()
     assert _InProcessPool.sizes == [2, 3, 3]
+    # the tables go to the workers once, by the initializer; the simple
+    # walk has none to hand
+    assert _InProcessPool.initargs == [(), (durations.excursion_tables(UNIT_UP),), ()]
+
+
+@pytest.mark.parametrize("cpus", [2, None])
+def test_pool_is_capped_at_the_cpus(monkeypatch, cpus):
+    # 7 chunks on 2 CPUs (or an unknown count, taken as 1) start no more
+    # processes than there are CPUs; the chunks, and so every count, stay
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(_InProcessPool, "initargs", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    chunks = []
+    worker = engine._survival_worker
+
+    def counting(args, trials, offset):
+        chunks.append((offset, trials))
+        return worker(args, trials, offset)
+
+    monkeypatch.setattr(engine, "_survival_worker", counting)
+    serial = engine.atilde_counts(SIMPLE, Fraction(0), 50, 7, 1, (10, 50))
+    pooled = engine.atilde_counts(SIMPLE, Fraction(0), 50, 7, 1, (10, 50), workers=7)
+    np.testing.assert_array_equal(pooled.survivors, serial.survivors)
+    xi = engine.run_xi_trials(UNIT_UP, Fraction(0), 5, 7, 1, workers=7)
+    assert _xi_digest(xi) == _xi_digest(engine.run_xi_trials(UNIT_UP, Fraction(0), 5, 7, 1))
+    assert _InProcessPool.sizes == [cpus or 1] * 2
+    assert chunks == [(0, 7)] + [(i, 1) for i in range(7)]
+
+
+def test_pool_initializer_hands_workers_the_tables(monkeypatch):
+    # a worker's excursion_tables returns the object the initializer was
+    # handed, and builds nothing
+    tables = durations.excursion_tables(UNIT_UP)
+    monkeypatch.setattr(durations, "_TABLE_CACHE", {})
+    monkeypatch.setattr(durations, "_one_sided_tables", None)
+    durations.keep_tables(tables)
+    assert durations.excursion_tables(UNIT_UP) is tables
+
+
+_SPAWNED_RUNS = """
+import multiprocessing, pickle, sys
+from fractions import Fraction
+from persistwalk import engine
+from persistwalk.increments import preset
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    counts = engine.atilde_counts(preset("unit-up", negatives=[-2]), Fraction(0), 1000,
+                                  600, 17, (10, 100, 1000), workers=2)
+    xi = engine.run_xi_trials(preset("simple"), Fraction(1, 2), 50, 600, 18,
+                              record_ns=(10, 50), workers=2)
+    sys.stdout.buffer.write(pickle.dumps((counts, xi)))
+"""
+
+
+def test_workers_are_bit_identical_under_spawn(tmp_path):
+    # a spawned worker imports the package afresh and gets the tables by
+    # pickle, through the pool's initializer; its counts are the serial ones
+    script = tmp_path / "spawned.py"
+    script.write_text(_SPAWNED_RUNS)
+    env = dict(os.environ)
+    src = str(Path(engine.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, str(script)], capture_output=True, env=env,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr.decode()
+    counts, xi = pickle.loads(res.stdout)
+    serial = engine.atilde_counts(UNIT_UP, Fraction(0), 1000, 600, 17, (10, 100, 1000))
+    np.testing.assert_array_equal(counts.survivors, serial.survivors)
+    assert (counts.capped, counts.tail_draws, counts.engine) == (
+        serial.capped, serial.tail_draws, serial.engine)
+    serial_xi = engine.run_xi_trials(SIMPLE, Fraction(1, 2), 50, 600, 18, record_ns=(10, 50))
+    assert _xi_digest(xi) == _xi_digest(serial_xi)
 
 
 @pytest.mark.parametrize("dist", [SIMPLE, UNIT_UP])
