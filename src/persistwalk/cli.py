@@ -83,7 +83,7 @@ def _emit_curve(args, curve, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_phi(args) -> int:
-    m = model(float(parse_rational(args.x)), args.b)
+    m = model(parse_rational(args.x), args.b)
     print(f"phi={_g(m.phi)} kappa={_g(m.kappa)} psi_bar={_g(m.psi_bar)}")
     return 0
 

@@ -94,7 +94,7 @@ import numpy as np
 
 from .errors import OutOfRange
 from .increments import IncrementDistribution
-from .walk import _whole
+from .walk import _reals, _whole
 
 _TABLE_BITS = 19
 _TABLE_LEN = 1 << _TABLE_BITS
@@ -203,10 +203,12 @@ class PassageLaw:
 
     cap_exp: int = DEFAULT_PASSAGE_CAP_EXP
     name = "exact-excursion"
-    # no draw is extrapolated, so every cap hit counts: the stretch loop
-    # keeps a flag only at starts below t_max - n_table - 1, here t_max, and
-    # every stretch it counts starts below t_max
-    n_table = -1
+
+    @property
+    def n_table(self) -> int:
+        """The τ a flagged draw is known to exceed, as a table's N: a capped
+        passage alone is longer than 2^(cap_exp + 1) steps."""
+        return (2 << self.cap_exp) + 1
 
     @property
     def longest(self) -> int:
@@ -239,11 +241,7 @@ def srw_halfexcursion_survival(n) -> np.ndarray:
     """
     q = _q_table()
     top = 2 * len(q) - 5  # the largest n with q_{⌊n/2⌋ + 1} in the table
-    n = np.asarray(n)
-    ok = np.isfinite(n) & (n <= top)
-    if not ok.all():
-        raise OutOfRange(f"n={n[~ok].flat[0]} must be finite and at most {top}")
-    n = n.astype(np.int64)
+    n = _reals("n", n, OutOfRange, -math.inf, top, "(]").astype(np.int64)
     # pmf of T at odd arguments: P(T = 2j+1) = q_j - q_{j+1}
     jmax = max(int(n.max()), 0) // 2 + 1
     pmf_t = q[:jmax + 1] - q[1:jmax + 2]

@@ -48,12 +48,12 @@ once per run: ``durations.PassageLaw`` (the exact passage law, only on the
 simple walk) or ``durations.ExcursionTables`` (the duration tables of any
 walk).  Each has the same members, and the loops read only those: ``name``
 (the run's engine label), ``longest`` (the longest τ a draw returns),
-``n_table`` (past which a flagged draw was extrapolated: a table's √-tail;
--1 on the passage law, whose cap hits always count), ``first_entries``,
-``stretches`` (a block of draws from (stretch, 2, trial) uniforms: τ, its
-capped and flagged draws, the entry after the block) and ``at_cap`` (the
-source at a ξ cap; the tables are their own).  The engine never asks which
-source it holds.
+``n_table`` (a τ every flagged draw is known to exceed: a table's N, past
+which its √-tail extrapolates; on the passage law, 2^(cap_exp + 1) + 1),
+``first_entries``, ``stretches`` (a block of draws from (stretch, 2, trial)
+uniforms: τ, its capped and flagged draws, the entry after the block) and
+``at_cap`` (the source at a ξ cap; the tables are their own).  The engine
+never asks which source it holds.
 
 Engines
 -------

@@ -34,26 +34,24 @@ from .errors import InsufficientTail, OutOfDomain, Unattainable
 from .increments import IncrementDistribution
 # trial_keys is never called here: the benchmark's tracer wraps it by this name
 from .rng import RandomStream, trial_keys, uniform_at
-from .walk import _slope
+from .walk import _real, _slope
 
 
-def _check_domain(x: float, b: float) -> None:
-    if not 0.0 <= x < 1.0:
-        raise OutOfDomain(f"x={x} outside [0, 1)")
-    if not b > 0.0:
-        raise OutOfDomain(f"b={b} must be > 0")
+def _b(b) -> float:
+    """b as a float, refused with :class:`OutOfDomain` unless b > 0 and b²
+    is finite (below 2^512): ψ̄ is formed from b²."""
+    return _real("b", b, OutOfDomain, 0, 2.0 ** 512)
 
 
 def psi_bar_of(b: float) -> float:
     """ψ̄ = (b² - 1)/(b² + 1) ∈ (-1, 1)."""
-    if not b > 0.0:
-        raise OutOfDomain(f"b={b} must be > 0")
+    b = _b(b)
     return (b * b - 1.0) / (b * b + 1.0)
 
 
 def kappa_of(x: float, b: float) -> float:
     """κ(x, b) = (√(1-x)·b - √(1+x)) / (√(1-x)·b + √(1+x)) ∈ (-1, 1)."""
-    _check_domain(x, b)
+    x, b = float(_slope(x)), _b(b)
     u = math.sqrt(1.0 - x) * b
     v = math.sqrt(1.0 + x)
     return (u - v) / (u + v)
@@ -61,7 +59,7 @@ def kappa_of(x: float, b: float) -> float:
 
 def phi(x: float, b: float) -> float:
     """Persistence exponent via the arccos form (primary definition)."""
-    _check_domain(x, b)
+    x = float(_slope(x))
     psi = psi_bar_of(b)
     w = (psi - x) / (1.0 - psi * x)
     return math.acos(max(-1.0, min(1.0, w))) / math.pi
@@ -74,10 +72,8 @@ def phi_arctan(x: float, b: float) -> float:
 
 def invert_phi(phi_target: float, x: float) -> float:
     """The b > 0 with phi(x, b) = phi_target, or :class:`Unattainable`."""
-    if not 0.0 < phi_target < 1.0:
-        raise Unattainable(f"phi={phi_target} outside (0, 1)")
-    if not 0.0 <= x < 1.0:
-        raise OutOfDomain(f"x={x} outside [0, 1)")
+    phi_target = _real("phi", phi_target, Unattainable, 0, 1)
+    x = float(_slope(x))
     w = math.cos(math.pi * phi_target)
     psi = (w + x) / (1.0 + w * x)
     if not -1.0 < psi < 1.0:
@@ -97,7 +93,7 @@ class AsymmetryModel:
 
 
 def model(x: float, b: float) -> AsymmetryModel:
-    return AsymmetryModel(x=float(x), b=float(b), kappa=kappa_of(x, b),
+    return AsymmetryModel(x=float(_slope(x)), b=_b(b), kappa=kappa_of(x, b),
                           psi_bar=psi_bar_of(b), phi=phi(x, b))
 
 
@@ -268,15 +264,14 @@ def estimate_b_q(dist: IncrementDistribution, x, n: int, trials: int, seed: int,
     horizon provides the estimate and the difference is reported (and folded
     into the stderr) as the finite-n drift allowance.
     """
-    x = _slope(x)
     q_short = estimate_q(dist, x, n, trials, seed, workers=workers)
     q_long = estimate_q(dist, x, 4 * n, trials, seed + 1, workers=workers)
     q_hat = q_long.q_hat
     drift = q_long.q_hat - q_short.q_hat
-    b_hat = invert_phi(q_hat, float(x))
+    b_hat = invert_phi(q_hat, x)
     # delta method: |db/dq| at q_hat, against MC error and drift jointly
     eps = 1e-6
-    dbdq = (invert_phi(q_hat + eps, float(x)) - invert_phi(q_hat - eps, float(x))) / (2 * eps)
+    dbdq = (invert_phi(q_hat + eps, x) - invert_phi(q_hat - eps, x)) / (2 * eps)
     stderr = abs(dbdq) * math.hypot(q_long.stderr, drift)
     diag = {
         "q_hat": q_hat,

@@ -32,7 +32,7 @@ from . import __version__, engine
 from .errors import HorizonOverflow, InsufficientData, OutOfRange
 from .increments import IncrementDistribution
 from .rng import _seed
-from .walk import _grid, _slope, _whole
+from .walk import _grid, _real, _reals, _slope, _whole
 
 
 def geometric_grid(h_max: int, ratio: float = 2 ** 0.25, h_min: int = 1
@@ -40,11 +40,11 @@ def geometric_grid(h_max: int, ratio: float = 2 ** 0.25, h_min: int = 1
     """Sorted unique integer horizons h_min..h_max, geometric with `ratio`.
 
     h_max and h_min follow the size rule (:func:`~.walk._whole`): whole
-    numbers with 1 ≤ h_min ≤ h_max, else :class:`OutOfRange`."""
-    h_max = _whole("h_max", h_max)
+    numbers with 1 ≤ h_min ≤ h_max < 2^63, else :class:`OutOfRange`; the
+    ratio is a real number > 1."""
+    h_max = _whole("h_max", h_max, np.iinfo(np.int64).max)
     h_min = _whole("h_min", h_min, h_max)
-    if not (math.isfinite(ratio) and ratio > 1.0):
-        raise OutOfRange(f"grid ratio {ratio} must be finite and exceed 1")
+    ratio = _real("ratio", ratio, OutOfRange, 1)
     if (h_max + 1) * (ratio - 1) <= 0.5:
         # a step moves h < h_max + 1/2 by at most 1/2, so every horizon is
         # hit; the loop would take ln(h_max/h_min)/(ratio - 1) steps
@@ -95,9 +95,8 @@ class SurvivalCurve:
         self.horizons = np.asarray(self.horizons)
         self.survivors = np.asarray(self.survivors)
         if self.horizons.shape != self.survivors.shape:
-            raise ValueError("horizons and survivors differ in length")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise OutOfRange("horizons and survivors differ in length")
+        self.trials = _whole("trials", self.trials)
 
     @property
     def p_hat(self) -> np.ndarray:
@@ -111,7 +110,7 @@ class SurvivalCurve:
     def from_probabilities(cls, horizons, p, trials: int, kind: str = "time",
                            **kw) -> "SurvivalCurve":
         """Curve with non-integer survivor counts (synthetic/reference use)."""
-        p = np.asarray(p, dtype=np.float64)
+        p, trials = np.asarray(p, dtype=np.float64), _whole("trials", trials)
         return cls(kind=kind, horizons=np.asarray(horizons),
                    survivors=p * trials, trials=trials, **kw)
 
@@ -193,11 +192,8 @@ def gamma_ratio(k, phi_val: float):
     The reference curve the excursion-event survival is compared against;
     behaves like k^(-φ)/Γ(1-φ) for large k.
     """
-    if not 0.0 < phi_val < 1.0:
-        raise OutOfRange(f"phi={phi_val} outside (0, 1)")
-    k = np.asarray(k, dtype=np.float64)
-    if np.any(k < 0):
-        raise OutOfRange("k must be >= 0")
+    phi_val = _real("phi", phi_val, OutOfRange, 0, 1)
+    k = _reals("k", k, OutOfRange, 0, math.inf, "[)")
     from scipy.special import gammaln
 
     out = np.exp(gammaln(k + 1 - phi_val) - gammaln(k + 1) - gammaln(1 - phi_val))
@@ -278,7 +274,6 @@ class SkewDiagnostic:
 
 
 def _skew_from_counts(n_grid, alive, neg, trials, printed_sign) -> SkewDiagnostic:
-    n_grid = tuple(int(v) for v in n_grid)
     alive = np.asarray(alive, dtype=np.float64)
     neg = np.asarray(neg, dtype=np.float64)
     p = alive / trials
@@ -305,6 +300,15 @@ def _skew_from_counts(n_grid, alive, neg, trials, printed_sign) -> SkewDiagnosti
                           neg_counts=neg.astype(np.int64))
 
 
+def _n_grid(n_grid, top: int | None) -> tuple[int, ...]:
+    """The horizons n of a skew diagnostic, by the size rule in 2..top: the
+    statistic divides by log n."""
+    n_grid = _grid("n_grid", n_grid, top)
+    if n_grid[0] < 2:
+        raise OutOfRange("n_grid entries must be >= 2")
+    return n_grid
+
+
 def skew_diagnostic(dist: IncrementDistribution, x, n_grid, trials: int,
                     seed: int, *, workers: int = 1,
                     printed_sign: bool = False) -> SkewDiagnostic:
@@ -315,9 +319,7 @@ def skew_diagnostic(dist: IncrementDistribution, x, n_grid, trials: int,
     of the event).  Raises :class:`InsufficientData` when fewer than 30
     trials keep all prefix sums nonnegative at the largest n.
     """
-    n_grid = _grid("n_grid", n_grid, None)
-    if n_grid[0] < 2:
-        raise OutOfRange("n_grid entries must be >= 2")
+    n_grid = _n_grid(n_grid, None)
     res = engine.run_xi_trials(dist, x, n_grid[-1], trials, seed, record_ns=n_grid,
                                workers=workers)
     if res.alive_counts[-1] < 30:
@@ -333,9 +335,9 @@ def skew_diagnostic_from_xi(xi: np.ndarray, n_grid, *,
     """Same statistic from an explicit ξ matrix (trials × n), mostly for
     synthetic sequences; degenerate inputs set the flag instead of raising."""
     xi = np.asarray(xi, dtype=np.float64)
-    n_grid = sorted(int(v) for v in n_grid)
-    if xi.ndim != 2 or xi.shape[1] < n_grid[-1]:
-        raise OutOfRange(f"xi must be (trials, >= {n_grid[-1]})")
+    if xi.ndim != 2:
+        raise OutOfRange(f"xi must be a (trials, n) matrix, not {xi.ndim}-d")
+    n_grid = _n_grid(n_grid, xi.shape[1])
     w = np.cumsum(xi, axis=1)
     runmin = np.minimum.accumulate(w, axis=1)
     alive = [(runmin[:, n - 1] >= 0).sum() for n in n_grid]

@@ -212,6 +212,7 @@ def equivalence_check(max_len: int = 14) -> EquivalenceReport:
     different events.  Counterexamples to the equivalence are returned
     verbatim, not raised.
     """
+    max_len = _whole("max_len", max_len)
     if max_len > 16:
         raise CapExceeded(f"max_len={max_len} enumerates 2^{max_len} paths")
     report = EquivalenceReport(max_len=max_len, x_values=_EQUIVALENCE_X)

@@ -141,7 +141,7 @@ def _atilde_slope(x):
     srw = preset("simple")
     curve = montecarlo.survival_atilde(srw, x, 100_000, 1_000_000, 11)
     fit = montecarlo.fit_exponent(curve, (1000, 100_000))
-    target = phi(float(x), 1.0) / 2.0
+    target = phi(x, 1.0) / 2.0
     gap = abs(fit.slope + target)
     return gap <= 0.05, {"slope": fit.slope, "target": -target,
                          "gap": gap, "stderr": fit.stderr}
@@ -151,7 +151,7 @@ def _a_slope(x):
     srw = preset("simple")
     curve = montecarlo.survival_a(srw, x, 1000, 300_000, 99)
     fit = montecarlo.fit_exponent(curve, (100, 1000))
-    target = phi(float(x), 1.0)
+    target = phi(x, 1.0)
     gap = abs(fit.slope + target)
     m = (curve.horizons >= 100) & (curve.horizons <= 1000) & \
         (curve.survivors >= 30)

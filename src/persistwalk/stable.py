@@ -38,7 +38,12 @@ import numpy as np
 
 from .errors import NonPositiveArgument, OutOfRange
 from .rng import RandomStream
-from .walk import _whole
+from .walk import _real, _reals, _whole
+
+
+def _kappa(kappa) -> float:
+    """κ as a float, refused with :class:`OutOfRange` outside [-1, 1]."""
+    return _real("kappa", kappa, OutOfRange, -1, 1, "[]")
 
 
 @dataclass(frozen=True)
@@ -49,10 +54,8 @@ class StableParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not -1.0 <= self.kappa <= 1.0:
-            raise OutOfRange(f"kappa={self.kappa} outside [-1, 1]")
-        if not 0 < self.scale < math.inf:
-            raise OutOfRange(f"scale={self.scale} must be finite and > 0")
+        object.__setattr__(self, "kappa", _kappa(self.kappa))
+        object.__setattr__(self, "scale", _real("scale", self.scale, OutOfRange, 0))
 
 
 def cms_transform(phi, w, kappa: float, *, printed_form: bool = False):
@@ -62,8 +65,9 @@ def cms_transform(phi, w, kappa: float, *, printed_form: bool = False):
     can be checked by hand: e.g. κ = 1, Φ = 0, W = 1 gives 1/2 under
     ``printed_form=True`` and 1 under the default.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    phi = _reals("phi", phi, OutOfRange, -math.pi / 2, math.pi / 2, "[]")
+    w = _reals("w", w, OutOfRange, 0, math.inf, "(]")
+    kappa = _kappa(kappa)
     phi0 = -2.0 * math.atan(kappa)
     half = 0.5 * (phi - phi0)
     z = np.sin(half) * np.cos(phi - half) / (np.cos(phi) ** 2 * w)
@@ -76,8 +80,7 @@ def cms_transform(phi, w, kappa: float, *, printed_form: bool = False):
 
 def sample_standard(kappa: float, stream: RandomStream) -> float:
     """One draw of Z_[κ, 1]; consumes two stream positions."""
-    if not -1.0 <= kappa <= 1.0:
-        raise OutOfRange(f"kappa={kappa} outside [-1, 1]")
+    kappa = _kappa(kappa)
     u = stream.uniform()
     w = stream.exponential()
     # u ∈ (0,1) strictly, so Φ stays inside (-π/2, π/2) and cos Φ > 0:
@@ -89,8 +92,7 @@ def sample_standard(kappa: float, stream: RandomStream) -> float:
 def sample_standard_block(kappa: float, stream: RandomStream, n: int, *,
                           printed_form: bool = False) -> np.ndarray:
     """``n`` standard draws; same stream consumption as n scalar draws."""
-    if not -1.0 <= kappa <= 1.0:
-        raise OutOfRange(f"kappa={kappa} outside [-1, 1]")
+    kappa = _kappa(kappa)
     u = stream.uniforms(2 * _whole("n", n))
     phi = math.pi * (u[0::2] - 0.5)
     w = -np.log(u[1::2])
@@ -108,9 +110,7 @@ def sample_block(params: StableParams, stream: RandomStream, n: int) -> np.ndarr
 
 def negativity_probability(kappa: float) -> float:
     """P(Z_[κ, c] < 0) = 1/2 - (2/π)·arctan κ (scale-free)."""
-    if not -1.0 <= kappa <= 1.0:
-        raise OutOfRange(f"kappa={kappa} outside [-1, 1]")
-    return 0.5 - 2.0 * math.atan(kappa) / math.pi
+    return 0.5 - 2.0 * math.atan(_kappa(kappa)) / math.pi
 
 
 def combine_sum(a: float, b: float) -> StableParams:
@@ -119,9 +119,7 @@ def combine_sum(a: float, b: float) -> StableParams:
     Coefficients a, b > 0 multiply standard (κ = 1, c = 1) draws; the sum is
     again one-sided with scale (√a + √b)².
     """
-    if a <= 0 or b <= 0:
-        raise OutOfRange("combine_sum needs a, b > 0")
-    return StableParams(kappa=1.0, scale=(math.sqrt(a) + math.sqrt(b)) ** 2)
+    return StableParams(kappa=1.0, scale=combine_difference(a, b).scale)
 
 
 def combine_difference(a: float, b: float) -> StableParams:
@@ -129,26 +127,21 @@ def combine_difference(a: float, b: float) -> StableParams:
 
     κ = (√a - √b)/(√a + √b), scale (√a + √b)²; a = b gives the symmetric law.
     """
-    if a <= 0 or b <= 0:
-        raise OutOfRange("combine_difference needs a, b > 0")
-    ra, rb = math.sqrt(a), math.sqrt(b)
+    ra = math.sqrt(_real("a", a, OutOfRange, 0))
+    rb = math.sqrt(_real("b", b, OutOfRange, 0))
     return StableParams(kappa=(ra - rb) / (ra + rb), scale=(ra + rb) ** 2)
 
 
 def levy_pdf(tval):
     """One-sided (κ = 1, c = 1) density (2π)^(-1/2) e^(-1/(2t)) t^(-3/2)."""
-    t = np.asarray(tval, dtype=np.float64)
-    if np.any(t <= 0):
-        raise NonPositiveArgument("levy_pdf needs t > 0")
+    t = _reals("t", tval, NonPositiveArgument, 0, math.inf, "(]")
     out = math.sqrt(1.0 / (2.0 * math.pi)) * np.exp(-1.0 / (2.0 * t)) * t ** -1.5
     return float(out) if out.ndim == 0 else out
 
 
 def levy_cdf(tval):
     """One-sided CDF erfc(1/√(2t)), the integral of :func:`levy_pdf`."""
-    t = np.asarray(tval, dtype=np.float64)
-    if np.any(t <= 0):
-        raise NonPositiveArgument("levy_cdf needs t > 0")
+    t = _reals("t", tval, NonPositiveArgument, 0, math.inf, "(]")
     from scipy.special import erfc
 
     out = erfc(1.0 / np.sqrt(2.0 * t))
@@ -157,6 +150,7 @@ def levy_cdf(tval):
 
 def characteristic_function(t, kappa: float, scale: float = 1.0) -> np.ndarray:
     """E[exp(itZ)] under the module's convention (reference for tests)."""
-    t = np.asarray(t, dtype=np.float64)
+    t = _reals("t", t, OutOfRange, -math.inf, math.inf)
+    kappa, scale = _kappa(kappa), _real("scale", scale, OutOfRange, 0)
     mag = np.sqrt(np.abs(t))
     return np.exp(-scale * mag) * np.exp(1j * scale * kappa * np.sign(t) * mag)

@@ -21,6 +21,7 @@ estimators drop an initial negative stretch before pairing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Sequence
@@ -148,12 +149,43 @@ def _grid(name: str, grid, top: int | None) -> tuple[int, ...]:
     return hs
 
 
+def _real(name: str, value, error: type, lo: float, hi: float = math.inf,
+          ends: str = "()") -> float:
+    """``value`` as a float, by the one rule for real parameters: a real
+    number (numpy scalars included) between lo and hi, the interval open or
+    closed at each end as ``ends`` says (``"()"``, ``"[]"``, ``"[)"`` or
+    ``"(]"``).  Anything else, nan among it, is refused with ``error`` naming
+    the argument.  Every caller's interval for a scalar leaves out ±inf, so
+    a scalar that passes is finite."""
+    try:
+        v = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int or Fraction past the float range
+        v = math.nan
+    if (lo < v if ends[0] == "(" else lo <= v) and (v < hi if ends[1] == ")" else v <= hi):
+        return v
+    raise error(f"{name}={value!r} must be a real number in {ends[0]}{lo}, {hi}{ends[1]}")
+
+
+def _reals(name: str, values, error: type, lo: float, hi: float = math.inf,
+           ends: str = "()") -> np.ndarray:
+    """``values`` as a float array whose every entry passes :func:`_real`'s
+    interval: it does when its least and greatest entries do, and a nan is
+    both of them."""
+    try:
+        v = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):  # a string, a ragged list, ...
+        raise error(f"{name}={values!r} must be real numbers") from None
+    for extreme in (v.min(), v.max()) if v.size else ():
+        _real(name, float(extreme), error, lo, hi, ends)
+    return v
+
+
 def _slope(x) -> Fraction:
     """A barrier slope x as an exact rational, the one conversion of every
     entry point: φ is built from √(1 - x), so an x that is not a finite
     rational in [0, 1) is refused with :class:`~.errors.OutOfDomain`."""
     try:
-        x = Fraction(x)
+        x = Fraction(x.item() if isinstance(x, np.generic) else x)  # np.float32, ...
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):  # None, nan, inf, ...
         raise OutOfDomain(f"x={x!r} is not a finite rational") from None
     if not 0 <= x < 1:

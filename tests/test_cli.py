@@ -33,6 +33,10 @@ def test_phi_command(capsys):
     assert "kappa=" in out and "psi_bar=" in out
     rc, out, _ = run_cli(capsys, "phi")
     assert rc == 0 and "phi=0.5 " in out
+    # b = inf printed phi=0 kappa=nan psi_bar=nan and exited 0
+    rc, out, err = run_cli(capsys, "phi", "--x", "1/2", "--b", "inf")
+    assert rc == 1 and out == ""
+    assert err.startswith("persistwalk phi: OutOfDomain: b=inf")
 
 
 def test_oracle_dp_output(capsys):

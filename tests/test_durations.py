@@ -183,6 +183,8 @@ def test_duration_sources_share_one_draw_contract(make):
     assert after.shape == (64,)
     assert tau.dtype == np.int64 and ((1 <= tau) & (tau <= source.longest)).all()
     assert (tau[0, :4] == source.longest).all() and capped[0, :4].all()
+    # the stretch loop drops a flag where a τ past n_table decides nothing
+    assert flagged.any() and (tau[flagged] > source.n_table).all()
     if isinstance(source, durations.PassageLaw):
         want = durations.srw_tau_from_uniform_pairs(u[:, 0], u[:, 1],
                                                     cap_exp=source.cap_exp)

@@ -957,6 +957,14 @@ def test_exact_stretch_engines_pinned_with_caps():
                                             source=durations.PassageLaw(6))
     assert capped > 0
     assert _digest(kstar // 2, capped) == STRETCH_DIGESTS["excursion", "cap", "weak"]
+    # a cap hit counts only where its stretch starts early enough for the
+    # true τ, longer than n_table = 2^7 + 1, to change the answer; the same
+    # trials flagged 4994 draws when every hit counted
+    tstar, _, _, capped = engine._stretches(SIMPLE, Fraction(1, 2), 20000, 593, "strict",
+                                            77, 150, engine._NO_LIMIT,
+                                            source=durations.PassageLaw(6))
+    assert capped == 3680
+    assert _digest(tstar).startswith("5e9fd99e4edc8e94")  # as when every hit counted
 
 
 @pytest.mark.parametrize("x", X_PINNED, ids=str)

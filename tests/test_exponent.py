@@ -1,6 +1,7 @@
 """Closed-form exponent phi(x, b), its inverse, and the b estimators."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,25 @@ def test_domain_errors():
         exponent.invert_phi(1.0, 0.0)
     with pytest.raises(OutOfDomain):
         exponent.invert_phi(0.5, 1.0)
+    # b = inf and 1e200 gave nan (b² overflows), and None or a string ended
+    # in TypeError; b goes through the package's one rule for reals
+    for bad_b in (math.inf, 1e200, math.nan, None, "2"):
+        for f in (exponent.kappa_of, exponent.phi, exponent.phi_arctan, exponent.model):
+            with pytest.raises(OutOfDomain, match="b="):
+                f(0.5, bad_b)
+        with pytest.raises(OutOfDomain, match="b="):
+            exponent.psi_bar_of(bad_b)
+    # x goes through the slope rule of the Monte Carlo entry points
+    with pytest.raises(OutOfDomain, match="x="):
+        exponent.phi(None, 1)
+    with pytest.raises(OutOfDomain, match="x="):
+        exponent.invert_phi(0.5, None)
+    for bad_phi in (None, math.nan, "1/2"):
+        with pytest.raises(Unattainable, match="phi="):
+            exponent.invert_phi(bad_phi, 0.0)
+    # exact and numpy inputs give the float input's value
+    for x in (np.float32(0.5), Fraction(1, 2), "1/2"):
+        assert exponent.phi(x, np.int64(2)) == exponent.phi(0.5, 2.0)
 
 
 @given(st.floats(0.0, 0.95), st.floats(math.log(0.05), math.log(20.0)))

@@ -37,10 +37,11 @@ def test_geometric_grid():
     # bounds were truncated without a word
     for kw in ({"ratio": 1.0}, {"ratio": math.inf}, {"ratio": math.nan},
                {"ratio": 2.0, "h_min": 0}, {"h_min": math.nan}, {"h_min": math.inf},
-               {"h_min": 2.5}):
+               {"h_min": 2.5}, {"ratio": "2"}):
         with pytest.raises(OutOfRange):
             mc.geometric_grid(10, **kw)
-    for h_max in (10.5, *BAD_SIZES):
+    # a horizon past int64 ended in OverflowError
+    for h_max in (10.5, 2 ** 63, 1e200, *BAD_SIZES):
         with pytest.raises(OutOfRange, match="h_max="):
             mc.geometric_grid(h_max)
     for h_min in BAD_SIZES:
@@ -203,6 +204,15 @@ def test_fit_exponent_insufficient_data():
     # slope=nan, r2=1
     six = mc.SurvivalCurve(kind="time", horizons=[1, 2, 4, 8, 16, 32],
                            survivors=[50, 30, 20, 10, 5, 0], trials=100)
+    # trials follow the size rule: 0 raised a bare ValueError, and 2.5 was
+    # taken and divided p̂ by 2.5; mismatched lengths raised ValueError
+    for bad in (0, 2.5, None):
+        with pytest.raises(OutOfRange, match="trials="):
+            mc.SurvivalCurve(kind="time", horizons=[1], survivors=[1], trials=bad)
+        with pytest.raises(OutOfRange, match="trials="):
+            mc.SurvivalCurve.from_probabilities([1], [0.5], trials=bad)
+    with pytest.raises(OutOfRange, match="differ in length"):
+        mc.SurvivalCurve(kind="time", horizons=[1, 2], survivors=[1], trials=3)
     for bad in BAD_SIZES:
         with pytest.raises(OutOfRange, match="min_survivors="):
             mc.fit_exponent(six, min_survivors=bad)
@@ -227,8 +237,11 @@ def test_skew_from_xi_trivial_sequences():
     assert dead.degenerate
     assert np.all(np.isinf(dead.d))
     np.testing.assert_array_equal(dead.neg_counts, [50, 50])
-    with pytest.raises(OutOfRange):
-        mc.skew_diagnostic_from_xi(ones, (4, 32))
+    # n = 0 read ξ's last column, (-3, 4) gave d = inf and () ended in
+    # IndexError: the grid follows the size rule in 2..n
+    for bad in ((4, 32), (0, 4), (-3, 4), ()):
+        with pytest.raises(OutOfRange, match="n_grid"):
+            mc.skew_diagnostic_from_xi(ones, bad)
 
 
 def test_skew_from_xi_mixed_population():
@@ -382,6 +395,11 @@ def test_gamma_ratio():
         mc.gamma_ratio(10, 1.0)
     with pytest.raises(OutOfRange):
         mc.gamma_ratio(-1, 0.5)
+    # None ended in TypeError, and k = nan or inf was answered nan
+    for k, phi, name in ((1, None, "phi="), (1, "1/2", "phi="), (math.nan, 0.5, "k="),
+                         (math.inf, 0.5, "k="), ([1, None], 0.5, "k=")):
+        with pytest.raises(OutOfRange, match=name):
+            mc.gamma_ratio(k, phi)
 
 
 def test_tail_draws_reach_the_curve_and_csv(tmp_path):

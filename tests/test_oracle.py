@@ -367,6 +367,10 @@ def test_equivalence_check_exhaustive():
     assert len(rep.mode_sensitive) == 216
     with pytest.raises(CapExceeded):
         oracle.equivalence_check(17)
+    # -1 ended in itertools' ValueError and 2.5 in TypeError
+    for bad in (-1, *BAD_SIZES):
+        with pytest.raises(OutOfRange, match="max_len="):
+            oracle.equivalence_check(bad)
 
 
 def test_oracle_dp_value_dispatch():

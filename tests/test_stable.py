@@ -35,6 +35,22 @@ def test_params_validation():
             stable.StableParams(kappa=0.0, scale=scale)
     with pytest.raises(OutOfRange):
         stable.negativity_probability(-1.5)
+    # every κ, scale and coefficient goes through the package's one rule for
+    # reals: None ended in TypeError, and cms_transform and
+    # characteristic_function answered for any κ and scale
+    for call, name in ((lambda: stable.StableParams(0, None), "scale="),
+                       (lambda: stable.negativity_probability(None), "kappa="),
+                       (lambda: stable.cms_transform(0, 1, 5.0), "kappa="),
+                       (lambda: stable.cms_transform(0, 0.0, 0.5), "w="),
+                       (lambda: stable.characteristic_function(1, 5.0), "kappa="),
+                       (lambda: stable.characteristic_function(1, 0.5, -1.0), "scale="),
+                       (lambda: stable.characteristic_function(math.inf, 0.5), "t="),
+                       (lambda: stable.combine_sum(None, 1), "a="),
+                       (lambda: stable.combine_difference(math.nan, 1), "a="),
+                       (lambda: stable.combine_difference(1, "2"), "b=")):
+        with pytest.raises(OutOfRange, match=name):
+            call()
+    assert stable.StableParams(np.int64(1), Fraction(1, 4)) == stable.StableParams(1.0, 0.25)
     # a block size follows the package's size rule, before any draw; 2.5
     # used to end in TypeError
     four = stable.sample_standard_block(0.3, RandomStream(314, 0), 4)
@@ -123,6 +139,13 @@ def test_levy_pdf_cdf_consistency():
         stable.levy_pdf(0.0)
     with pytest.raises(NonPositiveArgument):
         stable.levy_cdf(-1.0)
+    # nan and None (read as nan) were answered nan, and a string ended in
+    # ValueError
+    for bad in (math.nan, None, [1.0, math.nan], "abc"):
+        with pytest.raises(NonPositiveArgument, match="t="):
+            stable.levy_cdf(bad)
+        with pytest.raises(NonPositiveArgument, match="t="):
+            stable.levy_pdf(bad)
 
 
 def test_levy_median_closed_form():
